@@ -11,8 +11,7 @@ from .errors import (CapExceededError, InputError, PreconditionError,
                      ProtocolError, UpfamError)
 from .family import (Counterexample, Family, ReferenceSet, displacement_map,
                      family_accepts, is_normalized, is_refined, normalize,
-                     refine_family, ts_run, up_membership,
-                     weak_omega_accepts)
+                     refine_family, up_membership)
 from .faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                   parse_faf, parse_sample, serialize_dfa_doc, serialize_faf,
                   serialize_nba, serialize_sample)
@@ -32,7 +31,6 @@ from .saturation import (MODE_FULLY_SATURATED, MODE_SATURATED,
 from .translate import (GEN_FAMILY_NAMES, complement_saturated_fdwa,
                         duo_accepts, duo_to_fdwa, fdwa_to_duo, fdwa_to_nba,
                         gen_family, is_duo_normalized)
-from .words import (Representation, Word, canonical_pair, canonical_rep,
-                    root, up_equal)
+from .words import Representation, Word, canonical_pair, root, up_equal
 
 __version__ = "0.1.0"

@@ -15,19 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Dfa, minimize_dfa
-from .errors import InputError
+from .automata import Dfa, llex_bfs, minimize_dfa
+from .errors import CAP_EXCEEDED, InputError
 from .family import FDFA, Family
-from .fixtures import trivial_leading
-from .words import Word
+from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
 
 ALMOST_SATURATED = "AlmostSaturated"
 NOT_ALMOST_SATURATED = "NotAlmostSaturated"
-CAP_EXCEEDED = "CapExceeded"
 
 DEFAULT_CAP = 2_000_000
-
-HASH = "#"
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,6 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP
     if F.kind != FDFA:
         raise InputError("almost-saturation is defined for FDFAs")
     T = F.leading
-    nsym = len(T.alphabet)
     total = 0
     capped = False
     best = None
@@ -75,8 +70,7 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP
         if capped:
             break
         D = minimize_dfa(F.progress[q])
-        sym_maps = [tuple(D.delta[s][si] for s in range(D.n))
-                    for si in range(nsym)]
+        sym_maps = list(zip(*D.delta))  # per symbol, the map it induces
         acc = D.accepting
 
         def bad_power(m):
@@ -94,65 +88,34 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP
                     return None
                 seen.add(s)
 
-        start = Transformation.identity(D.n, q)
-        words = {start: ()}
-        queue = [start]
+        def successors(node):
+            m, row = node.mapping, T.delta[node.displacement]
+            return [Transformation(tuple(sm[v] for v in m), row[si])
+                    for si, sm in enumerate(sym_maps)]
+
+        search = llex_bfs([(Transformation.identity(D.n, q), ())],
+                          successors)
+        next(search)  # the start node counts without a cap check
         total += 1
-        found = None
-        k = 0
-        while k < len(queue) and found is None:
-            node = queue[k]
-            k += 1
-            w = words[node]
-            for si in range(nsym):
-                child = Transformation(
-                    tuple(sym_maps[si][v] for v in node.mapping),
-                    T.delta[node.displacement][si])
-                if child in words:
-                    continue
-                total += 1
-                if total > cap:
-                    capped = True
-                    break
-                cw = w + (T.alphabet[si],)
-                words[child] = cw
-                queue.append(child)
-                if child.displacement == q:
-                    i = bad_power(child.mapping)
-                    if i is not None:
-                        found = (cw, i)
-                        break
-            if capped:
+        for node, w in search:
+            total += 1
+            if total > cap:
+                capped = True
                 break
-        if found is not None:
-            cw, i = found
-            key = (len(cw), tuple(T.sym_index[t] for t in cw), q, i)
-            if best is None or key < best[0]:
-                best = (key, T.access_word(q), cw, i)
+            if node.displacement == q:
+                i = bad_power(node.mapping)
+                if i is not None:
+                    key = (len(w), w, q, i)
+                    if best is None or key < best:
+                        best = key
+                    break
     if best is not None:
-        _, u, x, i = best
-        return AlmostVerdict(NOT_ALMOST_SATURATED, (u, x, i))
+        _, w, q, i = best
+        x = tuple(T.alphabet[si] for si in w)
+        return AlmostVerdict(NOT_ALMOST_SATURATED, (T.access_word(q), x, i))
     if capped:
         return AlmostVerdict(CAP_EXCEEDED)
     return AlmostVerdict(ALMOST_SATURATED)
-
-
-def _next_prime(k: int) -> int:
-    p = max(k, 2)
-    while True:
-        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            return p
-        p += 1
-
-
-def _sigma_plus_dfa(alphabet) -> Dfa:
-    """Universal on nonempty words: used to pad the instance to prime
-    length without changing the intersection."""
-    trans = {}
-    for a in alphabet:
-        trans[(0, a)] = 1
-        trans[(1, a)] = 1
-    return Dfa.from_parts(alphabet, 2, trans, accepting={1})
 
 
 def gen_intersection_fdfa(dfas: list) -> Family:
@@ -176,8 +139,8 @@ def gen_intersection_fdfa(dfas: list) -> Family:
             raise InputError("input DFA accepts the empty word")
     if HASH in alphabet:
         raise InputError(f"alphabet already contains {HASH!r}")
-    p = _next_prime(len(dfas))
-    chain = list(dfas) + [_sigma_plus_dfa(alphabet)] * (p - len(dfas))
+    p = next_prime(len(dfas))
+    chain = list(dfas) + [sigma_plus_dfa(alphabet)] * (p - len(dfas))
 
     full = tuple(alphabet) + (HASH,)
     offsets = []

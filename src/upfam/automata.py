@@ -11,12 +11,42 @@ least word reaching it.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import (Callable, Hashable, Iterable, Iterator, Optional,
+                    Sequence)
 
 from .errors import CapExceededError, InputError
 from .words import Word
 
 _SINK = object()  # placeholder key for the implicit rejecting sink
+
+
+def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
+             successors: Callable[[Hashable], Iterable[Optional[Hashable]]]
+             ) -> Iterator[tuple[Hashable, tuple]]:
+    """Breadth-first search of a deterministic graph in llex order.
+
+    `starts` holds (node, word) pairs whose words have one length, listed
+    in llex order.  `successors(node)` gives one successor per alphabet
+    symbol, in alphabet order, with None marking a blocked edge.  Every
+    reachable node is yielded exactly once, as (node, word), when it is
+    first discovered; `word` is a tuple of symbol indices.  Discovery order
+    is the llex order of the least words, so the first goal yielded carries
+    the llex-least word reaching any goal, and a caller can stop there."""
+    words: dict = {}
+    queue = []
+    for node, word in starts:
+        if node not in words:
+            words[node] = word
+            queue.append(node)
+            yield node, word
+    for node in queue:  # the loop also visits nodes appended below
+        word = words[node]
+        for si, nxt in enumerate(successors(node)):
+            if nxt is not None and nxt not in words:
+                nxt_word = word + (si,)
+                words[nxt] = nxt_word
+                queue.append(nxt)
+                yield nxt, nxt_word
 
 
 class TransitionSystem:
@@ -111,16 +141,8 @@ class TransitionSystem:
         """Llex-least word reaching the state."""
         if self._access is None:
             access = [None] * self.n
-            access[self.initial] = ()
-            queue = [self.initial]
-            k = 0
-            while k < len(queue):
-                q = queue[k]
-                k += 1
-                for i, t in enumerate(self.delta[q]):
-                    if access[t] is None:
-                        access[t] = access[q] + (self.alphabet[i],)
-                        queue.append(t)
+            for q, w in llex_bfs([(self.initial, ())], self.delta.__getitem__):
+                access[q] = tuple(self.alphabet[i] for i in w)
             self._access = tuple(access)
         word = self._access[state]
         if word is None:

@@ -15,7 +15,7 @@ import re
 import sys
 
 from .almost import check_almost_saturated
-from .errors import CapExceededError, UpfamError
+from .errors import CAP_EXCEEDED, CapExceededError, UpfamError
 from .faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                   parse_faf, parse_sample, serialize_dfa_doc, serialize_faf,
                   serialize_nba)
@@ -34,8 +34,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-CAP_EXCEEDED = "CapExceeded"
 
 
 def _read(path: str) -> str:
@@ -193,6 +191,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _field(obj: dict, key: str, kind: type):
+    """obj[key], which must be present and of the given JSON type."""
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise UpfamError("witness field %r: expected %s, got %r"
+                         % (key, kind.__name__, value))
+    return value
+
+
 def _replay(F, doc):
     """(ok, reason) for a witness document against a family."""
     w = doc.get("witness", doc) if isinstance(doc, dict) else None
@@ -200,12 +207,15 @@ def _replay(F, doc):
         raise UpfamError("replay input is not a witness object")
     alphabet = F.alphabet
 
+    def word(obj, key):
+        return parse_word(_field(obj, key, str), alphabet)
+
     if "variant" in w:
-        left = Representation(parse_word(w["left"]["u"], alphabet),
-                              parse_word(w["left"]["x"], alphabet))
-        right = Representation(parse_word(w["right"]["u"], alphabet),
-                               parse_word(w["right"]["x"], alphabet))
-        la, ra = bool(w["left_accepted"]), bool(w["right_accepted"])
+        left_doc, right_doc = _field(w, "left", dict), _field(w, "right", dict)
+        left = Representation(word(left_doc, "u"), word(left_doc, "x"))
+        right = Representation(word(right_doc, "u"), word(right_doc, "x"))
+        la = _field(w, "left_accepted", bool)
+        ra = _field(w, "right_accepted", bool)
         if la == ra:
             return False, "recorded acceptance bits do not disagree"
         if w["variant"] == "power":
@@ -220,9 +230,8 @@ def _replay(F, doc):
         return True, "counterexample replays"
 
     if "power" in w:
-        u = parse_word(w["u"], alphabet)
-        x = parse_word(w["x"], alphabet)
-        i = int(w["power"])
+        u, x = word(w, "u"), word(w, "x")
+        i = _field(w, "power", int)
         if i < 2 or not x:
             return False, "power witness needs a nonempty loop and power >= 2"
         pair = Representation(u, x)
@@ -291,7 +300,8 @@ def _parser() -> argparse.ArgumentParser:
                             "regularity"))
     c.add_argument("file", help="family file, or - for stdin")
     c.add_argument("--cap", type=int, default=None,
-                   help="search budget for the capped checks")
+                   help="search budget of almost-saturation and regularity;"
+                        " the other checks ignore it")
     c.add_argument("--json", action="store_true",
                    help="machine-readable verdict on stdout")
     c.set_defaults(handler=_cmd_check)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the verdict status a
+capped check reports instead of raising."""
 
 
 class UpfamError(Exception):
@@ -16,6 +17,9 @@ class PreconditionError(UpfamError):
 
 class CapExceededError(UpfamError):
     """A bounded search hit its exploration cap before reaching a verdict."""
+
+
+CAP_EXCEEDED = "CapExceeded"  # verdict status of a check that hit its cap
 
 
 class ProtocolError(UpfamError):

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from .automata import Dfa, Nfa, TransitionSystem, is_weak, weak_loop_accepts
 from .errors import InputError, PreconditionError
-from .words import Representation, Word
+from .words import Representation
 
 FDFA = "fdfa"
 FDWA = "fdwa"
@@ -128,25 +128,12 @@ class Counterexample:
     left_accepted: bool
     right_accepted: bool
 
-    def reps(self):
-        return (self.left, self.right)
-
-
-def ts_run(T: TransitionSystem, q: int, w) -> int:
-    """Iterated transition application from state q."""
-    return T.after(q, w)
-
 
 def is_normalized(F: Family, r: Representation) -> bool:
     """True iff u and u*x reach the same leading state."""
     T = F.leading
     q = T.run(r.u)
     return T.after(q, r.x) == q
-
-
-def weak_omega_accepts(B: Dfa, x: Word) -> bool:
-    """Acceptance of x^omega by a weak deterministic Buchi automaton."""
-    return weak_loop_accepts(B, x)
 
 
 def family_accepts(F: Family, r: Representation,

@@ -12,12 +12,11 @@ implement learning from labeled example sets.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .automata import Dfa, TransitionSystem
+from .automata import Dfa, TransitionSystem, llex_bfs
 from .errors import InputError, PreconditionError, ProtocolError
 from .family import (FDFA, Family, ReferenceSet, family_accepts,
                      up_membership)
@@ -182,32 +181,23 @@ def _least_dollar_difference(A: Dfa, B: Dfa) -> Optional[tuple[Word, Word]]:
     if DOLLAR not in A.sym_index:
         raise InputError("expected machines over an alphabet containing '$'")
     di = A.sym_index[DOLLAR]
-    start = (A.initial, B.initial, 0)
-    parent: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        cfg = queue.popleft()
+
+    def successors(cfg):
         sa, sb, phase = cfg
+        out = []
+        for i, (ta, tb) in enumerate(zip(A.delta[sa], B.delta[sb])):
+            if i == di:
+                out.append(None if phase else (ta, tb, 1))
+            else:
+                out.append((ta, tb, 2 if phase else 0))
+        return out
+
+    for (sa, sb, phase), w in llex_bfs([((A.initial, B.initial, 0), ())],
+                                       successors):
         if phase == 2 and ((sa in A.accepting) != (sb in B.accepting)):
-            syms = []
-            cur = cfg
-            while parent[cur] is not None:
-                cur, i = parent[cur]
-                syms.append(i)
-            syms.reverse()
-            w = tuple(A.alphabet[i] for i in syms)
+            w = tuple(A.alphabet[i] for i in w)
             cut = w.index(DOLLAR)
             return w[:cut], w[cut + 1:]
-        for i in range(len(A.alphabet)):
-            if i == di:
-                if phase != 0:
-                    continue
-                nxt = (A.delta[sa][i], B.delta[sb][i], 1)
-            else:
-                nxt = (A.delta[sa][i], B.delta[sb][i], 2 if phase else 0)
-            if nxt not in parent:
-                parent[nxt] = (cfg, i)
-                queue.append(nxt)
     return None
 
 
@@ -615,30 +605,12 @@ def gen_char_sample(target: Family) -> Sample:
 def _normalized_loop(T, q, D, s):
     """Shortest nonempty x that drives D to state s while looping the
     leading system at q; such a word must exist for accepting states."""
-    start = (D.initial, q)
-    parent: dict = {}
-    queue = deque()
-    for i, a in enumerate(D.alphabet):
-        nxt = (D.delta[D.initial][i], T.delta[q][T.sym_index[a]])
-        if nxt not in parent:
-            parent[nxt] = (None, a)
-            queue.append(nxt)
-    while queue:
-        cfg = queue.popleft()
+    starts = [(cfg, (i,)) for i, cfg in enumerate(zip(D.delta[D.initial],
+                                                      T.delta[q]))]
+    for cfg, w in llex_bfs(starts, lambda n: zip(D.delta[n[0]],
+                                                 T.delta[n[1]])):
         if cfg == (s, q):
-            syms = []
-            cur = cfg
-            while cur is not None:
-                prev, a = parent[cur]
-                syms.append(a)
-                cur = prev
-            return tuple(reversed(syms))
-        d, t = cfg
-        for i, a in enumerate(D.alphabet):
-            nxt = (D.delta[d][i], T.delta[t][T.sym_index[a]])
-            if nxt not in parent:
-                parent[nxt] = (cfg, a)
-                queue.append(nxt)
+            return tuple(T.alphabet[i] for i in w)
     raise PreconditionError(
         "accepting progress state %d of leading state %d has no normalized"
         " loop" % (s, q))
@@ -649,18 +621,11 @@ def _leading_separator(F: Family, q: int, p: int) -> tuple[Word, Word]:
     on both v-successors and exactly one side accepts.  For a saturated
     family such a pair exists whenever the states are inequivalent."""
     T = F.leading
-    seen = {(q, p): ()}
-    queue = deque([(q, p)])
-    while queue:
-        pair = queue.popleft()
-        x = _loop_separator(F, pair[0], pair[1])
+    for (t1, t2), w in llex_bfs([((q, p), ())],
+                                lambda n: zip(T.delta[n[0]], T.delta[n[1]])):
+        x = _loop_separator(F, t1, t2)
         if x is not None:
-            return seen[pair], x
-        for i, a in enumerate(T.alphabet):
-            nxt = (T.delta[pair[0]][i], T.delta[pair[1]][i])
-            if nxt not in seen:
-                seen[nxt] = seen[pair] + (a,)
-                queue.append(nxt)
+            return tuple(T.alphabet[i] for i in w), x
     raise PreconditionError(
         "leading states %d and %d are equivalent; the leading system is"
         " not minimal" % (q, p))
@@ -671,32 +636,15 @@ def _loop_separator(F: Family, t1: int, t2: int) -> Optional[Word]:
     with the two progress DFAs disagreeing on it, or None."""
     T = F.leading
     D1, D2 = F.progress[t1], F.progress[t2]
-    parent: dict = {}
-    queue = deque()
-    for i, a in enumerate(T.alphabet):
-        nxt = (T.delta[t1][i], T.delta[t2][i],
-               D1.delta[D1.initial][D1.sym_index[a]],
-               D2.delta[D2.initial][D2.sym_index[a]])
-        if nxt not in parent:
-            parent[nxt] = (None, a)
-            queue.append(nxt)
-    while queue:
-        cfg = queue.popleft()
+
+    def successors(cfg):
         a1, a2, d1, d2 = cfg
+        return zip(T.delta[a1], T.delta[a2], D1.delta[d1], D2.delta[d2])
+
+    starts = [(cfg, (i,)) for i, cfg in enumerate(successors(
+        (t1, t2, D1.initial, D2.initial)))]
+    for (a1, a2, d1, d2), w in llex_bfs(starts, successors):
         if a1 == t1 and a2 == t2 and ((d1 in D1.accepting)
                                       != (d2 in D2.accepting)):
-            syms = []
-            cur = cfg
-            while cur is not None:
-                prev, a = parent[cur]
-                syms.append(a)
-                cur = prev
-            return tuple(reversed(syms))
-        for i, a in enumerate(T.alphabet):
-            nxt = (T.delta[a1][i], T.delta[a2][i],
-                   D1.delta[d1][D1.sym_index[a]],
-                   D2.delta[d2][D2.sym_index[a]])
-            if nxt not in parent:
-                parent[nxt] = (cfg, a)
-                queue.append(nxt)
+            return tuple(T.alphabet[i] for i in w)
     return None

@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .automata import Dfa, Nfa
-from .errors import CapExceededError, InputError
+from .errors import CAP_EXCEEDED, CapExceededError, InputError
 from .family import FDFA, FDWA, FNFA, Family
-from .fixtures import trivial_leading
+from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
 from .words import Word, as_word, root
 
 REGULAR = "Regular"
 NOT_REGULAR = "NotRegular"
-CAP_EXCEEDED = "CapExceeded"
 
 ACCEPTING = "Accepting"
 REJECTING = "Rejecting"
@@ -48,8 +47,6 @@ CASE_FIRST_VISITORS = "InfinitelyManyFirstVisitors"
 CASE_DISTINCT_ROOTS = "DistinctRoots"
 
 DEFAULT_PROFILE_CAP = 100_000
-
-HASH = "#"
 
 
 @dataclass(frozen=True)
@@ -523,6 +520,8 @@ def check_regular(F: Family,
                   cap: int = DEFAULT_PROFILE_CAP) -> RegularityVerdict:
     """Decide whether the family's UP-language is expressible with weak
     deterministic progress automata."""
+    if cap < 1:
+        raise InputError("cap must be positive")
     if F.kind == FDWA:
         F.require_weak()
         return RegularityVerdict(REGULAR)
@@ -535,20 +534,6 @@ def check_regular(F: Family,
     if witness is None:
         return RegularityVerdict(REGULAR)
     return RegularityVerdict(NOT_REGULAR, witness)
-
-
-def _next_prime(k: int) -> int:
-    k = max(k, 2)
-    while True:
-        if all(k % d for d in range(2, int(k ** 0.5) + 1)):
-            return k
-        k += 1
-
-
-def _sigma_plus_dfa(alphabet) -> Dfa:
-    return Dfa.from_parts(alphabet, 2,
-                          {(s, a): 1 for s in (0, 1) for a in alphabet},
-                          accepting=(1,))
 
 
 def gen_ter_hardness(dfas) -> Dfa:
@@ -573,9 +558,9 @@ def gen_ter_hardness(dfas) -> Dfa:
             raise InputError("input automata must share one alphabet")
         if d.initial in d.accepting:
             raise InputError("input automata must not accept the empty word")
-    p = _next_prime(len(dfas))
+    p = next_prime(len(dfas))
     while len(dfas) < p:
-        dfas.append(_sigma_plus_dfa(alphabet))
+        dfas.append(sigma_plus_dfa(alphabet))
     full = tuple(alphabet) + (HASH,)
     d1 = dfas[0]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import minimize_dfa
+from .automata import llex_bfs, minimize_dfa
 from .errors import InputError, PreconditionError
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
                      displacement_map, is_refined, refine_family)
@@ -98,60 +98,26 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet
                 return (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2)
 
             start = (Dq.delta[Dq.initial][ai], Dq2.initial)
-            words = {start: ()}
-            queue = [start]
-            hit = None
-            k = 0
-            while k < len(queue):
-                node = queue[k]
-                k += 1
-                if violates(*node):
-                    hit = node
+            search = llex_bfs(
+                [(start, ())],
+                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]]))
+            for (d1, d2), w in search:
+                if violates(d1, d2):
+                    key = ((len(w), w), q, ai)
+                    if best is None or key < best[0]:
+                        best = (key, q, a, w, d1 in acc_q)
                     break
-                d1, d2 = node
-                for si in range(len(alphabet)):
-                    nxt = (Dq.delta[d1][si], Dq2.delta[d2][si])
-                    if nxt not in words:
-                        words[nxt] = words[node] + (alphabet[si],)
-                        queue.append(nxt)
-            if hit is None:
-                continue
-            w = words[hit]
-            key = (_word_key(w, T.sym_index), q, ai)
-            if best is None or key < best[0]:
-                left_acc = hit[0] in acc_q
-                best = (key, q, a, w, left_acc)
     if best is None:
         return SaturationVerdict(SATURATED, STAGE_LOOPSHIFT)
     _, q, a, w, left_acc = best
     u = T.access_word(q)
+    w = tuple(alphabet[si] for si in w)
     cx = Counterexample(
         "loopshift",
         Representation(u, (a,) + w),
         Representation(u + (a,), w + (a,)),
         left_acc, not left_acc)
     return SaturationVerdict(NOT_SATURATED, STAGE_LOOPSHIFT, cx)
-
-
-def _least_nonempty_words(D) -> dict[int, tuple]:
-    """Llex-least nonempty word reaching each state from the initial one."""
-    out: dict[int, tuple] = {}
-    queue = []
-    for si, a in enumerate(D.alphabet):
-        d = D.delta[D.initial][si]
-        if d not in out:
-            out[d] = (a,)
-            queue.append(d)
-    k = 0
-    while k < len(queue):
-        d = queue[k]
-        k += 1
-        for si, a in enumerate(D.alphabet):
-            nxt = D.delta[d][si]
-            if nxt not in out:
-                out[nxt] = out[d] + (a,)
-                queue.append(nxt)
-    return out
 
 
 def check_power_stable(F: Family, ref_set: ReferenceSet) -> SaturationVerdict:
@@ -167,11 +133,14 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> SaturationVerdict:
     for q in range(T.n):
         D = F.progress[q]
         disp = disps[q]
-        reps = _least_nonempty_words(D)
-        for d in sorted(reps):
+        # llex-least nonempty word reaching each progress state
+        reps = dict(llex_bfs(
+            [(t, (si,)) for si, t in enumerate(D.delta[D.initial])],
+            D.delta.__getitem__))
+        for d, w in sorted(reps.items()):
             if normalized and disp[d] != q:
                 continue
-            rep = reps[d]
+            rep = tuple(T.alphabet[si] for si in w)
             s = D.after(D.initial, rep)
             base = s in D.accepting
             seen = {s}
@@ -188,7 +157,7 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> SaturationVerdict:
                 seen.add(s)
             if flip is None:
                 continue
-            key = (_word_key(rep, T.sym_index), q, flip)
+            key = ((len(w), w), q, flip)
             if best is None or key < best[0]:
                 best = (key, q, rep, flip, base)
     if best is None:

@@ -11,10 +11,7 @@ suites and the command line.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .automata import (Dfa, Nba, TransitionSystem, dfa_sccs, is_weak,
-                       weak_loop_accepts)
+from .automata import Dfa, Nba, TransitionSystem, dfa_sccs, llex_bfs
 from .errors import InputError, PreconditionError
 from .family import FDFA, FDWA, Family
 from .fixtures import trivial_leading
@@ -153,23 +150,13 @@ def _duo_reachable(T: TransitionSystem, q: int, D: Dfa, s: int) -> bool:
     """Is there a nonempty x looping on leading state q with D(x) = s and
     s stable under a further x?  Searched on the product of the leading
     system with two copies of the progress automaton."""
-    target = (q, s, s)
-    start = (q, D.initial, s)
-    seen = {start}
-    frontier = [start]
-    width = len(T.alphabet)
-    while frontier:
-        nxt = []
-        for (t, d1, d2) in frontier:
-            for ai in range(width):
-                node = (T.delta[t][ai], D.delta[d1][ai], D.delta[d2][ai])
-                if node == target:
-                    return True
-                if node not in seen:
-                    seen.add(node)
-                    nxt.append(node)
-        frontier = nxt
-    return False
+    def successors(node):
+        t, d1, d2 = node
+        return zip(T.delta[t], D.delta[d1], D.delta[d2])
+
+    starts = [(node, (i,))
+              for i, node in enumerate(successors((q, D.initial, s)))]
+    return any(node == (q, s, s) for node, _ in llex_bfs(starts, successors))
 
 
 def duo_to_fdwa(F: Family) -> Family:

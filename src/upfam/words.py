@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError
 
@@ -81,11 +81,6 @@ def root(x: Sequence[str]) -> Word:
     return x
 
 
-def is_primitive(x: Sequence[str]) -> bool:
-    x = tuple(x)
-    return len(x) > 0 and root(x) == x
-
-
 def rotate_right(x: Sequence[str], k: int = 1) -> Word:
     x = tuple(x)
     if not x:
@@ -142,10 +137,6 @@ class Representation:
         return f"({format_word(self.u) or 'eps'}, {format_word(self.x)})"
 
 
-def canonical_rep(r: Representation) -> Representation:
-    return r.canonical()
-
-
 def up_equal(r1: Representation, r2: Representation) -> bool:
     """True iff r1 and r2 denote the same ultimately periodic word."""
     return r1.same_word(r2)
@@ -160,15 +151,3 @@ def up_prefix(u: Sequence[str], x: Sequence[str], n: int) -> Word:
     while len(out) < n:
         out = out + x
     return out[:n]
-
-
-def unique_reps(reps: Iterable[Representation]) -> list[Representation]:
-    """Deduplicate by the ultimately periodic word each represents."""
-    seen = set()
-    out = []
-    for r in reps:
-        key = canonical_pair(r.u, r.x)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import make_weak, random_dfa
 from upfam.automata import (Dfa, Nfa, TransitionSystem, combine_dfa,
                             complement_dfa, dfa_equivalent, dfa_sccs,
-                            intersect_dfa, is_weak, minimize_dfa,
+                            intersect_dfa, is_weak, llex_bfs, minimize_dfa,
                             weak_loop_accepts)
 from upfam.errors import InputError
 from upfam.words import as_word, words_up_to
@@ -153,6 +154,58 @@ def test_weak_loop_power_invariance():
             base = weak_loop_accepts(d, w)
             for k in range(2, 5):
                 assert weak_loop_accepts(d, w * k) == base
+
+
+def _least_words_by_brute_force(root, successors, nsym, min_len, max_len):
+    """Llex-least word of length min_len..max_len reaching each node."""
+    least = {}
+    for w in words_up_to(range(nsym), max_len, min_len):
+        node = root
+        for si in w:
+            node = successors(node)[si]
+            if node is None:
+                break
+        if node is not None and node not in least:
+            least[node] = w
+    return least
+
+
+@pytest.mark.parametrize("nonempty", [False, True])
+@pytest.mark.parametrize("seed", range(12))
+def test_llex_bfs_matches_brute_force(seed, nonempty):
+    """One DFA over abc (even seeds) or a product of two DFAs over ab (odd
+    seeds), with about a fifth of the edges blocked."""
+    rng = random.Random(seed)
+    if seed % 2:
+        A, B = (random_dfa(rng, "ab", 3, total=False) for _ in range(2))
+        nodes = list(product(range(A.n), range(B.n)))
+        root = (A.initial, B.initial)
+        edges = lambda n: zip(A.delta[n[0]], B.delta[n[1]])
+    else:
+        A = random_dfa(rng, "abc", 6, total=False)
+        nodes = list(range(A.n))
+        root = A.initial
+        edges = lambda n: A.delta[n]
+    nsym = len(A.alphabet)
+    blocked = {(n, si) for n in nodes for si in range(nsym)
+               if rng.random() < 0.2}
+
+    def successors(n):
+        return [None if (n, si) in blocked else t
+                for si, t in enumerate(edges(n))]
+
+    if nonempty:
+        starts = [(t, (si,)) for si, t in enumerate(successors(root))
+                  if t is not None]
+    else:
+        starts = [(root, ())]
+    found = list(llex_bfs(starts, successors))
+    least = _least_words_by_brute_force(root, successors, nsym,
+                                        int(nonempty), len(nodes))
+    assert len({n for n, _ in found}) == len(found)
+    assert dict(found) == least
+    keys = [(len(w), w) for _, w in found]
+    assert keys == sorted(keys)
 
 
 def test_nfa_basics():

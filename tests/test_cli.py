@@ -262,9 +262,22 @@ class TestUsageErrors:
         ["learn", "active"],
         ["learn", "passive"],
         ["oracle", "saturation"],
+        ["check", "regularity", BA_STAR, "--cap", "0"],
+        ["check", "regularity", BA_STAR, "--cap", "-3"],
+        ["check", "almost-saturation", BA_STAR, "--cap", "0"],
     ], ids=lambda v: " ".join(v) or "(empty)")
     def test_exit_2(self, argv, capsys):
         assert run(argv)[0] == 2
+
+    @pytest.mark.parametrize("witness", [
+        '{"variant": "power"}',
+        '{"u": "b", "x": "a", "power": "x"}',
+        '{"u": "b", "x": 5, "power": 2}',
+    ])
+    def test_malformed_witness_is_exit_2(self, witness, capsys):
+        code, _ = run(["oracle", "replay", BA_STAR], stdin_text=witness)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_parse_error_is_exit_2(self):
         code, _ = run(["check", "saturation", "-"],

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from helpers import random_family
-from upfam.automata import Dfa
+from upfam.automata import Dfa, weak_loop_accepts
 from upfam.errors import InputError, PreconditionError
 from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           displacement_map, family_accepts, is_normalized,
                           is_refined, normalize, refine_family,
-                          up_membership, weak_omega_accepts)
+                          up_membership)
 from upfam.fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
                             exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
                             one_b_some_a_fdfa, trivial_leading,
@@ -73,13 +73,13 @@ def test_family_accepts_respects_reference_set():
     assert family_accepts(f, r, ALL)
 
 
-def test_weak_omega_accepts_examples():
+def test_weak_loop_accepts_examples():
     univ = universal_fdfa("ab", FDWA).progress[0]
-    assert weak_omega_accepts(univ, ("a",))
+    assert weak_loop_accepts(univ, ("a",))
     odd = odd_a_fdfa(FDWA).progress[0]
-    assert weak_omega_accepts(odd, ("a",))
+    assert weak_loop_accepts(odd, ("a",))
     dead = empty_fdfa("ab", FDWA).progress[0]
-    assert not weak_omega_accepts(dead, ("b",))
+    assert not weak_loop_accepts(dead, ("b",))
 
 
 def test_normalize_slides_whole_loops():

@@ -295,6 +295,8 @@ def test_cap_exceeded_verdict():
     N = label_by_leading(stabilize(one_b_some_a_fdfa())).progress[0]
     with pytest.raises(CapExceededError):
         find_good_witness(N, cap=2)
+    with pytest.raises(InputError):
+        check_regular(one_b_some_a_fdfa(), cap=0)
 
 
 def test_random_verdicts_match_terminal_root_growth():

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from upfam.errors import InputError
 from upfam.words import (Representation, as_word, canonical_pair,
-                         canonical_rep, format_word, llex_key, parse_word,
-                         root, rotate_right, up_equal, up_prefix,
-                         words_up_to)
+                         format_word, llex_key, parse_word, root,
+                         rotate_right, up_equal, up_prefix, words_up_to)
 
 
 def binary_words(max_len, min_len=0):
@@ -75,8 +74,8 @@ def test_canonical_matches_unrolling_exhaustive():
        st.text("ab", min_size=1, max_size=8))
 def test_canonical_idempotent_and_preserves_word(u, x):
     r = Representation(u, x)
-    c = canonical_rep(r)
-    assert canonical_rep(c) == c
+    c = r.canonical()
+    assert c.canonical() == c
     n = len(u) + 8 * len(x)
     assert up_prefix(r.u, r.x, n) == up_prefix(c.u, c.x, n)
 
