@@ -104,12 +104,14 @@ def _cmd_check(args) -> int:
         if which == "full-saturation":
             v = check_saturated(F, MODE_FULLY_SATURATED)
         elif which == "fdwa-saturation" or F.kind == FDWA:
-            v = check_fdwa_saturated(F)
+            v = check_fdwa_saturated(F, **cap_kw)
         else:
             v = check_saturated(F, MODE_SATURATED)
         witness = None if v.witness is None else _cex_json(v.witness)
         lines = [] if v.witness is None else _cex_lines(v.witness)
         _emit(which, v.status, witness, lines, args.json)
+        if v.status == CAP_EXCEEDED:
+            return EXIT_CAP
         return EXIT_OK if v.ok else EXIT_REFUTED
 
     if which == "almost-saturation":
@@ -300,8 +302,9 @@ def _parser() -> argparse.ArgumentParser:
                             "regularity"))
     c.add_argument("file", help="family file, or - for stdin")
     c.add_argument("--cap", type=int, default=None,
-                   help="search budget of almost-saturation and regularity;"
-                        " the other checks ignore it")
+                   help="search budget of almost-saturation, FDWA "
+                        "saturation and regularity; the saturation and "
+                        "full-saturation checks of FDFAs ignore it")
     c.add_argument("--json", action="store_true",
                    help="machine-readable verdict on stdout")
     c.set_defaults(handler=_cmd_check)

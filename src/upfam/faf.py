@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from .automata import Dfa, Nfa, TransitionSystem
 from .errors import InputError
-from .family import FDFA, FDWA, FNFA, KINDS, Family
+from .family import FNFA, KINDS, Family
 from .learning import Sample
 from .words import Representation, format_word, parse_word
 

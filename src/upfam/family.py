@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .automata import Dfa, Nfa, TransitionSystem, is_weak, weak_loop_accepts
 from .errors import InputError, PreconditionError

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .automata import Dfa, Nfa
 from .errors import CAP_EXCEEDED, CapExceededError, InputError
-from .family import FDFA, FDWA, FNFA, Family
+from .family import FDWA, FNFA, Family
 from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
 from .words import Word, as_word, root
 

@@ -20,15 +20,30 @@ x reaches p and maps q to p, y maps p to q and reaches r from the progress
 automaton owned by the displacement of p, x*y loops on r, and the parity of
 r disagrees with that of p and q.  Such a witness yields two normalized
 representations of one word with opposite weak acceptance, and conversely.
+
+The reported witness is the least key (len z, z, u, p, q, r) over all
+admissible tuples, z = x*y.  Each tuple's search is limited to the length
+of the best witness found so far: a longer word loses on the first
+component of the key, so cutting the search there changes no verdict and
+no witness, while a word of equal length is still found and compared.
+Saturated families have no witness, so every search still runs to its end.
+The switch from the x-phase to the y-phase reads no symbol, so one word
+can first reach an x-node and a y-node together.  A node-by-node queue
+would then put all children of the x-node before those of the y-node and
+leave llex order; the search therefore queues the group of nodes first
+reached by one word and expands each group as a whole.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .automata import llex_bfs, minimize_dfa
-from .errors import InputError, PreconditionError
+from .errors import (CAP_EXCEEDED, CapExceededError, InputError,
+                     PreconditionError)
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
                      displacement_map, is_refined, refine_family)
 from .words import Representation
@@ -64,10 +79,6 @@ def _displacements(F: Family) -> list[list[int]]:
                 "family must be refined; apply refine_family first")
         disps.append(d)
     return disps
-
-
-def _word_key(w, sym_index):
-    return (len(w), tuple(sym_index[t] for t in w))
 
 
 def check_loopshift_stable(F: Family, ref_set: ReferenceSet
@@ -228,83 +239,93 @@ def _on_cycle(D):
     return out
 
 
-def _fdwa_witness_word(work, u, p, q, r, v):
-    """Llex-least nonempty word z = x*y satisfying the five structural
-    conditions, or None.  Nodes carry the three runs of the current phase;
-    the switch from the x-phase to the y-phase is a silent transition taken
-    when the first two runs sit at p.  Words are tracked as symbol-index
-    tuples so layer ordering follows the alphabet order."""
-    Bu, Bv = work.progress[u], work.progress[v]
-    alphabet = work.leading.alphabet
-    target = ("y", q, r, r)
+def _fdwa_witness_word(Bu, Bv, p, q, r, limit, budget):
+    """(z, nodes): z is the llex-least nonempty word x*y, as symbol
+    indices, satisfying the five structural conditions for (p, q, r), or
+    None when no such word is at most `limit` long; nodes is the number of
+    search nodes stored, those reached by nonempty words shorter than the
+    limit.  More than `budget` of them raises CapExceededError.
 
-    def step(node, si):
-        if node[0] == "x":
-            return ("x", Bu.delta[node[1]][si], Bu.delta[node[2]][si],
-                    Bv.delta[node[3]][si])
-        return ("y", Bu.delta[node[1]][si], Bv.delta[node[2]][si],
-                Bv.delta[node[3]][si])
-
-    nsym = len(alphabet)
-    seen: dict = {}
-
-    def expand(cur):
-        nxt: dict = {}
-
-        def offer(node, w):
-            if node in seen:
-                return
-            old = nxt.get(node)
-            if old is None or w < old:
-                nxt[node] = w
-                if node[0] == "x" and node[1] == p and node[2] == p:
-                    offer(("y", p, Bv.initial, node[3]), w)
-
-        for node, w in cur.items():
+    An x-node (a, b, c) runs Bu from its initial state and from q and Bv
+    from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
+    state and Bv on from the x-node's c over y.  Each queue entry is the
+    group of nodes first reached by one word (see the module docstring),
+    and groups leave the queue in llex order of their words."""
+    du, dv = Bu.delta, Bv.delta
+    nu, nv, v0 = Bu.n, Bv.n, Bv.initial
+    nsym = len(Bu.alphabet)
+    y_base = nu * nu * nv  # x-node codes lie below, y-node codes from here
+    switch = y_base + (p * nv + v0) * nv
+    target = y_base + (q * nv + r) * nv + r
+    switch_hits = p == q and v0 == r  # a switch to (p, v0, r) is the target
+    seen = set()
+    # The empty word never counts as a witness, so length-0 nodes stay out
+    # of `seen` and do not shadow a later nonempty arrival.
+    start = (Bu.initial, q, r)
+    queue = deque([((), [start], [(p, v0, r)] if start[:2] == (p, p) else [])])
+    while queue:
+        w, xs, ys = queue.popleft()
+        depth = len(w) + 1  # length of the children
+        if depth > limit:
+            break
+        if depth == limit:
+            # Children at the limit are never expanded: only the target
+            # matters, so they are tested and not stored.
             for si in range(nsym):
-                offer(step(node, si), w + (si,))
-        seen.update(nxt)
-        return nxt
+                if (any(du[a][si] == q and dv[b][si] == r == dv[c][si]
+                        for a, b, c in ys)
+                        or switch_hits and any(
+                            du[a][si] == p == du[b][si] and dv[c][si] == r
+                            for a, b, c in xs)):
+                    return w + (si,), len(seen)
+            continue
+        for si in range(nsym):
+            new_xs, new_ys = [], []
+            for a, b, c in xs:
+                a, b, c = du[a][si], du[b][si], dv[c][si]
+                code = (a * nu + b) * nv + c
+                if code in seen:
+                    continue
+                seen.add(code)
+                new_xs.append((a, b, c))
+                if a == p and b == p and switch + c not in seen:
+                    seen.add(switch + c)
+                    new_ys.append((p, v0, c))
+            for a, b, c in ys:
+                a, b, c = du[a][si], dv[b][si], dv[c][si]
+                code = y_base + (a * nv + b) * nv + c
+                if code not in seen:
+                    seen.add(code)
+                    new_ys.append((a, b, c))
+            if new_xs or new_ys:
+                if len(seen) > budget:
+                    raise CapExceededError("FDWA witness search exceeded cap")
+                if target in seen:
+                    return w + (si,), len(seen)
+                queue.append((w + (si,), new_xs, new_ys))
+    return None, len(seen)
 
-    # The empty word never counts as a witness, so length-0 nodes live in
-    # their own table and do not shadow a later nonempty arrival.
-    layer0: dict = {}
 
-    def close0(node):
-        if node in layer0:
-            return
-        layer0[node] = ()
-        if node[0] == "x" and node[1] == p and node[2] == p:
-            close0(("y", p, Bv.initial, node[3]))
-
-    close0(("x", Bu.initial, q, r))
-    cur = expand(layer0)
-    while cur and target not in seen:
-        cur = expand(cur)
-    if target not in seen:
-        return None
-    return tuple(alphabet[si] for si in seen[target])
-
-
-def check_fdwa_saturated(W: Family) -> SaturationVerdict:
-    """Saturation of an FDWA via the five-condition witness search."""
-    if W.kind != FDWA:
-        raise InputError("check_fdwa_saturated expects an fdwa family")
-    W.require_weak()
-    work = W if is_refined(W) else refine_family(W)
+def _least_fdwa_witness(work, cap):
+    """The least key ((len z, z), u, p, q, r) over all admissible tuples,
+    as (key, v), or None.  Each tuple's search is bounded by the length of
+    the best witness so far: a longer word cannot win."""
     disps = _displacements(work)
-    T = work.leading
+    progress = work.progress
+    reach = [_reach_matrix(B) for B in progress]
+    cycles = [_on_cycle(B) for B in progress]
+    budget = math.inf if cap is None else cap
     best = None
-    for u in range(T.n):
-        Bu = work.progress[u]
+    limit = math.inf
+    for u, Bu in enumerate(progress):
         acc_u = Bu.accepting
-        reach_u = _reach_matrix(Bu)
+        reach_u = reach[u]
         for p in range(Bu.n):
             v = disps[u][p]
-            Bv = work.progress[v]
+            Bv = progress[v]
             acc_v = Bv.accepting
-            reach_v = _reach_matrix(Bv)
-            cyc_v = _on_cycle(Bv)
+            reach_v0 = reach[v][Bv.initial]
+            cyc_v = cycles[v]
             for q in range(Bu.n):
                 if (p in acc_u) != (q in acc_u):
                     continue
@@ -315,19 +336,40 @@ def check_fdwa_saturated(W: Family) -> SaturationVerdict:
                         continue
                     if (p in acc_u) == (r in acc_v):
                         continue
-                    if r not in reach_v[Bv.initial]:
+                    if r not in reach_v0 or r not in cyc_v:
                         continue
-                    if r not in cyc_v:
-                        continue
-                    z = _fdwa_witness_word(work, u, p, q, r, v)
+                    z, nodes = _fdwa_witness_word(Bu, Bv, p, q, r, limit,
+                                                  budget)
+                    budget -= nodes
                     if z is None:
                         continue
-                    key = (_word_key(z, T.sym_index), u, p, q, r)
+                    key = ((len(z), z), u, p, q, r)
                     if best is None or key < best[0]:
-                        best = (key, u, p, q, r, v, z)
+                        best = (key, v)
+                        limit = len(z)
+    return best
+
+
+def check_fdwa_saturated(W: Family, cap: Optional[int] = None
+                         ) -> SaturationVerdict:
+    """Saturation of an FDWA via the five-condition witness search.  With a
+    cap, the searches may store at most `cap` nodes in all; going over it
+    gives a CapExceeded verdict."""
+    if W.kind != FDWA:
+        raise InputError("check_fdwa_saturated expects an fdwa family")
+    if cap is not None and cap < 1:
+        raise InputError("cap must be positive")
+    W.require_weak()
+    work = W if is_refined(W) else refine_family(W)
+    try:
+        best = _least_fdwa_witness(work, cap)
+    except CapExceededError:
+        return SaturationVerdict(CAP_EXCEEDED, STAGE_FDWA)
     if best is None:
         return SaturationVerdict(SATURATED, STAGE_FDWA)
-    _, u, p, q, r, v, z = best
+    ((_, z), u, p, q, r), v = best
+    T = work.leading
+    z = tuple(T.alphabet[si] for si in z)
     Bu, Bv = work.progress[u], work.progress[v]
     split = None
     for k in range(len(z) + 1):

@@ -88,6 +88,17 @@ class TestCheck:
         assert code == 3 and out.startswith("CAP-EXCEEDED")
         assert run(["check", "regularity", BA_STAR, "--cap", "1"])[0] == 3
 
+    def test_fdwa_saturation_honours_cap(self):
+        text = serialize_faf(first_a_fdwa())
+        argv = ["check", "fdwa-saturation", "-", "--json", "--cap"]
+        code, out = run(argv + ["1"], stdin_text=text)
+        assert code == 3
+        assert json.loads(out) == {"check": "fdwa-saturation",
+                                   "status": "CapExceeded"}
+        assert run(argv + ["0"], stdin_text=text)[0] == 2
+        assert (run(argv + ["100000"], stdin_text=text)
+                == run(argv[:-1], stdin_text=text))
+
 
 class TestJsonAndReplay:
     def test_counterexample_schema(self):

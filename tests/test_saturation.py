@@ -8,8 +8,11 @@ import random
 
 import pytest
 
+from upfam.automata import Dfa
 from upfam.errors import InputError, PreconditionError
-from upfam.family import FDFA, FDWA, Family, ReferenceSet, family_accepts
+from upfam.family import (FDFA, FDWA, Family, ReferenceSet,
+                          displacement_map, family_accepts, is_refined,
+                          refine_family)
 from upfam.fixtures import (all_fixture_families, ba_star_fdfa,
                             eventually_ab_fdfa, exactly_one_a_fdfa,
                             first_a_fdwa, odd_a_fdfa, some_a_fdwa,
@@ -19,9 +22,9 @@ from upfam.saturation import (MODE_FULLY_SATURATED, MODE_SATURATED,
                               STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
                               check_fdwa_saturated, check_loopshift_stable,
                               check_power_stable, check_saturated)
-from upfam.words import up_equal
+from upfam.words import up_equal, words_up_to
 
-from helpers import random_family
+from helpers import make_weak, random_family, random_ts
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -211,6 +214,72 @@ def test_fdwa_checker_agrees_with_oracle_on_random_families():
             assert_replays(W, v.witness, NORM)
             unsat += 1
     assert unsat > 15
+
+
+def fdwa_tuples(W, disps, z):
+    """The tuples (u, p, q, r) for which some split z = x*y meets the five
+    conditions in the refined weak family W with displacement maps disps,
+    found with Dfa.after calls alone: u and x fix p, y then fixes q and, in
+    the automaton owned by the displacement v of p, also r."""
+    found = set()
+    for k in range(len(z) + 1):
+        x, y = z[:k], z[k:]
+        for u, Bu in enumerate(W.progress):
+            p = Bu.after(Bu.initial, x)
+            q = Bu.after(p, y)
+            if Bu.after(q, x) != p:
+                continue
+            if (p in Bu.accepting) != (q in Bu.accepting):
+                continue
+            v = disps[u][p]
+            Bv = W.progress[v]
+            r = Bv.after(Bv.initial, y)
+            if (Bv.after(r, z) == r and disps[v][r] == u
+                    and (r in Bv.accepting) != (p in Bu.accepting)):
+                found.add((u, p, q, r))
+    return found
+
+
+def sink_weak_family(rng):
+    """One leading state and a weak progress DFA of 3 to 6 states whose
+    missing transitions (30%) go to a sink; about a fifth of these
+    families are not saturated."""
+    n = rng.randint(3, 6)
+    trans = {(s, a): rng.randrange(n)
+             for s in range(n) for a in "ab" if rng.random() < 0.7}
+    return Family(FDWA, random_ts(rng, "ab", 1),
+                  [make_weak(rng, Dfa.from_parts("ab", n, trans))])
+
+
+def test_fdwa_witness_is_llex_least():
+    """Checked without the witness search: no nonempty word llex-smaller
+    than the reported loop z meets the five conditions, and z does; for a
+    saturated family, no nonempty word up to length 4 does.  A search that
+    leaves llex order where one word reaches an x-node and a y-node
+    together goes wrong rarely (on about one sink family in three
+    thousand), hence the size of the sweep; the families with several
+    leading states exercise the displacement maps."""
+    rng = random.Random(2)
+    families = [sink_weak_family(rng) for _ in range(6000)]
+    families += [random_family(rng, kind=FDWA, max_leading=3, max_progress=4)
+                 for _ in range(400)]
+    unsat = 0
+    for W in families:
+        v = check_fdwa_saturated(W)
+        work = W if is_refined(W) else refine_family(W)
+        disps = [displacement_map(work, u) for u in range(work.leading.n)]
+        if v.ok:
+            bound = 4
+        else:
+            z = v.witness.left.x
+            assert fdwa_tuples(work, disps, z)
+            bound = len(z)
+            unsat += 1
+        for w in words_up_to(W.alphabet, bound, 1):
+            if not v.ok and w == z:
+                break
+            assert not fdwa_tuples(work, disps, w), (v, w)
+    assert unsat > 1000
 
 
 def test_saturated_fixture_survives_progress_noise():
