@@ -13,10 +13,9 @@ reported as its own verdict, never as a pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .automata import Dfa, llex_bfs, minimize_dfa
-from .errors import CAP_EXCEEDED, InputError
+from .errors import CAP_EXCEEDED, InputError, Verdict
 from .family import FDFA, Family
 from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
 
@@ -42,22 +41,12 @@ class Transformation:
         return self.mapping[state]
 
 
-@dataclass(frozen=True)
-class AlmostVerdict:
-    status: str
-    witness: Optional[tuple] = None  # (u, x, i)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == ALMOST_SATURATED
-
-
-def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP
-                           ) -> AlmostVerdict:
+def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
     """Decide almost saturation of an FDFA exactly, exploring at most `cap`
     distinct (transformation, displacement) nodes overall.  The search runs
-    on the minimized progress automata; witnesses are word-level and replay
-    against the family as given."""
+    on the minimized progress automata; the witness (u, x, i) of a
+    refutation is word-level, (u, x) accepted and (u, x^i) rejected, and
+    replays against the family as given."""
     if cap <= 0:
         raise InputError("cap must be positive")
     if F.kind != FDFA:
@@ -112,10 +101,10 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP
     if best is not None:
         _, w, q, i = best
         x = tuple(T.alphabet[si] for si in w)
-        return AlmostVerdict(NOT_ALMOST_SATURATED, (T.access_word(q), x, i))
+        return Verdict(NOT_ALMOST_SATURATED, (T.access_word(q), x, i))
     if capped:
-        return AlmostVerdict(CAP_EXCEEDED)
-    return AlmostVerdict(ALMOST_SATURATED)
+        return Verdict(CAP_EXCEEDED)
+    return Verdict(ALMOST_SATURATED)
 
 
 def gen_intersection_fdfa(dfas: list) -> Family:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import (Callable, Hashable, Iterable, Iterator, Optional,
                     Sequence)
 
-from .errors import CapExceededError, InputError
+from .errors import InputError
 from .words import Word
 
 _SINK = object()  # placeholder key for the implicit rejecting sink
@@ -71,8 +71,7 @@ class TransitionSystem:
 
     @classmethod
     def build(cls, alphabet: Sequence[str], start: Hashable,
-              step: Callable[[Hashable, str], Optional[Hashable]],
-              max_states: Optional[int] = None, **kw):
+              step: Callable[[Hashable, str], Optional[Hashable]], **kw):
         """Construct canonically by BFS.  step(key, sym) returns the successor
         key, or None for the implicit rejecting sink."""
         alphabet = tuple(alphabet)
@@ -94,9 +93,6 @@ class TransitionSystem:
                     index[nxt] = j
                     keys.append(nxt)
                     access.append(access[i] + (sym,))
-                    if max_states is not None and len(keys) > max_states:
-                        raise CapExceededError(
-                            f"construction exceeded {max_states} states")
                 row.append(j)
             rows.append(row)
             i += 1
@@ -174,10 +170,10 @@ class Dfa(TransitionSystem):
             raise InputError("accepting state out of range")
 
     @classmethod
-    def build(cls, alphabet, start, step, accepting=None, max_states=None):
+    def build(cls, alphabet, start, step, accepting=None):
         """accepting is a predicate on keys; the sink is never accepting."""
         pred = accepting or (lambda key: False)
-        return super().build(alphabet, start, step, max_states, pred=pred)
+        return super().build(alphabet, start, step, pred=pred)
 
     @classmethod
     def _finish(cls, alphabet, rows, access, keys, pred):

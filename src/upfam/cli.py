@@ -15,17 +15,17 @@ import re
 import sys
 
 from .almost import check_almost_saturated
-from .errors import CAP_EXCEEDED, CapExceededError, UpfamError
+from .errors import CAP_EXCEEDED, CapExceededError, UpfamError, Verdict
 from .faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                   parse_faf, parse_sample, serialize_dfa_doc, serialize_faf,
                   serialize_nba)
-from .family import (FDWA, ReferenceSet, family_accepts, is_normalized)
+from .family import (FDWA, Counterexample, ReferenceSet, family_accepts,
+                     is_normalized)
 from .learning import (dollar_dfa_to_fdfa, fdfa_to_dollar_dfa, learn_active,
                        learn_passive, make_teacher)
 from .oracle import brute_almost_saturation, brute_saturation
-from .regularity import check_regular
-from .saturation import (MODE_FULLY_SATURATED, MODE_SATURATED,
-                         check_fdwa_saturated, check_saturated)
+from .regularity import GoodWitness, check_regular
+from .saturation import check_fdwa_saturated, check_saturated
 from .translate import (GEN_FAMILY_NAMES, complement_saturated_fdwa,
                         duo_to_fdwa, fdwa_to_duo, fdwa_to_nba, gen_family)
 from .words import Representation, format_word, parse_word, root, up_equal
@@ -68,76 +68,63 @@ def _pair_json(r: Representation) -> dict:
     return {"u": format_word(r.u), "x": format_word(r.x)}
 
 
-def _cex_json(cx) -> dict:
-    return {"variant": cx.variant,
-            "left": _pair_json(cx.left),
-            "right": _pair_json(cx.right),
-            "left_accepted": cx.left_accepted,
-            "right_accepted": cx.right_accepted}
+def _witness(w):
+    """(JSON object, report lines) of a verdict's witness: a saturation
+    Counterexample, a regularity GoodWitness, or the almost-saturation
+    (u, x, i)."""
+    if isinstance(w, Counterexample):
+        side = lambda f: "accepted" if f else "rejected"
+        return ({"variant": w.variant,
+                 "left": _pair_json(w.left),
+                 "right": _pair_json(w.right),
+                 "left_accepted": w.left_accepted,
+                 "right_accepted": w.right_accepted},
+                ["witness %s/%s" % (_pair_text(w.left), _pair_text(w.right)),
+                 "%s: left %s, right %s" % (w.variant, side(w.left_accepted),
+                                            side(w.right_accepted))])
+    if isinstance(w, GoodWitness):
+        return ({"case": w.case, "words": [format_word(x) for x in w.words]},
+                ["evidence %s: %s" % (w.case,
+                                      " ".join(_show(x) for x in w.words))])
+    u, x, i = w
+    return ({"u": format_word(u), "x": format_word(x), "power": i},
+            ["witness (%s,%s) accepted, power %d rejected"
+             % (_show(u), format_word(x), i)])
 
 
-def _emit(check: str, status: str, witness_json, lines, as_json: bool):
+def _emit(check: str, verdict: Verdict, as_json: bool, lines=()) -> int:
+    """Print a verdict, as JSON or as a status word plus report lines, and
+    return its exit code.  A witness replaces `lines` with its own."""
+    doc = {"check": check, "status": verdict.status}
+    if verdict.witness is not None:
+        doc["witness"], lines = _witness(verdict.witness)
     if as_json:
-        doc = {"check": check, "status": status}
-        if witness_json is not None:
-            doc["witness"] = witness_json
         print(json.dumps(doc))
     else:
-        print(_status_word(status))
+        print(_status_word(verdict.status))
         for line in lines:
             print(line)
+    if verdict.status == CAP_EXCEEDED:
+        return EXIT_CAP
+    return EXIT_OK if verdict.ok else EXIT_REFUTED
 
 
-def _cex_lines(cx):
-    side = lambda f: "accepted" if f else "rejected"
-    return ["witness %s/%s" % (_pair_text(cx.left), _pair_text(cx.right)),
-            "%s: left %s, right %s" % (cx.variant, side(cx.left_accepted),
-                                       side(cx.right_accepted))]
+# Checker of each `check` property.  `check saturation` on an FDWA file
+# runs the FDWA checker; the FDFA saturation pipelines take no cap.
+_CHECKS = {
+    "saturation": lambda F, **cap: (check_fdwa_saturated(F, **cap)
+                                    if F.kind == FDWA else check_saturated(F)),
+    "full-saturation": lambda F, **cap: check_saturated(F, ReferenceSet.ALL),
+    "almost-saturation": check_almost_saturated,
+    "fdwa-saturation": check_fdwa_saturated,
+    "regularity": check_regular,
+}
 
 
 def _cmd_check(args) -> int:
     F = parse_faf(_read(args.file))
-    which = args.which
     cap_kw = {} if args.cap is None else {"cap": args.cap}
-
-    if which in ("saturation", "full-saturation", "fdwa-saturation"):
-        if which == "full-saturation":
-            v = check_saturated(F, MODE_FULLY_SATURATED)
-        elif which == "fdwa-saturation" or F.kind == FDWA:
-            v = check_fdwa_saturated(F, **cap_kw)
-        else:
-            v = check_saturated(F, MODE_SATURATED)
-        witness = None if v.witness is None else _cex_json(v.witness)
-        lines = [] if v.witness is None else _cex_lines(v.witness)
-        _emit(which, v.status, witness, lines, args.json)
-        if v.status == CAP_EXCEEDED:
-            return EXIT_CAP
-        return EXIT_OK if v.ok else EXIT_REFUTED
-
-    if which == "almost-saturation":
-        v = check_almost_saturated(F, **cap_kw)
-        witness = lines = None
-        if v.witness is not None:
-            u, x, i = v.witness
-            witness = {"u": format_word(u), "x": format_word(x), "power": i}
-            lines = ["witness (%s,%s) accepted, power %d rejected"
-                     % (_show(u), format_word(x), i)]
-        _emit(which, v.status, witness, lines or [], args.json)
-        if v.status == CAP_EXCEEDED:
-            return EXIT_CAP
-        return EXIT_OK if v.ok else EXIT_REFUTED
-
-    v = check_regular(F, **cap_kw)
-    witness = lines = None
-    if v.evidence is not None:
-        witness = {"case": v.evidence.case,
-                   "words": [format_word(w) for w in v.evidence.words]}
-        lines = ["evidence %s: %s" % (v.evidence.case, " ".join(
-            _show(w) for w in v.evidence.words))]
-    _emit(which, v.status, witness, lines or [], args.json)
-    if v.status == CAP_EXCEEDED:
-        return EXIT_CAP
-    return EXIT_OK if v.ok else EXIT_REFUTED
+    return _emit(args.which, _CHECKS[args.which](F, **cap_kw), args.json)
 
 
 def _cmd_translate(args) -> int:
@@ -262,30 +249,17 @@ def _cmd_oracle(args) -> int:
     F = parse_faf(_read(args.file))
     if args.which == "almost-saturation":
         found = brute_almost_saturation(F, args.max_x, args.max_power)
-        if found is None:
-            _emit("almost-saturation", "NoCounterexample", None, [
-                "bounds: |x| <= %d, power <= %d" % (args.max_x,
-                                                    args.max_power)],
-                args.json)
-            return EXIT_OK
-        u, x, i = found
-        witness = {"u": format_word(u), "x": format_word(x), "power": i}
-        _emit("almost-saturation", "NotAlmostSaturated", witness,
-              ["witness (%s,%s) accepted, power %d rejected"
-               % (_show(u), format_word(x), i)], args.json)
-        return EXIT_REFUTED
-
-    ref = (ReferenceSet.NORMALIZED if args.which == "saturation"
-           else ReferenceSet.ALL)
-    cx = brute_saturation(F, ref, args.max_u, args.max_x)
-    if cx is None:
-        _emit(args.which, "NoCounterexample", None,
-              ["bounds: |u| <= %d, |x| <= %d" % (args.max_u, args.max_x)],
-              args.json)
-        return EXIT_OK
-    _emit(args.which, "NotSaturated", _cex_json(cx), _cex_lines(cx),
-          args.json)
-    return EXIT_REFUTED
+        refuted = "NotAlmostSaturated"
+        bounds = "bounds: |x| <= %d, power <= %d" % (args.max_x,
+                                                     args.max_power)
+    else:
+        ref = (ReferenceSet.NORMALIZED if args.which == "saturation"
+               else ReferenceSet.ALL)
+        found = brute_saturation(F, ref, args.max_u, args.max_x)
+        refuted = "NotSaturated"
+        bounds = "bounds: |u| <= %d, |x| <= %d" % (args.max_u, args.max_x)
+    verdict = Verdict("NoCounterexample" if found is None else refuted, found)
+    return _emit(args.which, verdict, args.json, [bounds])
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -297,9 +271,7 @@ def _parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run a decision procedure on a family")
     c.add_argument("which", metavar="property",
-                   choices=("saturation", "full-saturation",
-                            "almost-saturation", "fdwa-saturation",
-                            "regularity"))
+                   choices=tuple(_CHECKS))
     c.add_argument("file", help="family file, or - for stdin")
     c.add_argument("--cap", type=int, default=None,
                    help="search budget of almost-saturation, FDWA "

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the verdict status a
-capped check reports instead of raising."""
+"""Exception types shared across the package, and the verdict every
+decision procedure returns."""
+
+from dataclasses import dataclass
+from typing import Optional
 
 
 class UpfamError(Exception):
@@ -20,6 +23,22 @@ class CapExceededError(UpfamError):
 
 
 CAP_EXCEEDED = "CapExceeded"  # verdict status of a check that hit its cap
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Answer of a decision procedure.  The property holds (no witness), is
+    refuted (every refuted status carries a witness), or the search hit its
+    cap (status CapExceeded).  ``stage`` names the saturation stage that
+    decided."""
+
+    status: str
+    witness: Optional[object] = None
+    stage: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None and self.status != CAP_EXCEEDED
 
 
 class ProtocolError(UpfamError):

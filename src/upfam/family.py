@@ -102,17 +102,6 @@ class ReferenceSet(Enum):
             return True
         return is_normalized(family, r)
 
-    def loop_dfa(self, family: Family, q: int) -> Dfa:
-        """DFA over the family alphabet accepting exactly the loop words x
-        that keep (access(q), x) inside this reference set."""
-        T = family.leading
-        if self is ReferenceSet.ALL:
-            return Dfa.build(T.alphabet, 0, lambda s, a: 0,
-                             accepting=lambda s: True)
-        return Dfa.build(T.alphabet, q,
-                         lambda s, a: T.delta[s][T.sym_index[a]],
-                         accepting=lambda s: s == q)
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -194,8 +183,9 @@ def refine_family(F: Family) -> Family:
 
 def displacement_map(F: Family, q: int) -> Optional[list[int]]:
     """For a refined family, the leading state implied by each progress state
-    of the automaton owned by q.  None if some progress state is reachable
-    with two different leading displacements (family not refined)."""
+    of the automaton owned by q.  None if the family is not refined: some
+    progress state is reachable with two different leading displacements,
+    or is unreachable."""
     D = F.progress[q]
     if isinstance(D, Nfa):
         raise PreconditionError("displacement maps need deterministic "
@@ -215,7 +205,7 @@ def displacement_map(F: Family, q: int) -> Optional[list[int]]:
                 todo.append(d2)
             elif disp[d2] != t2:
                 return None
-    return disp  # total: every progress state is reachable
+    return None if None in disp else disp
 
 
 def is_refined(F: Family) -> bool:

@@ -20,7 +20,7 @@ from .automata import Dfa, TransitionSystem, llex_bfs
 from .errors import InputError, PreconditionError, ProtocolError
 from .family import (FDFA, Family, ReferenceSet, family_accepts,
                      up_membership)
-from .saturation import MODE_FULLY_SATURATED, check_saturated
+from .saturation import check_saturated
 from .words import (Representation, Word, canonical_pair, format_word,
                     llex_key, words_up_to)
 
@@ -209,7 +209,7 @@ def make_teacher(target: Family) -> Teacher:
     '$'-encodings of the candidate and the target and hands back the
     llex-least differing pair.
     """
-    verdict = check_saturated(target, MODE_FULLY_SATURATED)
+    verdict = check_saturated(target, ReferenceSet.ALL)
     if not verdict.ok:
         raise PreconditionError(
             "teacher target must be fully saturated (stage %r failed)"
@@ -295,7 +295,7 @@ def learn_active(teacher: Teacher) -> tuple[Family, LearnLog]:
         log.rounds += 1
         candidate = dollar_dfa_to_fdfa(hypothesis)
         log.saturation_checks += 1
-        verdict = check_saturated(candidate, MODE_FULLY_SATURATED)
+        verdict = check_saturated(candidate, ReferenceSet.ALL)
         if verdict.ok:
             cex = teacher.equivalence(candidate)
             if cex is None:
@@ -407,10 +407,8 @@ def _infer_leading(evidence, alphabet, order):
     """Leading system with one state per evidence-separable prefix class.
 
     Two prefix words are separated when gluing the same continuation pair
-    onto both yields oppositely labeled examples.  States grow from the
-    empty word by repeatedly adding the llex-least candidate separated from
-    all current representatives; transitions go to the llex-least
-    representative not separated from the extended word.
+    onto both yields oppositely labeled examples; the states and
+    transitions are the classes and moves of `_grow_classes`.
     """
     def separated(u1, u2):
         if u1 == u2:
@@ -423,8 +421,20 @@ def _infer_leading(evidence, alphabet, order):
                         return True
         return False
 
+    moves = _grow_classes((w for w, _x in evidence), alphabet, order,
+                          separated)
+    return TransitionSystem.build(alphabet, (),
+                                  lambda key, a: moves[(key, a)])
+
+
+def _grow_classes(words, alphabet, order, separated):
+    """Moves {(rep, a): rep} between class representatives.  The classes
+    grow from the empty word by repeatedly adding the llex-least prefix of
+    `words` separated from all current representatives; a representative
+    moves on a to the llex-least representative not separated from its
+    extension by a."""
     lkey = lambda w: llex_key(w, order)
-    cands = sorted({w[:i] for w, _x in evidence for i in range(len(w) + 1)},
+    cands = sorted({w[:i] for w in words for i in range(len(w) + 1)},
                    key=lkey)
     reps = [()]
     grown = True
@@ -441,8 +451,7 @@ def _infer_leading(evidence, alphabet, order):
         for a in alphabet:
             w = u + (a,)
             moves[(u, a)] = next(v for v in reps if not separated(w, v))
-    return TransitionSystem.build(alphabet, (),
-                                  lambda key, a: moves[(key, a)])
+    return moves
 
 
 def _infer_progress(evidence, leading, q, alphabet, order):
@@ -476,25 +485,7 @@ def _infer_progress(evidence, leading, q, alphabet, order):
                         return True
         return False
 
-    lkey = lambda w: llex_key(w, order)
-    cands = sorted({x[:i] for x in pooled for i in range(len(x) + 1)} | {()},
-                   key=lkey)
-    reps = [()]
-    grown = True
-    while grown:
-        grown = False
-        for v in cands:
-            if v not in reps and all(separated(v, s) for s in reps):
-                reps.append(v)
-                reps.sort(key=lkey)
-                grown = True
-                break
-    moves = {}
-    for s in reps:
-        for a in alphabet:
-            w = s + (a,)
-            moves[(s, a)] = next(v for v in reps if not separated(w, v))
-
+    moves = _grow_classes(pooled, alphabet, order, separated)
     accepting = set()
     for x, lab in pooled.items():
         if lab and x and leading.after(q, x) == q:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import Dfa, Nfa
-from .errors import CAP_EXCEEDED, CapExceededError, InputError
+from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import FDWA, FNFA, Family
 from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
 from .words import Word, as_word, root
@@ -92,16 +92,6 @@ class GoodWitness:
     profile: TransitionProfile
     case: str
     words: tuple
-
-
-@dataclass(frozen=True)
-class RegularityVerdict:
-    status: str
-    evidence: Optional[GoodWitness] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == REGULAR
 
 
 def _bits(mask: int):
@@ -516,24 +506,23 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
     return None
 
 
-def check_regular(F: Family,
-                  cap: int = DEFAULT_PROFILE_CAP) -> RegularityVerdict:
+def check_regular(F: Family, cap: int = DEFAULT_PROFILE_CAP) -> Verdict:
     """Decide whether the family's UP-language is expressible with weak
     deterministic progress automata."""
     if cap < 1:
         raise InputError("cap must be positive")
     if F.kind == FDWA:
         F.require_weak()
-        return RegularityVerdict(REGULAR)
+        return Verdict(REGULAR)
     stable = stabilize(F)
     labeled = label_by_leading(stable)
     try:
         witness = find_good_witness(labeled.progress[0], cap)
     except CapExceededError:
-        return RegularityVerdict(CAP_EXCEEDED)
+        return Verdict(CAP_EXCEEDED)
     if witness is None:
-        return RegularityVerdict(REGULAR)
-    return RegularityVerdict(NOT_REGULAR, witness)
+        return Verdict(REGULAR)
+    return Verdict(NOT_REGULAR, witness)
 
 
 def gen_ter_hardness(dfas) -> Dfa:

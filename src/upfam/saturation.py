@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .automata import llex_bfs, minimize_dfa
 from .errors import (CAP_EXCEEDED, CapExceededError, InputError,
-                     PreconditionError)
+                     PreconditionError, Verdict)
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
                      displacement_map, is_refined, refine_family)
 from .words import Representation
@@ -54,20 +53,6 @@ NOT_SATURATED = "NotSaturated"
 STAGE_LOOPSHIFT = "Loopshift"
 STAGE_POWER = "Power"
 STAGE_FDWA = "FdwaWitness"
-
-MODE_SATURATED = "Saturated"
-MODE_FULLY_SATURATED = "FullySaturated"
-
-
-@dataclass(frozen=True)
-class SaturationVerdict:
-    status: str
-    stage: Optional[str] = None
-    witness: Optional[Counterexample] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == SATURATED
 
 
 def _displacements(F: Family) -> list[list[int]]:
@@ -81,8 +66,7 @@ def _displacements(F: Family) -> list[list[int]]:
     return disps
 
 
-def check_loopshift_stable(F: Family, ref_set: ReferenceSet
-                           ) -> SaturationVerdict:
+def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     """Search, for every leading state and symbol a, for a word w such that
     (u, a*w) and (u*a, w*a) both lie in the reference set but only one is
     accepted.  The product of the two progress runs is deterministic, so a
@@ -119,7 +103,7 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet
                         best = (key, q, a, w, d1 in acc_q)
                     break
     if best is None:
-        return SaturationVerdict(SATURATED, STAGE_LOOPSHIFT)
+        return Verdict(SATURATED, stage=STAGE_LOOPSHIFT)
     _, q, a, w, left_acc = best
     u = T.access_word(q)
     w = tuple(alphabet[si] for si in w)
@@ -128,10 +112,10 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet
         Representation(u, (a,) + w),
         Representation(u + (a,), w + (a,)),
         left_acc, not left_acc)
-    return SaturationVerdict(NOT_SATURATED, STAGE_LOOPSHIFT, cx)
+    return Verdict(NOT_SATURATED, cx, STAGE_LOOPSHIFT)
 
 
-def check_power_stable(F: Family, ref_set: ReferenceSet) -> SaturationVerdict:
+def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     """For each progress state reachable by a reference-set loop word, scan
     the acceptance orbit of the least such representative under loop powers;
     a mixed orbit is a saturation violation."""
@@ -172,7 +156,7 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> SaturationVerdict:
             if best is None or key < best[0]:
                 best = (key, q, rep, flip, base)
     if best is None:
-        return SaturationVerdict(SATURATED, STAGE_POWER)
+        return Verdict(SATURATED, stage=STAGE_POWER)
     _, q, rep, flip, base = best
     u = T.access_word(q)
     cx = Counterexample(
@@ -180,24 +164,20 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> SaturationVerdict:
         Representation(u, rep),
         Representation(u, rep * flip),
         base, not base)
-    return SaturationVerdict(NOT_SATURATED, STAGE_POWER, cx)
+    return Verdict(NOT_SATURATED, cx, STAGE_POWER)
 
 
-def check_saturated(F: Family, mode: str = MODE_SATURATED
-                    ) -> SaturationVerdict:
+def check_saturated(F: Family, ref: ReferenceSet = ReferenceSet.NORMALIZED
+                    ) -> Verdict:
     """Full pipeline: minimize progress automata, refine, then run the
-    loopshift and power stages against the Normalized (mode Saturated) or
-    All (mode FullySaturated) reference set.  Witnesses are word-level, so
+    loopshift and power stages against the reference set: Normalized for
+    saturation, All for full saturation.  Witnesses are word-level, so
     they replay against the original family unchanged."""
     if F.kind != FDFA:
         raise InputError("saturation pipeline applies to FDFAs; "
                          "use check_fdwa_saturated for FDWAs")
-    if mode == MODE_SATURATED:
-        ref = ReferenceSet.NORMALIZED
-    elif mode == MODE_FULLY_SATURATED:
-        ref = ReferenceSet.ALL
-    else:
-        raise InputError(f"unknown saturation mode {mode!r}")
+    if not isinstance(ref, ReferenceSet):
+        raise InputError(f"unknown reference set {ref!r}")
     slim = Family(FDFA, F.leading, [minimize_dfa(p) for p in F.progress])
     work = refine_family(slim)
     verdict = check_loopshift_stable(work, ref)
@@ -350,8 +330,7 @@ def _least_fdwa_witness(work, cap):
     return best
 
 
-def check_fdwa_saturated(W: Family, cap: Optional[int] = None
-                         ) -> SaturationVerdict:
+def check_fdwa_saturated(W: Family, cap: Optional[int] = None) -> Verdict:
     """Saturation of an FDWA via the five-condition witness search.  With a
     cap, the searches may store at most `cap` nodes in all; going over it
     gives a CapExceeded verdict."""
@@ -364,9 +343,9 @@ def check_fdwa_saturated(W: Family, cap: Optional[int] = None
     try:
         best = _least_fdwa_witness(work, cap)
     except CapExceededError:
-        return SaturationVerdict(CAP_EXCEEDED, STAGE_FDWA)
+        return Verdict(CAP_EXCEEDED, stage=STAGE_FDWA)
     if best is None:
-        return SaturationVerdict(SATURATED, STAGE_FDWA)
+        return Verdict(SATURATED, stage=STAGE_FDWA)
     ((_, z), u, p, q, r), v = best
     T = work.leading
     z = tuple(T.alphabet[si] for si in z)
@@ -388,4 +367,4 @@ def check_fdwa_saturated(W: Family, cap: Optional[int] = None
         Representation(U + x, y + x),
         p in Bu.accepting,
         r in Bv.accepting)
-    return SaturationVerdict(NOT_SATURATED, STAGE_FDWA, cx)
+    return Verdict(NOT_SATURATED, cx, STAGE_FDWA)

@@ -27,8 +27,7 @@ from upfam.oracle import (brute_almost_saturation, brute_saturation,
                           nba_lasso_accepts, normalized_word_accepts)
 from upfam.regularity import (brute_ter_roots, check_regular,
                               classify_profile, gen_ter_hardness, profile_of)
-from upfam.saturation import (MODE_FULLY_SATURATED, MODE_SATURATED,
-                              STAGE_LOOPSHIFT, check_fdwa_saturated,
+from upfam.saturation import (STAGE_LOOPSHIFT, check_fdwa_saturated,
                               check_loopshift_stable, check_saturated)
 from upfam.translate import fdwa_to_nba, gen_family
 from upfam.words import Representation, root, up_equal, words_up_to
@@ -104,7 +103,7 @@ def checker_oracle_sweep():
     refuted = almost_refuted = 0
     for k in range(500):
         F = random_family(rng, kind=FDFA, max_leading=2, max_progress=3)
-        v = check_saturated(F, MODE_SATURATED)
+        v = check_saturated(F, ReferenceSet.NORMALIZED)
         found = brute_saturation(F, NORM, 6, 6)
         if v.ok:
             if found is not None:
@@ -160,7 +159,7 @@ def test_3_generated_family_sizes_and_verdicts(capsys):
             F = gen_family(name, n)
             if not check_almost_saturated(F).ok:
                 failures.append("%s n=%d not almost saturated" % (name, n))
-            if check_saturated(F, MODE_SATURATED).ok:
+            if check_saturated(F, ReferenceSet.NORMALIZED).ok:
                 failures.append("%s n=%d unexpectedly saturated" % (name, n))
     conclude(capsys, "3 generated families", t0, 10, failures,
              "6 kinds x n=1..3")
@@ -252,7 +251,7 @@ def test_6_active_learning_round_trip(capsys):
         seen_saturated = []
         inner = teacher._equivalence
         teacher._equivalence = lambda H: (
-            seen_saturated.append(check_saturated(H, MODE_FULLY_SATURATED).ok)
+            seen_saturated.append(check_saturated(H, ReferenceSet.ALL).ok)
             or inner(H))
         learned, log = learn_active(teacher)
         if make_teacher(F).equivalence(learned) is not None:

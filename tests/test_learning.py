@@ -13,14 +13,15 @@ from helpers import (AB, canonical_family, fully_saturated_targets,
                      random_dfa, same_family, syntactic_targets)
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
 from upfam.errors import InputError, PreconditionError, ProtocolError
-from upfam.family import FDFA, FDWA, Family, family_accepts, up_membership
+from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
+                          up_membership)
 from upfam.fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
                             some_a_fdwa, universal_fdfa)
 from upfam.learning import (DOLLAR, Sample, Teacher, _least_dollar_difference,
                             default_fdfa, dollar_dfa_to_fdfa,
                             fdfa_to_dollar_dfa, gen_char_sample, learn_active,
                             learn_passive, make_teacher)
-from upfam.saturation import MODE_FULLY_SATURATED, check_saturated
+from upfam.saturation import check_saturated
 from upfam.words import Representation, words_up_to
 
 GAMMA = AB + (DOLLAR,)
@@ -48,7 +49,7 @@ class TestTargetFixtures:
     @pytest.mark.parametrize("name", sorted(fully_saturated_targets()))
     def test_fully_saturated_targets(self, name):
         F, pred = fully_saturated_targets()[name]
-        assert check_saturated(F, MODE_FULLY_SATURATED).ok
+        assert check_saturated(F, ReferenceSet.ALL).ok
         for u, x in lassos(AB, 3, 3):
             assert family_accepts(F, Representation(u, x)) == pred(u, x)
 
@@ -194,7 +195,7 @@ class TestActiveLearning:
 
         def watching(H):
             teacher.saturated_seen.append(
-                check_saturated(H, MODE_FULLY_SATURATED).ok)
+                check_saturated(H, ReferenceSet.ALL).ok)
             return inner(H)
 
         teacher._equivalence = watching
@@ -240,21 +241,21 @@ class TestDefaultFamily:
 
     def test_unary_word_accepts_every_representation(self):
         F = default_fdfa([Representation(("a",), ("a",))])
-        assert check_saturated(F, MODE_FULLY_SATURATED).ok
+        assert check_saturated(F, ReferenceSet.ALL).ok
         for u, x in lassos(("a",), 4, 4):
             assert family_accepts(F, Representation(u, x))
 
     def test_ab_cycle_is_exact(self):
         target = Representation((), ("a", "b"))
         F = default_fdfa([target], AB)
-        assert check_saturated(F, MODE_FULLY_SATURATED).ok
+        assert check_saturated(F, ReferenceSet.ALL).ok
         for u, x in lassos(AB, 3, 4):
             want = Representation(u, x).canonical() == target.canonical()
             assert family_accepts(F, Representation(u, x)) == want
 
     def test_empty_set_rejects_everything(self):
         F = default_fdfa([], AB)
-        assert check_saturated(F, MODE_FULLY_SATURATED).ok
+        assert check_saturated(F, ReferenceSet.ALL).ok
         assert not any(family_accepts(F, Representation(u, x))
                        for u, x in lassos(AB, 3, 3))
 
@@ -267,7 +268,7 @@ class TestDefaultFamily:
                 for _ in range(rng.randint(1, 3))}
             F = default_fdfa(picks, AB)
             keys = {r.canonical() for r in picks}
-            assert check_saturated(F, MODE_FULLY_SATURATED).ok
+            assert check_saturated(F, ReferenceSet.ALL).ok
             for u, x in lassos(AB, 3, 3):
                 want = Representation(u, x).canonical() in keys
                 assert family_accepts(F, Representation(u, x)) == want

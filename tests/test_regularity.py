@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upfam.automata import Dfa, intersect_dfa
-from upfam.errors import CapExceededError, InputError
+from upfam.errors import CapExceededError, InputError, Verdict
 from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts)
 from upfam.fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
@@ -21,9 +21,9 @@ from upfam.fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                             universal_fdfa)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               TERMINAL, GoodWitness, ProfileClass,
-                              RegularityVerdict, TransitionProfile,
-                              brute_ter_roots, check_regular,
-                              classify_profile, find_good_witness,
+                              TransitionProfile, brute_ter_roots,
+                              check_regular, classify_profile,
+                              find_good_witness,
                               gen_ter_hardness, label_by_leading, profile_of,
                               stabilize)
 from upfam.words import Representation, root, words_up_to
@@ -228,7 +228,7 @@ def expect_witness(F, case, words):
     v = check_regular(F)
     assert v.status == "NotRegular"
     assert not v.ok
-    w = v.evidence
+    w = v.witness
     assert isinstance(w, GoodWitness)
     assert (w.case, w.words) == (case, words)
     return w
@@ -277,13 +277,13 @@ def test_regular_fixtures():
     fams = all_fixture_families()
     for name in ("odd-a", "eventually-ab"):
         v = check_regular(fams[name])
-        assert v.status == "Regular" and v.ok and v.evidence is None, name
+        assert v.status == "Regular" and v.ok and v.witness is None, name
     assert check_regular(universal_fdfa("ab")).ok
     assert check_regular(empty_fdfa("ab")).ok
 
 
 def test_fdwa_short_circuits_to_regular():
-    assert check_regular(some_a_fdwa()) == RegularityVerdict("Regular")
+    assert check_regular(some_a_fdwa()) == Verdict("Regular")
     bad = Family(FDWA, odd_a_fdfa().leading, odd_a_fdfa().progress)
     with pytest.raises(InputError):
         check_regular(bad)  # not weak, so not a valid fdwa
@@ -291,7 +291,7 @@ def test_fdwa_short_circuits_to_regular():
 
 def test_cap_exceeded_verdict():
     v = check_regular(one_b_some_a_fdfa(), cap=2)
-    assert v.status == "CapExceeded" and v.evidence is None
+    assert v.status == "CapExceeded" and v.witness is None
     N = label_by_leading(stabilize(one_b_some_a_fdfa())).progress[0]
     with pytest.raises(CapExceededError):
         find_good_witness(N, cap=2)

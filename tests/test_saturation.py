@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from upfam.automata import Dfa
+from upfam.automata import Dfa, TransitionSystem
 from upfam.errors import InputError, PreconditionError
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet,
                           displacement_map, family_accepts, is_refined,
@@ -18,8 +18,7 @@ from upfam.fixtures import (all_fixture_families, ba_star_fdfa,
                             first_a_fdwa, odd_a_fdfa, some_a_fdwa,
                             universal_fdfa)
 from upfam.oracle import brute_saturation
-from upfam.saturation import (MODE_FULLY_SATURATED, MODE_SATURATED,
-                              STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
+from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
                               check_fdwa_saturated, check_loopshift_stable,
                               check_power_stable, check_saturated)
 from upfam.words import up_equal, words_up_to
@@ -44,7 +43,7 @@ def assert_replays(F, cx, ref):
 
 
 def test_ba_star_loopshift_witness():
-    v = check_saturated(ba_star_fdfa(), MODE_SATURATED)
+    v = check_saturated(ba_star_fdfa(), ReferenceSet.NORMALIZED)
     assert v.status == "NotSaturated"
     assert v.stage == STAGE_LOOPSHIFT
     cx = v.witness
@@ -55,7 +54,7 @@ def test_ba_star_loopshift_witness():
 
 
 def test_odd_a_power_witness():
-    v = check_saturated(odd_a_fdfa(), MODE_SATURATED)
+    v = check_saturated(odd_a_fdfa(), ReferenceSet.NORMALIZED)
     assert v.status == "NotSaturated"
     assert v.stage == STAGE_POWER
     cx = v.witness
@@ -67,26 +66,26 @@ def test_odd_a_power_witness():
 
 def test_one_b_power_witness():
     from upfam.fixtures import one_b_some_a_fdfa
-    v = check_saturated(one_b_some_a_fdfa(), MODE_SATURATED)
+    v = check_saturated(one_b_some_a_fdfa(), ReferenceSet.NORMALIZED)
     assert v.stage == STAGE_POWER
     assert rep_pair(v.witness) == (((), ("a", "b")),
                                    ((), ("a", "b", "a", "b")))
 
 
 def test_exactly_one_a_power_witness():
-    v = check_saturated(exactly_one_a_fdfa(), MODE_SATURATED)
+    v = check_saturated(exactly_one_a_fdfa(), ReferenceSet.NORMALIZED)
     assert v.stage == STAGE_POWER
     assert rep_pair(v.witness) == (((), ("a",)), ((), ("a", "a")))
 
 
 def test_eventually_ab_saturated_both_modes():
     F = eventually_ab_fdfa()
-    assert check_saturated(F, MODE_SATURATED).ok
-    assert check_saturated(F, MODE_FULLY_SATURATED).ok
+    assert check_saturated(F, ReferenceSet.NORMALIZED).ok
+    assert check_saturated(F, ReferenceSet.ALL).ok
 
 
 def test_universal_fully_saturated():
-    assert check_saturated(universal_fdfa(), MODE_FULLY_SATURATED).ok
+    assert check_saturated(universal_fdfa(), ReferenceSet.ALL).ok
 
 
 def test_asymmetric_leading_reachability_is_saturated():
@@ -109,13 +108,13 @@ def test_asymmetric_leading_reachability_is_saturated():
         accepting={4})
     # canonical leading order: 0 = initial, 1 = after a, 2 = after ab
     F = Family(FDFA, lead, [empty, ba_plus, ab_plus])
-    assert check_saturated(F, MODE_SATURATED).ok
+    assert check_saturated(F, ReferenceSet.NORMALIZED).ok
     assert brute_saturation(F, NORM, 6, 6) is None
 
 
 def test_stage_order_loopshift_before_power():
     # ba-star fails both stages; the loopshift stage must report first.
-    v = check_saturated(ba_star_fdfa(), MODE_FULLY_SATURATED)
+    v = check_saturated(ba_star_fdfa(), ReferenceSet.ALL)
     assert v.stage == STAGE_LOOPSHIFT
 
 
@@ -123,12 +122,12 @@ def test_mode_validation():
     with pytest.raises(InputError):
         check_saturated(ba_star_fdfa(), "Sideways")
     with pytest.raises(InputError):
-        check_saturated(some_a_fdwa(), MODE_SATURATED)
+        check_saturated(some_a_fdwa(), ReferenceSet.NORMALIZED)
 
 
 def test_stage_checks_require_refined_family():
     from upfam.fixtures import mod2_leading
-    from upfam.automata import Dfa
+    from upfam.automata import Dfa, TransitionSystem
     lead = mod2_leading("ab")
     odd = Dfa.from_parts("ab", 2, {(0, "a"): 1, (0, "b"): 0,
                                    (1, "a"): 0, (1, "b"): 1},
@@ -145,8 +144,8 @@ def test_checker_agrees_with_oracle_on_random_families():
     unsat = 0
     for _ in range(150):
         F = random_family(rng, kind=FDFA, max_leading=2, max_progress=3)
-        for mode, ref in ((MODE_SATURATED, NORM),
-                          (MODE_FULLY_SATURATED, ALL)):
+        for mode, ref in ((ReferenceSet.NORMALIZED, NORM),
+                          (ReferenceSet.ALL, ALL)):
             v = check_saturated(F, mode)
             found = brute_saturation(F, ref, 5, 4)
             if v.ok:
@@ -164,7 +163,7 @@ def test_witness_size_bounds():
     checked = 0
     for _ in range(200):
         F = random_family(rng, kind=FDFA, max_leading=3, max_progress=4)
-        v = check_saturated(F, MODE_SATURATED)
+        v = check_saturated(F, ReferenceSet.NORMALIZED)
         if v.ok:
             continue
         checked += 1
@@ -192,6 +191,15 @@ def test_fdwa_fixture_verdicts():
     assert rep_pair(cx) == (((), ("a", "b")), (("a",), ("b", "a")))
     assert cx.left_accepted and not cx.right_accepted
     assert_replays(first_a_fdwa(), cx, NORM)
+
+
+def test_fdwa_check_refines_progress_with_unreachable_states():
+    # Progress state 2 is unreachable, so it has no displacement: the
+    # family is not refined and the checker must refine it first.
+    W = Family(FDWA, TransitionSystem("ab", [[0, 0]]),
+               [Dfa("ab", [[0, 0], [1, 1], [2, 1]], [0, 1], 0)])
+    assert displacement_map(W, 0) is None and not is_refined(W)
+    assert check_fdwa_saturated(W).status == "Saturated"
 
 
 def test_fdwa_checker_input_contracts():
@@ -285,7 +293,7 @@ def test_fdwa_witness_is_llex_least():
 def test_saturated_fixture_survives_progress_noise():
     """Duplicating progress states must not change any verdict: the checks
     are language-level, not structure-level."""
-    from upfam.automata import Dfa
+    from upfam.automata import Dfa, TransitionSystem
     base = eventually_ab_fdfa()
     d = base.progress[0]
     # duplicate state 0 as an extra initial layer feeding the old one
@@ -298,5 +306,5 @@ def test_saturated_fixture_survives_progress_noise():
     fat = Dfa.from_parts(d.alphabet, d.n + 1, trans,
                          accepting={q + 1 for q in d.accepting})
     F = Family(FDFA, base.leading, [fat])
-    assert check_saturated(F, MODE_SATURATED).ok
-    assert check_saturated(F, MODE_FULLY_SATURATED).ok
+    assert check_saturated(F, ReferenceSet.NORMALIZED).ok
+    assert check_saturated(F, ReferenceSet.ALL).ok

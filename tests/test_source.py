@@ -1,7 +1,11 @@
-"""Source hygiene of the package: every module imports only what it uses.
+"""Source hygiene of the package: every module imports only what it uses,
+and every function it defines is used somewhere.
 
-`__init__.py` is skipped because its imports are the public re-exports,
-and `from __future__` imports are compiler directives, not names.
+`__init__.py` is skipped by the import check because its imports are the
+public re-exports, and `from __future__` imports are compiler directives,
+not names.  A function or method counts as used when its name is read
+anywhere in src/, tests/ or bench/; dunder methods are called by Python
+itself and are exempt.
 """
 
 import ast
@@ -9,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "upfam"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "upfam"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCANNED = sorted(p for d in ("src", "tests", "bench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +53,46 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_functions(source: str) -> dict[str, int]:
+    """Name and line of every function and method, dunders left out."""
+    return {node.name: node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def names_read(source: str) -> set[str]:
+    """Names, attributes, imported names and identifier-like strings."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
+    return names
+
+
+def test_detects_an_unused_function():
+    src = ("class C:\n    def __eq__(self, o): pass\n"
+           "    def m(self): pass\n"
+           "def f(): pass\ndef g(): return f() + C().n\n")
+    assert defined_functions(src) == {"m": 3, "f": 4, "g": 5}
+    assert {"f", "n"} <= names_read(src)
+    assert not {"g", "m"} & names_read(src)
+
+
+def test_no_unused_functions():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8"))
+                         for p in SCANNED))
+    unused = ["%s (%s line %d)" % (name, path.name, line)
+              for path in sorted(SRC.glob("*.py"))
+              for name, line in defined_functions(
+                  path.read_text(encoding="utf-8")).items()
+              if name not in read]
+    assert unused == []
