@@ -344,20 +344,23 @@ class Nfa:
     def __init__(self, alphabet: Sequence[str], n: int,
                  delta: dict, initials: Iterable[int],
                  accepting: Iterable[int]):
-        """delta maps (state, symbol) -> iterable of successor states."""
+        """delta maps (state, symbol) -> iterable of successor states.
+        Equal successor sets are stored once, as one shared frozenset."""
         self.alphabet = tuple(alphabet)
         self.sym_index = {t: i for i, t in enumerate(self.alphabet)}
         if len(self.sym_index) != len(self.alphabet):
             raise InputError("duplicate symbol in alphabet")
         self.n = n
-        table = [[frozenset() for _ in self.alphabet] for _ in range(n)]
+        empty = frozenset()
+        shared = {empty: empty}
+        table = [[empty] * len(self.alphabet) for _ in range(n)]
         for (s, a), ts in delta.items():
             if a not in self.sym_index:
                 raise InputError(f"transition on unknown symbol {a!r}")
             ts = frozenset(ts)
             if not 0 <= s < n or any(not 0 <= t < n for t in ts):
                 raise InputError("transition state out of range")
-            table[s][self.sym_index[a]] |= ts
+            table[s][self.sym_index[a]] = shared.setdefault(ts, ts)
         self.delta = tuple(tuple(row) for row in table)
         self.initials = frozenset(initials)
         self.accepting = frozenset(accepting)

@@ -110,14 +110,16 @@ def _emit(check: str, verdict: Verdict, as_json: bool, lines=()) -> int:
 
 
 # Checker of each `check` property.  `check saturation` on an FDWA file
-# runs the FDWA checker; the FDFA saturation pipelines take no cap.
+# runs the FDWA checker; the FDFA saturation pipelines take no cap.  Each
+# entry looks its checker up when it runs, so a wrapper later bound to the
+# module-level name (a tracer or a test double) is the one called.
 _CHECKS = {
     "saturation": lambda F, **cap: (check_fdwa_saturated(F, **cap)
                                     if F.kind == FDWA else check_saturated(F)),
     "full-saturation": lambda F, **cap: check_saturated(F, ReferenceSet.ALL),
-    "almost-saturation": check_almost_saturated,
-    "fdwa-saturation": check_fdwa_saturated,
-    "regularity": check_regular,
+    "almost-saturation": lambda F, **cap: check_almost_saturated(F, **cap),
+    "fdwa-saturation": lambda F, **cap: check_fdwa_saturated(F, **cap),
+    "regularity": lambda F, **cap: check_regular(F, **cap),
 }
 
 

@@ -407,50 +407,82 @@ def _infer_leading(evidence, alphabet, order):
     """Leading system with one state per evidence-separable prefix class.
 
     Two prefix words are separated when gluing the same continuation pair
-    onto both yields oppositely labeled examples; the states and
+    onto both yields oppositely labeled examples.  The test runs on a
+    prefix tree of the example prefixes tagged by their loop words: u1
+    and u2 are separated when the subtrees under them hold opposite
+    labels for one tag at the same relative position.  The states and
     transitions are the classes and moves of `_grow_classes`.
     """
-    def separated(u1, u2):
-        if u1 == u2:
-            return False
-        for (w, x), lab in evidence.items():
-            for a, b in ((u1, u2), (u2, u1)):
-                if w[:len(a)] == a:
-                    other = evidence.get((b + w[len(a):], x))
-                    if other is not None and other != lab:
-                        return True
-        return False
-
-    moves = _grow_classes((w for w, _x in evidence), alphabet, order,
-                          separated)
+    tree = _prefix_tree((w, x, lab) for (w, x), lab in evidence.items())
+    moves = _grow_classes(tree, alphabet, order)
     return TransitionSystem.build(alphabet, (),
                                   lambda key, a: moves[(key, a)])
 
 
-def _grow_classes(words, alphabet, order, separated):
-    """Moves {(rep, a): rep} between class representatives.  The classes
-    grow from the empty word by repeatedly adding the llex-least prefix of
-    `words` separated from all current representatives; a representative
-    moves on a to the llex-least representative not separated from its
+def _prefix_tree(entries):
+    """Prefix tree of (word, tag, label) entries.  A node is a pair
+    (children by symbol, {tag: label}); every prefix of an entry's word has
+    a node, and a label of None marks the word without labeling it.  A
+    later entry overrides an earlier one with the same word and tag."""
+    root = ({}, {})
+    for word, tag, lab in entries:
+        node = root
+        for a in word:
+            node = node[0].setdefault(a, ({}, {}))
+        if lab is not None:
+            node[1][tag] = lab
+    return root
+
+
+def _separated(n1, n2) -> bool:
+    """True when some continuation z and tag label the words at n1·z and
+    n2·z oppositely.  The walk visits only positions present under both
+    nodes, so it costs at most the smaller subtree; a missing node (None)
+    labels nothing."""
+    if n1 is None or n2 is None or n1 is n2:
+        return False
+    stack = [(n1, n2)]
+    while stack:
+        (kids1, labs1), (kids2, labs2) = stack.pop()
+        if len(labs1) > len(labs2):
+            labs1, labs2 = labs2, labs1
+        for tag, lab in labs1.items():
+            other = labs2.get(tag)
+            if other is not None and other != lab:
+                return True
+        if len(kids1) > len(kids2):
+            kids1, kids2 = kids2, kids1
+        for a, c1 in kids1.items():
+            c2 = kids2.get(a)
+            if c2 is not None:
+                stack.append((c1, c2))
+    return False
+
+
+def _grow_classes(tree, alphabet, order):
+    """Moves {(rep, a): rep} between class representatives of the words
+    in a prefix tree.  The classes grow from the empty word by adding, in
+    llex order, each word of the tree separated from all representatives
+    added before it.  One pass adds the same words as restarting the scan
+    after each addition: representatives are only ever added, so a word
+    that is not separated from one of them never becomes separated from
+    all, and a word skipped once stays skipped.  A representative moves
+    on a to the llex-least representative not separated from its
     extension by a."""
-    lkey = lambda w: llex_key(w, order)
-    cands = sorted({w[:i] for w in words for i in range(len(w) + 1)},
-                   key=lkey)
-    reps = [()]
-    grown = True
-    while grown:
-        grown = False
-        for v in cands:
-            if v not in reps and all(separated(v, u) for u in reps):
-                reps.append(v)
-                reps.sort(key=lkey)
-                grown = True
-                break
+    nodes = [((), tree)]
+    for word, (kids, _labs) in nodes:
+        nodes.extend((word + (a,), child) for a, child in kids.items())
+    nodes.sort(key=lambda item: llex_key(item[0], order))
+    reps = nodes[:1]
+    for v, node in nodes[1:]:
+        if all(_separated(node, r) for _u, r in reps):
+            reps.append((v, node))
     moves = {}
-    for u in reps:
+    for u, node in reps:
         for a in alphabet:
-            w = u + (a,)
-            moves[(u, a)] = next(v for v in reps if not separated(w, v))
+            child = node[0].get(a)
+            moves[(u, a)] = next(v for v, r in reps
+                                 if not _separated(child, r))
     return moves
 
 
@@ -460,8 +492,10 @@ def _infer_progress(evidence, leading, q, alphabet, order):
     Pools every example whose prefix part reaches q, keyed by the loop part;
     examples whose loop parts collide with opposite labels are ignored.  The
     empty loop counts as a fixed negative.  Class construction mirrors the
-    leading inference; a class is accepting when it contains a positively
-    labeled loop that returns to q.
+    leading inference on a prefix tree of the pooled loops, all under one
+    tag: two loops are separated when some continuation labels them
+    oppositely.  A class is accepting when it contains a positively labeled
+    loop that returns to q.
     """
     pooled: dict[Word, Optional[bool]] = {}
     for (w, x), lab in evidence.items():
@@ -469,23 +503,9 @@ def _infer_progress(evidence, leading, q, alphabet, order):
             old = pooled.get(x, lab)
             pooled[x] = lab if old == lab else None
 
-    def label(x):
-        if x == ():
-            return False
-        return pooled.get(x)
-
-    def separated(x1, x2):
-        if x1 == x2:
-            return False
-        for w in chain(pooled, ((),)):
-            for a, b in ((x1, x2), (x2, x1)):
-                if w[:len(a)] == a:
-                    l1, l2 = label(w), label(b + w[len(a):])
-                    if l1 is not None and l2 is not None and l1 != l2:
-                        return True
-        return False
-
-    moves = _grow_classes(pooled, alphabet, order, separated)
+    tree = _prefix_tree(chain(((x, None, lab) for x, lab in pooled.items()),
+                              (((), None, False),)))
+    moves = _grow_classes(tree, alphabet, order)
     accepting = set()
     for x, lab in pooled.items():
         if lab and x and leading.after(q, x) == q:
@@ -519,8 +539,13 @@ def gen_char_sample(target: Family) -> Sample:
     T = target.leading
     positive: list[Representation] = []
     negative: list[Representation] = []
+    emitted: set = set()
 
     def emit(u, x):
+        # Sample dedupes anyway; skipping repeats saves the membership call.
+        if (u, x) in emitted:
+            return
+        emitted.add((u, x))
         r = Representation(u, x)
         side = positive if up_membership(target, r) else negative
         side.append(r)

@@ -61,6 +61,12 @@ def fdwa_to_nba(W: Family) -> Nba:
     initials.update(starts(T.initial))
 
     delta: dict = {}
+    shared: dict = {}
+
+    def share(targets):
+        ts = frozenset(targets)
+        return shared.setdefault(ts, ts)
+
     while work:
         key = work.pop()
         s = index[key]
@@ -68,9 +74,7 @@ def fdwa_to_nba(W: Family) -> Nba:
             t = key[1]
             for ai, a in enumerate(alphabet):
                 t2 = T.delta[t][ai]
-                targets = {sid(("spoke", t2))}
-                targets.update(starts(t2))
-                delta[(s, a)] = targets
+                delta[(s, a)] = share([sid(("spoke", t2))] + starts(t2))
             continue
         # "start" states carry the coordinates of a fresh block but keep a
         # separate identity: a visit then certifies that a block closed,
@@ -87,10 +91,10 @@ def fdwa_to_nba(W: Family) -> Nba:
             t2 = T.delta[t][ai]
             c1 = B.delta[b1][ai]
             c2 = B.delta[b2][ai]
-            targets = {sid(("block", q, p, t2, c1, c2))}
+            targets = [sid(("block", q, p, t2, c1, c2))]
             if t2 == q and c1 == p and c2 == p:
-                targets.add(sid(("start", q, p)))
-            delta[(s, a)] = targets
+                targets.append(sid(("start", q, p)))
+            delta[(s, a)] = share(targets)
 
     accepting = [index[k] for k in order if k[0] == "start"]
     return Nba(alphabet, len(order), delta, initials, accepting)

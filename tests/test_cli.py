@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from upfam.cli import run_subcommand
+from upfam import cli
+from upfam.cli import main, run_subcommand
 from upfam.faf import parse_faf, serialize_faf, serialize_sample
 from upfam.family import FDFA, family_accepts
 from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa, first_a_fdwa,
@@ -98,6 +99,29 @@ class TestCheck:
         assert run(argv + ["0"], stdin_text=text)[0] == 2
         assert (run(argv + ["100000"], stdin_text=text)
                 == run(argv[:-1], stdin_text=text))
+
+    @pytest.mark.parametrize("name, check", [
+        ("check_almost_saturated", "almost-saturation"),
+        ("check_fdwa_saturated", "fdwa-saturation"),
+        ("check_regular", "regularity"),
+    ])
+    def test_checker_is_looked_up_at_call_time(self, tmp_path, monkeypatch,
+                                                capsys, name, check):
+        """A function bound to the checker's name on upfam.cli after import,
+        as a tracer binds its wrappers, is the one `check` calls."""
+        real = getattr(cli, name)
+        calls = []
+
+        def spy(F, **cap):
+            calls.append(cap)
+            return real(F, **cap)
+
+        monkeypatch.setattr(cli, name, spy)
+        path = (write_family(tmp_path, first_a_fdwa())
+                if check == "fdwa-saturation" else BA_STAR)
+        assert main(["check", check, path, "--cap", "500"]) == 1
+        assert calls == [{"cap": 500}]
+        assert capsys.readouterr().out.startswith("NOT-")
 
 
 class TestJsonAndReplay:

@@ -5,14 +5,18 @@ from brute-force enumeration over the dollar alphabet; both were computed
 before the implementation and are frozen here.
 """
 
+import hashlib
 import random
+from itertools import chain
 
 import pytest
 
 from helpers import (AB, canonical_family, fully_saturated_targets,
                      random_dfa, same_family, syntactic_targets)
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
+from upfam import learning
 from upfam.errors import InputError, PreconditionError, ProtocolError
+from upfam.faf import serialize_faf
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
                           up_membership)
 from upfam.fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
@@ -22,7 +26,7 @@ from upfam.learning import (DOLLAR, Sample, Teacher, _least_dollar_difference,
                             fdfa_to_dollar_dfa, gen_char_sample, learn_active,
                             learn_passive, make_teacher)
 from upfam.saturation import check_saturated
-from upfam.words import Representation, words_up_to
+from upfam.words import Representation, llex_key, words_up_to
 
 GAMMA = AB + (DOLLAR,)
 
@@ -366,3 +370,151 @@ class TestPassiveLearning:
         assert canonical_family(F).size() == F.size()
         assert same_family(F, F)
         assert not same_family(F, empty_fdfa("ab"))
+
+
+def letter_set_target(k, seed):
+    """Fully saturated FDFA over the first k letters: one leading state, and
+    a progress DFA that accepts a seeded random collection of the sets of
+    letters read."""
+    rng = random.Random(seed)
+    sigma = "abcde"[:k]
+    chosen = ({m for m in range(1, 1 << k) if rng.random() < 0.5}
+              or {(1 << k) - 1})
+    prog = Dfa.build(sigma, 0, lambda m, a: m | (1 << sigma.index(a)),
+                     accepting=lambda m: m in chosen)
+    lead = TransitionSystem.build(sigma, 0, lambda s, a: 0)
+    return Family(FDFA, lead, [minimize_dfa(prog)])
+
+
+# sha256 of serialize_faf(learn_passive(gen_char_sample(
+# letter_set_target(k, k)))), recorded when learn_passive still scanned
+# every example for each separation test.
+PASSIVE_DIGESTS = {
+    2: "492e7c92baa3b61ce3a4fd8b4b19619b699cb475511bb317c5d09a8dd506905f",
+    3: "05ddc698ed84251af29d5ce40cfd7adcf714dfb985751ba8b0fbeb7a12b55f57",
+    4: "b7108a35082d83a6a09ac287b89599d83e0fb92372be3f15d848e80b048db4d6",
+    5: "9f5fbc48f31c27f0f6a75d86fd78b6b5368e2803213679dddfaa4a595a495787",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PASSIVE_DIGESTS))
+def test_passive_learning_of_letter_sets_is_pinned(k):
+    learned = learn_passive(gen_char_sample(letter_set_target(k, k)))
+    digest = hashlib.sha256(serialize_faf(learned).encode()).hexdigest()
+    assert digest == PASSIVE_DIGESTS[k]
+
+
+# Reference definitions of the class inference: a scan of every example
+# for each separation test, and a growth loop that restarts after each new
+# representative.
+
+def ref_leading_separated(evidence):
+    def separated(u1, u2):
+        if u1 == u2:
+            return False
+        for (w, x), lab in evidence.items():
+            for a, b in ((u1, u2), (u2, u1)):
+                if w[:len(a)] == a:
+                    other = evidence.get((b + w[len(a):], x))
+                    if other is not None and other != lab:
+                        return True
+        return False
+    return separated
+
+
+def ref_progress_separated(pooled):
+    def label(x):
+        if x == ():
+            return False
+        return pooled.get(x)
+
+    def separated(x1, x2):
+        if x1 == x2:
+            return False
+        for w in chain(pooled, ((),)):
+            for a, b in ((x1, x2), (x2, x1)):
+                if w[:len(a)] == a:
+                    l1, l2 = label(w), label(b + w[len(a):])
+                    if l1 is not None and l2 is not None and l1 != l2:
+                        return True
+        return False
+    return separated
+
+
+def ref_grow_classes(words, alphabet, order, separated):
+    lkey = lambda w: llex_key(w, order)
+    cands = sorted({w[:i] for w in words for i in range(len(w) + 1)},
+                   key=lkey)
+    reps = [()]
+    grown = True
+    while grown:
+        grown = False
+        for v in cands:
+            if v not in reps and all(separated(v, u) for u in reps):
+                reps.append(v)
+                reps.sort(key=lkey)
+                grown = True
+                break
+    moves = {}
+    for u in reps:
+        for a in alphabet:
+            w = u + (a,)
+            moves[(u, a)] = next(v for v in reps if not separated(w, v))
+    return moves
+
+
+class TestClassInference:
+    """The prefix-tree separation and the one-pass growth of learn_passive
+    agree with the reference definitions on random evidence."""
+
+    def node_at(self, tree, word):
+        for a in word:
+            tree = tree[0][a]
+        return tree
+
+    def check(self, tree, moves, words, alphabet, order, separated):
+        cands = sorted({w[:i] for w in words for i in range(len(w) + 1)})
+        for v1 in cands:
+            for v2 in cands:
+                got = learning._separated(self.node_at(tree, v1),
+                                          self.node_at(tree, v2))
+                assert got == separated(v1, v2), (v1, v2)
+        assert moves == ref_grow_classes(words, alphabet, order, separated)
+
+    @pytest.mark.parametrize("alphabet", ["ab", "abc"])
+    def test_matches_the_reference_definitions(self, alphabet, monkeypatch):
+        grown = []
+        real = learning._grow_classes
+
+        def spy(tree, sigma, order):
+            moves = real(tree, sigma, order)
+            grown.append((tree, moves))
+            return moves
+
+        monkeypatch.setattr(learning, "_grow_classes", spy)
+        alphabet = tuple(alphabet)
+        order = {a: i for i, a in enumerate(alphabet)}
+        rng = random.Random("classes:" + "".join(alphabet))
+        for _ in range(1500):
+            evidence = {}
+            for _ in range(rng.randint(1, 8)):
+                w = tuple(rng.choice(alphabet)
+                          for _ in range(rng.randint(0, 3)))
+                x = tuple(rng.choice(alphabet)
+                          for _ in range(rng.randint(1, 3)))
+                evidence[(w, x)] = rng.random() < 0.5
+            leading = learning._infer_leading(evidence, alphabet, order)
+            tree, moves = grown[-1]
+            self.check(tree, moves, [w for w, _x in evidence], alphabet,
+                       order, ref_leading_separated(evidence))
+            for q in range(leading.n):
+                pooled = {}
+                for (w, x), lab in evidence.items():
+                    if leading.run(w) == q:
+                        old = pooled.get(x, lab)
+                        pooled[x] = lab if old == lab else None
+                learning._infer_progress(evidence, leading, q, alphabet,
+                                         order)
+                tree, moves = grown[-1]
+                self.check(tree, moves, list(pooled), alphabet, order,
+                           ref_progress_separated(pooled))

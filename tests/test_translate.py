@@ -7,6 +7,7 @@ has an accepted representation iff its period contains an a, and for the
 two-zeros-n-apart family iff the root carries such a pair cyclically.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from upfam.almost import check_almost_saturated
 from upfam.automata import Dfa, weak_loop_accepts
 from upfam.errors import InputError, PreconditionError
+from upfam.faf import serialize_nba
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
                           is_normalized)
 from upfam.fixtures import (empty_fdfa, first_a_fdwa, odd_a_fdfa,
@@ -296,6 +298,28 @@ def test_nba_size_stays_within_budget():
             len(B.accepting) * (W.leading.n * B.n * B.n + 1)
             for B in W.progress)
         assert N.n <= bound
+
+
+# sha256 of serialize_nba(fdwa_to_nba(gen_family("subset-occurrence", n))),
+# recorded when every transition held its own successor set.
+NBA_DIGESTS = {
+    3: "3c7e52f8c4d9a7ae899c6cbc0c370e75a963d27e170ec07877a32f99494d4ae9",
+    4: "792fa5320d32c5f05eb2693742acd929cb4fb75acfb82d4f1ba0e924ddaacf10",
+}
+
+
+@pytest.mark.parametrize("n", sorted(NBA_DIGESTS))
+def test_subset_occurrence_nba_is_pinned(n):
+    N = fdwa_to_nba(gen_family("subset-occurrence", n))
+    digest = hashlib.sha256(serialize_nba(N).encode()).hexdigest()
+    assert digest == NBA_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(NBA_DIGESTS))
+def test_nba_stores_each_successor_set_once(n):
+    N = fdwa_to_nba(gen_family("subset-occurrence", n))
+    cells = [ts for row in N.delta for ts in row]
+    assert len({id(ts) for ts in cells}) == len(set(cells))
 
 
 # -------------------------------------------------------------- complement
