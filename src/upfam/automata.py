@@ -345,7 +345,8 @@ class Nfa:
                  delta: dict, initials: Iterable[int],
                  accepting: Iterable[int]):
         """delta maps (state, symbol) -> iterable of successor states.
-        Equal successor sets are stored once, as one shared frozenset."""
+        Equal successor sets are checked and stored once, as one shared
+        frozenset."""
         self.alphabet = tuple(alphabet)
         self.sym_index = {t: i for i, t in enumerate(self.alphabet)}
         if len(self.sym_index) != len(self.alphabet):
@@ -358,14 +359,57 @@ class Nfa:
             if a not in self.sym_index:
                 raise InputError(f"transition on unknown symbol {a!r}")
             ts = frozenset(ts)
-            if not 0 <= s < n or any(not 0 <= t < n for t in ts):
+            kept = shared.get(ts)
+            if kept is None:
+                if any(not 0 <= t < n for t in ts):
+                    raise InputError("transition state out of range")
+                kept = shared[ts] = ts
+            if not 0 <= s < n:
                 raise InputError("transition state out of range")
-            table[s][self.sym_index[a]] = shared.setdefault(ts, ts)
+            table[s][self.sym_index[a]] = kept
         self.delta = tuple(tuple(row) for row in table)
         self.initials = frozenset(initials)
         self.accepting = frozenset(accepting)
         if any(not 0 <= q < n for q in self.initials | self.accepting):
             raise InputError("state out of range")
+
+    @classmethod
+    def build(cls, alphabet: Sequence[str], starts: Iterable[Hashable],
+              edges: Callable[[Hashable], Iterable[tuple[str, Iterable]]],
+              accepting: Callable[[Hashable], bool]):
+        """Construct from the state keys reachable from `starts`, which are
+        the initial states.  edges(key) yields (symbol, target keys) pairs,
+        and accepting(key) tells whether a key is accepting.
+
+        States are numbered in order of discovery: the starts first, then
+        each target key when it is first met.  The discovered keys wait on
+        a stack, so the last one discovered is expanded first.  Equal
+        successor sets are stored once, as one shared frozenset, while the
+        automaton is built."""
+        index: dict = {}
+        keys: list = []
+        todo: list = []
+
+        def ident(key):
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(keys)
+                keys.append(key)
+                todo.append(key)
+            return i
+
+        initials = [ident(key) for key in starts]
+        shared: dict = {}
+        delta = {}
+        while todo:
+            key = todo.pop()
+            s = index[key]
+            for sym, targets in edges(key):
+                ts = frozenset({ident(t) for t in targets})
+                if ts:
+                    delta[s, sym] = shared.setdefault(ts, ts)
+        return cls(alphabet, len(keys), delta, initials,
+                   [i for i, key in enumerate(keys) if accepting(key)])
 
     def step_set(self, states: frozenset, sym: str) -> frozenset:
         i = self.sym_index[sym]

@@ -17,6 +17,17 @@ primitive ("root") words.  The search for that situation works on the profile
 graph, looking per terminal profile at the words that first reach it and the
 words that loop on it.
 
+A profile is classified by its orbit: tau^e is accepted exactly when the
+image of the initial set under tau^e meets the accepting set, so it is
+enough to follow that image, one step per power, until it repeats; the
+matrix powers themselves are never formed.  For a terminal profile g, the
+profiles that a first-visit path to g can pass form a region (reachable
+from the one-letter profiles and co-reachable to g, with g avoided).  The
+least region profile on a cycle inside the region, found through the
+strongly connected components of the subgraph the region induces, gives
+infinitely many first visitors stem cycle^k tail; the least words are found
+with the shared llex-order search.
+
 Before the profile analysis, the family is normalised in two steps:
 ``stabilize`` closes acceptance under rotating loop words between leading
 states, and ``label_by_leading`` folds the leading structure into the
@@ -30,7 +41,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Dfa, Nfa
+from .automata import Dfa, Nfa, llex_bfs, strongly_connected_components
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import FDWA, FNFA, Family
 from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
@@ -113,21 +124,24 @@ def _apply(masks, source: int) -> int:
     return out
 
 
-def _automaton_parts(A):
-    """(symbol profiles, initial mask, accepting mask) for a Dfa or Nfa."""
+def _symbol_profiles(A):
+    """Profile masks of each symbol of a Dfa or an Nfa, in alphabet order."""
     if isinstance(A, Nfa):
-        sym = [tuple(_mask(A.delta[s][i]) for s in range(A.n))
-               for i in range(len(A.alphabet))]
-        init = _mask(A.initials)
-        acc = _mask(A.accepting)
-    elif isinstance(A, Dfa):
-        sym = [tuple(1 << A.delta[s][i] for s in range(A.n))
-               for i in range(len(A.alphabet))]
-        init = 1 << A.initial
-        acc = _mask(A.accepting)
-    else:
-        raise InputError("profiles need a DFA or an NFA")
-    return sym, init, acc
+        return [tuple(_mask(A.delta[s][i]) for s in range(A.n))
+                for i in range(len(A.alphabet))]
+    if isinstance(A, Dfa):
+        return [tuple(1 << A.delta[s][i] for s in range(A.n))
+                for i in range(len(A.alphabet))]
+    raise InputError("profiles need a DFA or an NFA")
+
+
+def _ends(A):
+    """(initial mask, accepting mask) of a Dfa or an Nfa."""
+    if isinstance(A, Nfa):
+        return _mask(A.initials), _mask(A.accepting)
+    if isinstance(A, Dfa):
+        return 1 << A.initial, _mask(A.accepting)
+    raise InputError("profiles need a DFA or an NFA")
 
 
 def _mask(states) -> int:
@@ -142,7 +156,7 @@ def profile_of(A, x) -> TransitionProfile:
     x = as_word(x)
     if not x:
         raise InputError("the empty word has no transition profile")
-    sym, _, _ = _automaton_parts(A)
+    sym = _symbol_profiles(A)
     idx = A.sym_index
     try:
         masks = sym[idx[x[0]]]
@@ -153,51 +167,49 @@ def profile_of(A, x) -> TransitionProfile:
     return TransitionProfile(masks)
 
 
-def _power_table(masks, cap):
-    """All distinct powers of a profile: (powers, preperiod j, period c).
-
-    powers[e-1] = tau^e for e = 1..j+c-1, with tau^(j+c) == tau^j."""
-    powers = [masks]
-    seen = {masks: 1}
-    while True:
-        if len(powers) > cap:
-            raise CapExceededError("profile power iteration exceeded cap")
-        nxt = _compose(powers[-1], masks)
-        if nxt in seen:
-            j = seen[nxt]
-            c = len(powers) + 1 - j
-            return powers, j, c
-        seen[nxt] = len(powers) + 1
-        powers.append(nxt)
-
-
 def classify_profile(A, tau: TransitionProfile,
                      cap: int = DEFAULT_PROFILE_CAP) -> ProfileClass:
     """Classify a profile of A as Accepting, Rejecting or Terminal-Accepting.
 
-    Powers of tau are iterated until the sequence repeats; acceptance of
-    tau^e means its image of the initial set meets the accepting set."""
-    sym, init, acc = _automaton_parts(A)
+    tau^e is accepted when its image of the initial set meets the accepting
+    set, so only the orbit v_e = init.tau^e (e >= 1) matters, one image per
+    step.  The orbit is walked until a value repeats, v_(j+c) = v_j, and
+    hit(e) is whether v_e meets the accepting set.  More than `cap`
+    distinct values raise CapExceededError; the orbit is never longer than
+    the list of distinct powers of tau.
+
+    From j on, hit(e) depends only on e mod c.  So when some i >= j+c has no
+    multiple that hits, the i' in [j, j+c) with i' = i (mod c) has, for
+    every m, m.i' >= j and m.i' = m.i (mod c), hence no hitting multiple
+    either: the least such i is at most j+c-1.  Likewise the multiples m.i
+    with m in [j, j+c) cover every residue that a larger m reaches."""
     if tau.n != A.n:
         raise InputError("profile does not match the automaton")
-    powers, j, c = _power_table(tau.masks, cap)
+    init, acc = _ends(A)
+    masks = tau.masks
+    first = {}  # orbit value -> least exponent e with v_e equal to it
+    hits = []
+    v = _apply(masks, init)
+    while v not in first:
+        first[v] = len(hits) + 1
+        hits.append(bool(v & acc))
+        if len(hits) > cap:
+            raise CapExceededError("profile orbit exceeded cap")
+        v = _apply(masks, v)
+    j = first[v]
+    c = len(hits) + 1 - j
 
     def hit(e: int) -> bool:
-        if e > len(powers):
+        if e > len(hits):
             e = j + (e - j) % c
-        return bool(_apply(powers[e - 1], init) & acc)
+        return hits[e - 1]
 
-    hits = [hit(e) for e in range(1, len(powers) + 1)]
     if not any(hits):
         return ProfileClass(REJECTING)
-    first = hits.index(True) + 1
-    # tau^i is rejecting when no multiple of i is a hit; multiples settle
-    # into a residue cycle, so scanning m up to j+c is exhaustive.
-    bound = j + c
-    for i in range(1, len(powers) + 1):
-        if all(not hit(i * m) for m in range(1, bound + 1)):
+    for i in range(1, len(hits) + 1):
+        if not any(hit(i * m) for m in range(1, j + c)):
             return ProfileClass(TERMINAL, i)
-    return ProfileClass(ACCEPTING, first)
+    return ProfileClass(ACCEPTING, hits.index(True) + 1)
 
 
 def _to_sets(progress):
@@ -225,64 +237,40 @@ def stabilize(F: Family) -> Family:
     T = F.leading
     syms = range(len(T.alphabet))
     parts = [_to_sets(p) for p in F.progress]
+
+    # Phase-1 keys (1, q2, p, r, s) read x1 from the guessed state p while
+    # the leading component r runs on; phase-2 keys (2, q2, p, s) read x2.
+    def close(key):
+        """The key, and for an accepting phase-1 key also the matching
+        phase-2 starts: the internal jump."""
+        yield key
+        _, q2, p, r, s = key
+        inits2, acc2, _ = parts[q2]
+        if s in acc2 and r == q2:
+            yield from ((2, q2, p, i2) for i2 in inits2)
+
+    def edges(key):
+        delta2 = parts[key[1]][2]
+        if key[0] == 1:
+            _, q2, p, r, s = key
+            for si in syms:
+                r2 = T.delta[r][si]
+                yield T.alphabet[si], [k for s2 in delta2[s][si]
+                                       for k in close((1, q2, p, r2, s2))]
+        else:
+            _, q2, p, s = key
+            for si in syms:
+                yield T.alphabet[si], [(2, q2, p, s2)
+                                       for s2 in delta2[s][si]]
+
+    def accepting(key):
+        return key[0] == 2 and key[3] == key[2]
+
     out = []
     for q in range(T.n):
-        # Phase-1 nodes (q2, p, r, s): reading x1 from guessed state p while
-        # the leading component runs from q; phase-2 nodes (q2, p, s).
-        states = {}
-        order = []
-
-        def node(key):
-            if key not in states:
-                states[key] = len(order)
-                order.append(key)
-            return states[key]
-
-        initials = set()
-        edges = {}
-
-        def close(key):
-            """The internal jump: an accepting phase-1 node also counts as
-            the matching phase-2 start."""
-            keys = [key]
-            if key[0] == 1:
-                _, q2, p, r, s = key
-                inits2, acc2, _ = parts[q2]
-                if s in acc2 and r == q2:
-                    keys.extend((2, q2, p, i2) for i2 in inits2)
-            return [node(k) for k in keys]
-
-        for q2 in range(T.n):
-            inits2, acc2, delta2 = parts[q2]
-            for p in range(len(delta2)):
-                for i in close((1, q2, p, q, p)):
-                    initials.add(i)
-        frontier = list(range(len(order)))
-        while frontier:
-            i = frontier.pop()
-            key = order[i]
-            before = len(order)
-            if key[0] == 1:
-                _, q2, p, r, s = key
-                _, _, delta2 = parts[q2]
-                for si in syms:
-                    r2 = T.delta[r][si]
-                    succs = set()
-                    for s2 in delta2[s][si]:
-                        succs.update(close((1, q2, p, r2, s2)))
-                    edges[i, si] = succs
-            else:
-                _, q2, p, s = key
-                _, _, delta2 = parts[q2]
-                for si in syms:
-                    edges[i, si] = {node((2, q2, p, s2))
-                                    for s2 in delta2[s][si]}
-            frontier.extend(range(before, len(order)))
-        accepting = [i for i, key in enumerate(order)
-                     if key[0] == 2 and key[3] == key[2]]
-        delta = {(i, T.alphabet[si]): ts for (i, si), ts in edges.items()}
-        out.append(Nfa(T.alphabet, len(order), delta, initials,
-                       accepting).trim())
+        starts = [k for q2 in range(T.n) for p in range(len(parts[q2][2]))
+                  for k in close((1, q2, p, q, p))]
+        out.append(Nfa.build(T.alphabet, starts, edges, accepting).trim())
     return Family(FNFA, T, out)
 
 
@@ -301,54 +289,33 @@ def label_by_leading(F: Family) -> Family:
     tokens = tuple(f"{q}:{a}" for q in range(T.n) for a in T.alphabet)
     nsym = len(T.alphabet)
     parts = [_to_sets(p) for p in F.progress]
-    # States (q, r, s): progress run s of automaton q, leading tracker r.
-    states = {}
-    order = []
 
-    def node(key):
-        if key not in states:
-            states[key] = len(order)
-            order.append(key)
-        return states[key]
-
-    initials = set()
-    for q in range(T.n):
-        inits, _, _ = parts[q]
-        for s0 in inits:
-            initials.add(node((q, q, s0)))
-    delta = {}
-    frontier = list(range(len(order)))
-    while frontier:
-        i = frontier.pop()
-        q, r, s = order[i]
-        _, _, dq = parts[q]
-        before = len(order)
+    # Keys (q, r, s): progress run s of automaton q, leading tracker r.
+    def edges(key):
+        q, r, s = key
+        dq = parts[q][2]
         for si in range(nsym):
-            succs = dq[s][si]
-            if not succs:
-                continue
-            tok = tokens[r * nsym + si]
             r2 = T.delta[r][si]
-            delta[i, tok] = {node((q, r2, s2)) for s2 in succs}
-        frontier.extend(range(before, len(order)))
-    accepting = [i for i, (q, r, s) in enumerate(order)
-                 if r == q and s in parts[q][1]]
-    union = Nfa(tokens, len(order), delta, initials, accepting).trim()
+            yield tokens[r * nsym + si], [(q, r2, s2) for s2 in dq[s][si]]
+
+    starts = [(q, q, s0) for q in range(T.n) for s0 in parts[q][0]]
+    union = Nfa.build(tokens, starts, edges,
+                      lambda key: key[1] == key[0]
+                      and key[2] in parts[key[0]][1]).trim()
     return Family(FNFA, trivial_leading(tokens), [union])
 
 
-def _least_words(starts, target: int, succ, nsym: int, k: int,
-                 block: Optional[int] = None):
-    """Up to k llex-least words reaching target, never passing through the
-    blocked node; starts is a list of (node, word-as-index-tuple) seeds.
-    Reaching the target ends a word, so it is never crossed either."""
+def _least_words(starts, target: int, succ, nsym: int, k: int):
+    """Up to k llex-least words reaching target; starts is a list of (node,
+    word-as-index-tuple) seeds.  Reaching the target ends a word, so it is
+    never crossed."""
     heap = [(len(w), w, v) for v, w in starts]
     heapq.heapify(heap)
     pops = {}
     out = []
     while heap and len(out) < k:
         l, w, v = heapq.heappop(heap)
-        if v == block or pops.get(v, 0) >= k:
+        if pops.get(v, 0) >= k:
             continue
         pops[v] = pops.get(v, 0) + 1
         if v == target:
@@ -357,6 +324,39 @@ def _least_words(starts, target: int, succ, nsym: int, k: int,
         for si in range(nsym):
             heapq.heappush(heap, (l + 1, w + (si,), succ[v][si]))
     return out
+
+
+def _least_word(starts, target: int, succ, avoid: Optional[int] = None):
+    """The llex-least word from a (node, word) seed in starts to target that
+    never enters avoid."""
+    seeds = [(v, w) for v, w in starts if v != avoid]
+    found = llex_bfs(seeds, lambda v: [None if t == avoid else t
+                                       for t in succ[v]])
+    return next(w for v, w in found if v == target)
+
+
+def _reachable(seeds, adj, avoid: int) -> set:
+    """Nodes reachable from seeds along adj without entering avoid."""
+    seen = {v for v in seeds if v != avoid}
+    todo = list(seen)
+    while todo:
+        for t in adj[todo.pop()]:
+            if t != avoid and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _least_on_cycle(region: set, succ) -> Optional[int]:
+    """The least node of region on a cycle of the subgraph region induces:
+    one in a strongly connected component of several nodes, or one with a
+    self-loop."""
+    nodes = sorted(region)
+    pos = {v: k for k, v in enumerate(nodes)}
+    sub = [[pos[t] for t in succ[v] if t in pos] for v in nodes]
+    on_cycle = [k for comp in strongly_connected_components(len(nodes), sub)
+                for k in comp if len(comp) > 1 or k in sub[k]]
+    return nodes[min(on_cycle)] if on_cycle else None
 
 
 def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
@@ -371,27 +371,19 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
     nsym = len(N.alphabet)
     if nsym == 0:
         return None
-    sym, init, acc = _automaton_parts(N)
+    sym = _symbol_profiles(N)
 
     profiles = []          # masks in discovery order
     index = {}
-    words = []             # llex-least generating word (index tuple)
     succ = []              # succ[i][si] -> profile id
-    queue = []
-    for si in range(nsym):
-        m = tuple(sym[si])
+    for m in sym:
         if m not in index:
             index[m] = len(profiles)
             profiles.append(m)
-            words.append((si,))
             succ.append([None] * nsym)
-            queue.append(index[m])
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
+    for i, mi in enumerate(profiles):  # also visits profiles added below
         for si in range(nsym):
-            m = _compose(profiles[i], sym[si])
+            m = _compose(mi, sym[si])
             j = index.get(m)
             if j is None:
                 if len(profiles) >= cap:
@@ -399,77 +391,36 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
                         f"profile graph exceeded cap {cap}")
                 j = index[m] = len(profiles)
                 profiles.append(m)
-                words.append(words[i] + (si,))
                 succ.append([None] * nsym)
-                queue.append(j)
             succ[i][si] = j
-
-    classes = {}
-
-    def cls(i: int) -> ProfileClass:
-        if i not in classes:
-            classes[i] = classify_profile(N, TransitionProfile(profiles[i]),
-                                          cap)
-        return classes[i]
 
     def to_word(idxs) -> Word:
         return tuple(N.alphabet[si] for si in idxs)
 
-    terminals = [i for i in range(len(profiles))
-                 if cls(i).classification == TERMINAL]
-    preds = {}
-    for i in range(len(profiles)):
-        for si in range(nsym):
-            preds.setdefault(succ[i][si], []).append(i)
+    terminals = [i for i, m in enumerate(profiles)
+                 if classify_profile(N, TransitionProfile(m), cap)
+                 .classification == TERMINAL]
+    preds = [[] for _ in profiles]
+    for i, row in enumerate(succ):
+        for j in row:
+            preds[j].append(i)
+    seeds = [(index[m], (si,)) for si, m in enumerate(sym)]
     for g in terminals:
-        # Region of profiles lying on a first-visit path to g.
-        seed_ids = [index[tuple(sym[si])] for si in range(nsym)]
-        reach = set()
-        todo = [i for i in seed_ids if i != g]
-        reach.update(todo)
-        while todo:
-            i = todo.pop()
-            for j in succ[i]:
-                if j != g and j not in reach:
-                    reach.add(j)
-                    todo.append(j)
-        coreach = set()
-        todo = [i for i in preds.get(g, []) if i != g]
-        coreach.update(todo)
-        while todo:
-            i = todo.pop()
-            for j in preds.get(i, []):
-                if j != g and j not in coreach:
-                    coreach.add(j)
-                    todo.append(j)
-        region = reach & coreach
-
-        def cycles_back(i: int) -> bool:
-            seen = set()
-            todo = [j for j in succ[i] if j in region]
-            while todo:
-                j = todo.pop()
-                if j == i:
-                    return True
-                if j in seen:
-                    continue
-                seen.add(j)
-                todo.extend(t for t in succ[j] if t in region)
-            return False
-
-        rho = next((i for i in sorted(region) if cycles_back(i)), None)
+        # Profiles on a first-visit path to g, and the least one of them
+        # that such a path can pass twice.
+        region = (_reachable([v for v, _ in seeds], succ, g)
+                  & _reachable(preds[g], preds, g))
+        rho = _least_on_cycle(region, succ)
         if rho is not None:
-            seeds = [(i, (si,)) for si, i in enumerate(seed_ids) if i != g]
-            stem = _least_words(seeds, rho, succ, nsym, 1, block=g)[0]
-            cyc_seeds = [(succ[rho][si], (si,)) for si in range(nsym)]
-            cycle = _least_words(cyc_seeds, rho, succ, nsym, 1, block=g)[0]
-            tail = _least_words(cyc_seeds, g, succ, nsym, 1)[0]
+            after_rho = [(t, (si,)) for si, t in enumerate(succ[rho])]
+            stem = _least_word(seeds, rho, succ, avoid=g)
+            cycle = _least_word(after_rho, rho, succ, avoid=g)
+            tail = _least_word(after_rho, g, succ)
             return GoodWitness(TransitionProfile(profiles[g]),
                                CASE_FIRST_VISITORS,
                                (to_word(stem), to_word(cycle),
                                 to_word(tail)))
 
-        seeds = [(i, (si,)) for si, i in enumerate(seed_ids)]
         fvs = _least_words(seeds, g, succ, nsym, 2)
         rec_seeds = [(succ[g][si], (si,)) for si in range(nsym)]
         recs = _least_words(rec_seeds, g, succ, nsym, 2)
@@ -488,18 +439,11 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
             return GoodWitness(TransitionProfile(profiles[g]),
                                CASE_DISTINCT_ROOTS, (x, u))
         u = to_word(recs[0])
-        # Unique first visitor and unique recurrence: all terminal words of
-        # this profile are x u^k, which have finitely many primitive members
-        # exactly when some reachable profile has two distinct powers equal
-        # to the terminal one (a joint root).
-        gm = profiles[g]
-        shared = False
-        for i in range(len(profiles)):
-            powers, _, _ = _power_table(profiles[i], cap)
-            if sum(1 for pm in powers if pm == gm) >= 2:
-                shared = True
-                break
-        if shared or root(x) == root(u):
+        # A unique first visitor x and a unique recurrence u: every word
+        # with profile g is some x u^k.  These have finitely many roots when
+        # x and u commute, that is share a root; otherwise all but finitely
+        # many x u^k are primitive (Lyndon-Schutzenberger).
+        if root(x) == root(u):
             continue
         return GoodWitness(TransitionProfile(profiles[g]),
                            CASE_DISTINCT_ROOTS, (x, u))
@@ -589,7 +533,7 @@ def brute_ter_roots(A, len_bound: int) -> set:
     """All primitive words up to len_bound whose profile is terminal."""
     if len_bound < 0:
         raise InputError("length bound must be nonnegative")
-    sym, _, _ = _automaton_parts(A)
+    sym = _symbol_profiles(A)
     classes = {}
 
     def terminal(masks) -> bool:

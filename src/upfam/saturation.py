@@ -40,7 +40,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from .automata import llex_bfs, minimize_dfa
+from .automata import dfa_sccs, llex_bfs, minimize_dfa
 from .errors import (CAP_EXCEEDED, CapExceededError, InputError,
                      PreconditionError, Verdict)
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
@@ -186,37 +186,18 @@ def check_saturated(F: Family, ref: ReferenceSet = ReferenceSet.NORMALIZED
     return check_power_stable(work, ref)
 
 
-def _reach_matrix(D):
-    reach = []
-    for s in range(D.n):
-        seen = {s}
-        todo = [s]
-        while todo:
-            t = todo.pop()
-            for nxt in D.delta[t]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        reach.append(seen)
-    return reach
-
-
-def _on_cycle(D):
-    out = set()
-    for s in range(D.n):
-        todo = list(set(D.delta[s]))
-        seen = set(todo)
-        while todo:
-            t = todo.pop()
-            if t == s:
-                out.add(s)
-                todo = []
-                break
-            for nxt in D.delta[t]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-    return out
+def _components(D):
+    """(component of each state, states on a cycle) of a DFA: p and q
+    reach each other exactly when comp[p] == comp[q], and r lies on a cycle
+    when its component has several states or r has a self-loop."""
+    comp = [0] * D.n
+    on_cycle = set()
+    for k, states in enumerate(dfa_sccs(D)):
+        for s in states:
+            comp[s] = k
+            if len(states) > 1 or s in D.delta[s]:
+                on_cycle.add(s)
+    return comp, on_cycle
 
 
 def _fdwa_witness_word(Bu, Bv, p, q, r, limit, budget):
@@ -292,31 +273,31 @@ def _least_fdwa_witness(work, cap):
     the best witness so far: a longer word cannot win."""
     disps = _displacements(work)
     progress = work.progress
-    reach = [_reach_matrix(B) for B in progress]
-    cycles = [_on_cycle(B) for B in progress]
+    comps = [_components(B) for B in progress]
     budget = math.inf if cap is None else cap
     best = None
     limit = math.inf
     for u, Bu in enumerate(progress):
         acc_u = Bu.accepting
-        reach_u = reach[u]
+        comp_u = comps[u][0]
         for p in range(Bu.n):
             v = disps[u][p]
             Bv = progress[v]
             acc_v = Bv.accepting
-            reach_v0 = reach[v][Bv.initial]
-            cyc_v = cycles[v]
+            cyc_v = comps[v][1]
             for q in range(Bu.n):
                 if (p in acc_u) != (q in acc_u):
                     continue
-                if p not in reach_u[q] or q not in reach_u[p]:
+                if comp_u[p] != comp_u[q]:
                     continue
                 for r in range(Bv.n):
                     if disps[v][r] != u:
                         continue
                     if (p in acc_u) == (r in acc_v):
                         continue
-                    if r not in reach_v0 or r not in cyc_v:
+                    # Every state of a refined family is reachable, so r
+                    # only has to lie on a cycle.
+                    if r not in cyc_v:
                         continue
                     z, nodes = _fdwa_witness_word(Bu, Bv, p, q, r, limit,
                                                   budget)

@@ -41,41 +41,16 @@ def fdwa_to_nba(W: Family) -> Nba:
     T = W.leading
     alphabet = T.alphabet
 
-    index: dict = {}
-    order: list = []
-    work: list = []
-
-    def sid(key):
-        s = index.get(key)
-        if s is None:
-            s = len(order)
-            index[key] = s
-            order.append(key)
-            work.append(key)
-        return s
-
     def starts(q):
-        return [sid(("start", q, p)) for p in sorted(W.progress[q].accepting)]
+        return [("start", q, p) for p in sorted(W.progress[q].accepting)]
 
-    initials = {sid(("spoke", T.initial))}
-    initials.update(starts(T.initial))
-
-    delta: dict = {}
-    shared: dict = {}
-
-    def share(targets):
-        ts = frozenset(targets)
-        return shared.setdefault(ts, ts)
-
-    while work:
-        key = work.pop()
-        s = index[key]
+    def edges(key):
         if key[0] == "spoke":
             t = key[1]
             for ai, a in enumerate(alphabet):
                 t2 = T.delta[t][ai]
-                delta[(s, a)] = share([sid(("spoke", t2))] + starts(t2))
-            continue
+                yield a, [("spoke", t2)] + starts(t2)
+            return
         # "start" states carry the coordinates of a fresh block but keep a
         # separate identity: a visit then certifies that a block closed,
         # while a running block that merely drifts through the same
@@ -91,13 +66,13 @@ def fdwa_to_nba(W: Family) -> Nba:
             t2 = T.delta[t][ai]
             c1 = B.delta[b1][ai]
             c2 = B.delta[b2][ai]
-            targets = [sid(("block", q, p, t2, c1, c2))]
+            targets = [("block", q, p, t2, c1, c2)]
             if t2 == q and c1 == p and c2 == p:
-                targets.append(sid(("start", q, p)))
-            delta[(s, a)] = share(targets)
+                targets.append(("start", q, p))
+            yield a, targets
 
-    accepting = [index[k] for k in order if k[0] == "start"]
-    return Nba(alphabet, len(order), delta, initials, accepting)
+    return Nba.build(alphabet, [("spoke", T.initial)] + starts(T.initial),
+                     edges, lambda key: key[0] == "start")
 
 
 def complement_saturated_fdwa(W: Family) -> Family:

@@ -6,6 +6,7 @@ from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs
 from upfam.family import FDFA, FDWA, FNFA, Family
 from upfam.fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
                             universal_fdfa)
+from upfam.regularity import ACCEPTING, REJECTING, TERMINAL, ProfileClass
 
 
 def random_ts(rng: random.Random, alphabet, max_states) -> TransitionSystem:
@@ -156,3 +157,47 @@ def canonical_family(F: Family) -> Family:
 
 def same_family(F: Family, G: Family) -> bool:
     return canonical_family(F) == canonical_family(G)
+
+
+def _image(masks, source: int) -> int:
+    """States reached from the state set `source` under a profile."""
+    out = 0
+    for s in range(len(masks)):
+        if source >> s & 1:
+            out |= masks[s]
+    return out
+
+
+def classify_by_powers(A, tau):
+    """Reference for regularity.classify_profile: the classifier that built
+    the table of distinct matrix powers tau^1 .. tau^(j+c-1), with
+    tau^(j+c) == tau^j, and tested acceptance of every power."""
+    if isinstance(A, Nfa):
+        init = sum(1 << s for s in A.initials)
+    else:
+        init = 1 << A.initial
+    acc = sum(1 << s for s in A.accepting)
+    masks = tau.masks
+    powers = [masks]
+    seen = {masks: 1}
+    while True:
+        nxt = tuple(_image(masks, m) for m in powers[-1])
+        if nxt in seen:
+            j = seen[nxt]
+            c = len(powers) + 1 - j
+            break
+        seen[nxt] = len(powers) + 1
+        powers.append(nxt)
+
+    def hit(e: int) -> bool:
+        if e > len(powers):
+            e = j + (e - j) % c
+        return bool(_image(powers[e - 1], init) & acc)
+
+    hits = [hit(e) for e in range(1, len(powers) + 1)]
+    if not any(hits):
+        return ProfileClass(REJECTING)
+    for i in range(1, len(powers) + 1):
+        if all(not hit(i * m) for m in range(1, j + c + 1)):
+            return ProfileClass(TERMINAL, i)
+    return ProfileClass(ACCEPTING, hits.index(True) + 1)

@@ -9,18 +9,16 @@ import random
 import time
 from functools import lru_cache
 
-import pytest
-
 from helpers import (fully_saturated_targets, random_family, same_family,
                      syntactic_targets, AB)
 from upfam.almost import check_almost_saturated, gen_intersection_fdfa
 from upfam.automata import Dfa, intersect_dfa, minimize_dfa
-from upfam.family import (FDFA, FDWA, ReferenceSet, Family, family_accepts,
+from upfam.family import (FDFA, FDWA, ReferenceSet, family_accepts,
                           is_normalized, up_membership)
 from upfam.fixtures import (ba_star_fdfa, empty_fdfa, exactly_one_a_fdfa,
                             first_a_fdwa, odd_a_fdfa, one_b_some_a_fdfa,
                             some_a_fdwa, universal_fdfa)
-from upfam.learning import (Sample, Teacher, fdfa_to_dollar_dfa,
+from upfam.learning import (Sample, fdfa_to_dollar_dfa,
                             gen_char_sample, learn_active, learn_passive,
                             make_teacher)
 from upfam.oracle import (brute_almost_saturation, brute_saturation,

@@ -3,13 +3,11 @@
 Expected witnesses were derived with the bounded oracle first and frozen.
 """
 
-import itertools
 import random
 
 import pytest
 
-from upfam.almost import (ALMOST_SATURATED, CAP_EXCEEDED,
-                          NOT_ALMOST_SATURATED, Transformation,
+from upfam.almost import (CAP_EXCEEDED, NOT_ALMOST_SATURATED, Transformation,
                           check_almost_saturated, gen_intersection_fdfa)
 from upfam.automata import Dfa, intersect_dfa
 from upfam.errors import InputError

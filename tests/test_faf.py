@@ -12,12 +12,11 @@ import random
 import pytest
 
 from helpers import random_family
-from upfam.automata import Dfa, Nfa
 from upfam.errors import InputError
 from upfam.faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                        parse_faf, parse_sample, serialize_dfa_doc,
                        serialize_faf, serialize_nba, serialize_sample)
-from upfam.family import FDFA, FNFA, Family, family_accepts
+from upfam.family import FDFA, FNFA, family_accepts
 from upfam.fixtures import (all_fixture_families, ba_star_fdfa, first_a_fdwa,
                             odd_a_fdfa, some_a_fdwa)
 from upfam.learning import Sample, fdfa_to_dollar_dfa

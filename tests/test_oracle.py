@@ -7,9 +7,8 @@ from helpers import random_family
 from upfam.automata import Nfa
 from upfam.errors import InputError
 from upfam.family import ReferenceSet, family_accepts, up_membership
-from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa,
-                            exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
-                            universal_fdfa)
+from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa, mod2_leading,
+                            odd_a_fdfa, universal_fdfa)
 from upfam.oracle import (brute_almost_saturation, brute_saturation,
                           enumerate_normalized, nba_lasso_accepts)
 from upfam.words import Representation, up_equal

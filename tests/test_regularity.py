@@ -5,6 +5,7 @@ of the small fixtures and double-checked against the primitive-terminal-word
 enumeration before being frozen.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -17,18 +18,16 @@ from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts)
 from upfam.fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                             exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
-                            one_b_some_a_fdfa, some_a_fdwa, trivial_leading,
-                            universal_fdfa)
+                            one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               TERMINAL, GoodWitness, ProfileClass,
-                              TransitionProfile, brute_ter_roots,
-                              check_regular, classify_profile,
-                              find_good_witness,
-                              gen_ter_hardness, label_by_leading, profile_of,
-                              stabilize)
+                              TransitionProfile, brute_ter_roots, check_regular, classify_profile,
+                              find_good_witness, gen_ter_hardness,
+                              label_by_leading, profile_of, stabilize)
+from upfam.translate import gen_family
 from upfam.words import Representation, root, words_up_to
 
-from helpers import random_family
+from helpers import classify_by_powers, random_dfa, random_family, random_nfa
 
 NORM = ReferenceSet.NORMALIZED
 
@@ -116,6 +115,45 @@ def test_classify_universal_progress_never_terminal():
     for x in words_up_to("ab", 3, min_len=1):
         c = classify_profile(D, profile_of(D, x))
         assert c.classification == "Accepting"
+
+
+def _permutation_dfa(rng, n):
+    """A DFA on which a permutes every state and b permutes or maps them,
+    so that powers of a profile have long periods."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    other = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(other)
+    else:
+        other = [rng.randrange(n) for _ in range(n)]
+    acc = [s for s in range(n) if rng.random() < 0.4]
+    return Dfa("ab", [[perm[s], other[s]] for s in range(n)], acc)
+
+
+def test_orbit_classifier_matches_matrix_powers():
+    rng = random.Random(2024)
+    seen = {}
+    for k in range(4000):
+        kind = k % 4
+        if kind == 0:
+            A = random_dfa(rng, "ab", 6)
+        elif kind == 1:
+            A = random_nfa(rng, "ab", 6)
+        else:
+            A = _permutation_dfa(rng, rng.randint(2, 12))
+        if rng.random() < 0.25:  # any relation, not only a word's
+            tau = TransitionProfile(tuple(rng.getrandbits(A.n)
+                                          for _ in range(A.n)))
+        else:
+            x = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+            tau = profile_of(A, x)
+        c = classify_profile(A, tau)
+        assert c == classify_by_powers(A, tau), (A.delta, tau)
+        seen[c.classification] = max(seen.get(c.classification, 0),
+                                     c.power or 0)
+    assert seen.keys() == {"Accepting", "Rejecting", TERMINAL}
+    assert seen[TERMINAL] >= 6
 
 
 # --------------------------------------------------------------- stabilize
@@ -323,6 +361,40 @@ def test_random_verdicts_match_terminal_root_growth():
         N = label_by_leading(stabilize(F)).progress[0]
         lo, hi = len(brute_ter_roots(N, 5)), len(brute_ter_roots(N, 8))
         assert (hi > lo) == (v.status == "NotRegular")
+
+
+def _pinned_families(name):
+    """The ladder `name` at its pinned sizes, or 120 seeded random FDFAs."""
+    if name == "random":
+        rng = random.Random("regularity-pin")
+        return [random_family(rng, FDFA, max_leading=2, max_progress=4)
+                for _ in range(120)]
+    sizes = {"zero-u-zero-fdfa": (3, 4), "syntactic-gap": (1, 2)}[name]
+    return [gen_family(name, n) for n in sizes]
+
+
+# sha256 of the (status, case, words) reprs of check_regular at cap 8000 on
+# each family in turn, recorded when profiles were classified by their
+# matrix powers.  Profile masks are left out: they depend on how the
+# labelled NFA numbers its states.
+REGULARITY_DIGESTS = {
+    "random":
+    "39cfccd8c73f0c4399825bd9fb3e65e83cbf4a7d79b07525ac1988e5ec88160b",
+    "syntactic-gap":
+    "a6b9382f26012c22f0736c86483bbf320216ad365fc7f9344871b6b471187620",
+    "zero-u-zero-fdfa":
+    "a6b9382f26012c22f0736c86483bbf320216ad365fc7f9344871b6b471187620",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULARITY_DIGESTS))
+def test_regularity_outcomes_are_pinned(name):
+    digest = hashlib.sha256()
+    for F in _pinned_families(name):
+        v = check_regular(F, cap=8000)
+        w = v.witness
+        digest.update(repr((v.status, w and w.case, w and w.words)).encode())
+    assert digest.hexdigest() == REGULARITY_DIGESTS[name]
 
 
 # ------------------------------------------------------------- enumeration

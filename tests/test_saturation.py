@@ -13,10 +13,9 @@ from upfam.errors import InputError, PreconditionError
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet,
                           displacement_map, family_accepts, is_refined,
                           refine_family)
-from upfam.fixtures import (all_fixture_families, ba_star_fdfa,
-                            eventually_ab_fdfa, exactly_one_a_fdfa,
-                            first_a_fdwa, odd_a_fdfa, some_a_fdwa,
-                            universal_fdfa)
+from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa,
+                            exactly_one_a_fdfa, first_a_fdwa, odd_a_fdfa,
+                            some_a_fdwa, universal_fdfa)
 from upfam.oracle import brute_saturation
 from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
                               check_fdwa_saturated, check_loopshift_stable,

@@ -1,9 +1,9 @@
 """Source hygiene of the package: every module imports only what it uses,
 and every function it defines is used somewhere.
 
-`__init__.py` is skipped by the import check because its imports are the
-public re-exports, and `from __future__` imports are compiler directives,
-not names.  A function or method counts as used when its name is read
+The import check covers the package and the test modules.  It skips
+`__init__.py`, because its imports are the public re-exports, and `from
+__future__` imports, which are compiler directives, not names.  A function or method counts as used when its name is read
 anywhere in src/, tests/ or bench/; dunder methods are called by Python
 itself and are exempt.
 """
@@ -16,6 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "upfam"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 SCANNED = sorted(p for d in ("src", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 
@@ -50,7 +51,7 @@ def test_detects_an_unused_import():
                           "def f() -> 'Optional': pass\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

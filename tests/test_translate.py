@@ -300,22 +300,42 @@ def test_nba_size_stays_within_budget():
         assert N.n <= bound
 
 
-# sha256 of serialize_nba(fdwa_to_nba(gen_family("subset-occurrence", n))),
-# recorded when every transition held its own successor set.
+def _pinned_fdwas(name, n):
+    """The FDWA ladder `name` at parameter n, or n seeded random FDWAs."""
+    if name == "random":
+        rng = random.Random("nba-pin")
+        return [random_family(rng, FDWA, max_leading=3, max_progress=4)
+                for _ in range(n)]
+    return [gen_family(name, n)]
+
+
+# sha256 of the serialize_nba texts of fdwa_to_nba on each input in turn,
+# recorded when every transition held its own successor set and the
+# translation numbered its states with a worklist of its own.
 NBA_DIGESTS = {
-    3: "3c7e52f8c4d9a7ae899c6cbc0c370e75a963d27e170ec07877a32f99494d4ae9",
-    4: "792fa5320d32c5f05eb2693742acd929cb4fb75acfb82d4f1ba0e924ddaacf10",
+    ("subset-occurrence", 3):
+    "3c7e52f8c4d9a7ae899c6cbc0c370e75a963d27e170ec07877a32f99494d4ae9",
+    ("subset-occurrence", 4):
+    "792fa5320d32c5f05eb2693742acd929cb4fb75acfb82d4f1ba0e924ddaacf10",
+    ("fixpoint-fdwa", 6):
+    "622e879918f0ef9e988f1ab0b82f3292b05b091512c74bc23652b0d18f7dd096",
+    ("zero-u-zero-fdwa", 6):
+    "543381bb33bc3db31bbaa5cb8dfada08f26eb0e2e99247c25f076e72c71ad580",
+    ("random", 150):
+    "aab0421c2f99275791d55ef4d9f902b91532f30cc403cdc184d617c6172df658",
 }
 
 
-@pytest.mark.parametrize("n", sorted(NBA_DIGESTS))
-def test_subset_occurrence_nba_is_pinned(n):
-    N = fdwa_to_nba(gen_family("subset-occurrence", n))
-    digest = hashlib.sha256(serialize_nba(N).encode()).hexdigest()
-    assert digest == NBA_DIGESTS[n]
+@pytest.mark.parametrize("name, n", sorted(NBA_DIGESTS),
+                         ids=["%s-%d" % key for key in sorted(NBA_DIGESTS)])
+def test_nba_is_pinned(name, n):
+    digest = hashlib.sha256()
+    for W in _pinned_fdwas(name, n):
+        digest.update(serialize_nba(fdwa_to_nba(W)).encode())
+    assert digest.hexdigest() == NBA_DIGESTS[name, n]
 
 
-@pytest.mark.parametrize("n", sorted(NBA_DIGESTS))
+@pytest.mark.parametrize("n", (3, 4))
 def test_nba_stores_each_successor_set_once(n):
     N = fdwa_to_nba(gen_family("subset-occurrence", n))
     cells = [ts for row in N.delta for ts in row]
