@@ -3,8 +3,7 @@ omega-words: saturation checks, almost-saturation, UP-regularity, model
 translations, and active/passive learners, each validated by brute-force
 oracles."""
 
-from .almost import (Transformation, check_almost_saturated,
-                     gen_intersection_fdfa)
+from .almost import check_almost_saturated, gen_intersection_fdfa
 from .automata import (Dfa, Nba, Nfa, TransitionSystem, complement_dfa,
                        dfa_equivalent, intersect_dfa, is_weak, minimize_dfa)
 from .errors import (CapExceededError, InputError, PreconditionError,

@@ -8,11 +8,20 @@ transformation m generated by a loop word whose iterates m^i walk the
 initial state from an accepting to a rejecting state is exactly a violation.
 The monoid can be exponential, so the walk is capped; hitting the cap is
 reported as its own verdict, never as a pass.
+
+A node of the walk is a pair (mapping, displacement).  When the minimized
+progress automaton has at most 256 states, the mapping is a byte string and
+appending a symbol is one `bytes.translate` through that symbol's column;
+larger automata use tuples composed by `operator.itemgetter`.  Both are
+plain values whose equality is equality of the state maps, so the walk
+meets the same nodes, in the same llex order, as a walk on any other exact
+encoding of the maps: the node count, and with it the CapExceeded boundary
+and the witness, do not depend on the encoding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .automata import Dfa, llex_bfs, minimize_dfa
 from .errors import CAP_EXCEEDED, InputError, Verdict
@@ -23,22 +32,6 @@ ALMOST_SATURATED = "AlmostSaturated"
 NOT_ALMOST_SATURATED = "NotAlmostSaturated"
 
 DEFAULT_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class Transformation:
-    """Effect of a word on one progress automaton: the state map it induces,
-    plus the leading state its reading displaces the anchor to."""
-
-    mapping: tuple
-    displacement: int
-
-    @classmethod
-    def identity(cls, n: int, anchor: int) -> "Transformation":
-        return cls(tuple(range(n)), anchor)
-
-    def apply(self, state: int) -> int:
-        return self.mapping[state]
 
 
 def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
@@ -59,7 +52,7 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
         if capped:
             break
         D = minimize_dfa(F.progress[q])
-        sym_maps = list(zip(*D.delta))  # per symbol, the map it induces
+        cols = list(zip(*D.delta))  # per symbol, the map it induces
         acc = D.accepting
 
         def bad_power(m):
@@ -77,13 +70,21 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
                     return None
                 seen.add(s)
 
-        def successors(node):
-            m, row = node.mapping, T.delta[node.displacement]
-            return [Transformation(tuple(sm[v] for v in m), row[si])
-                    for si, sm in enumerate(sym_maps)]
+        if D.n <= 256:
+            tables = [bytes(col) + bytes(256 - D.n) for col in cols]
+            identity = bytes(range(D.n))
 
-        search = llex_bfs([(Transformation.identity(D.n, q), ())],
-                          successors)
+            def successors(node):
+                return list(zip(map(node[0].translate, tables),
+                                T.delta[node[1]]))
+        else:
+            identity = tuple(range(D.n))
+
+            def successors(node):
+                return list(zip(map(itemgetter(*node[0]), cols),
+                                T.delta[node[1]]))
+
+        search = llex_bfs([((identity, q), ())], successors)
         next(search)  # the start node counts without a cap check
         total += 1
         for node, w in search:
@@ -91,8 +92,8 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
             if total > cap:
                 capped = True
                 break
-            if node.displacement == q:
-                i = bad_power(node.mapping)
+            if node[1] == q:
+                i = bad_power(node[0])
                 if i is not None:
                     key = (len(w), w, q, i)
                     if best is None or key < best:

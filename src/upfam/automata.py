@@ -4,9 +4,17 @@ Deterministic machines are kept in a canonical form: states are numbered
 in breadth-first discovery order from the initial state with edges expanded
 in alphabet order, every state is reachable, and the transition function is
 total (missing edges are routed to an appended rejecting sink).  Under this
-numbering two machines are isomorphic iff they are equal component-wise,
-and the stored access word of each state is the length-lexicographically
-least word reaching it.
+numbering two machines are isomorphic iff they are equal component-wise.
+
+One breadth-first search, `canonical_bfs`, does the numbering for every
+deterministic construction.  It asks a successor function for the whole
+row of successor keys of a key at once, so a caller whose keys are plain
+integers (the quotient of `minimize_dfa`, the product of
+`family.refine_family`, `from_parts`) pays one list per state and no call
+per edge.  Access words are not stored while building: `access_word`
+derives them on first use with `llex_bfs`, whose discovery order is the
+canonical numbering, so the word of each state is the
+length-lexicographically least word reaching it.
 """
 
 from __future__ import annotations
@@ -16,9 +24,6 @@ from typing import (Callable, Hashable, Iterable, Iterator, Optional,
 
 from .errors import InputError
 from .words import Word
-
-_SINK = object()  # placeholder key for the implicit rejecting sink
-
 
 def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
              successors: Callable[[Hashable], Iterable[Optional[Hashable]]]
@@ -49,6 +54,35 @@ def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
                 yield nxt, nxt_word
 
 
+def canonical_bfs(start: Hashable,
+                  succ: Callable[[Hashable], Sequence[Optional[Hashable]]]
+                  ) -> tuple[list[list[int]], list]:
+    """Canonical numbering of the keys reachable from `start`.
+
+    `succ(key)` gives the row of successor keys, one per alphabet symbol in
+    alphabet order, with None for the implicit rejecting sink.  Keys are
+    numbered in breadth-first discovery order, so `start` is 0.  Returns
+    (rows, keys): rows[i] holds the successor numbers of state i, and
+    keys[i] its key, None for the sink, whose row loops on itself."""
+    index: dict = {start: 0}
+    keys = [start]
+    rows: list[list[int]] = []
+    get = index.get
+    for key in keys:  # the loop also visits keys appended below
+        if key is None:
+            rows.append([index[None]] * len(rows[0]))
+            continue
+        row = []
+        for t in succ(key):
+            j = get(t)
+            if j is None:
+                j = index[t] = len(keys)
+                keys.append(t)
+            row.append(j)
+        rows.append(row)
+    return rows, keys
+
+
 class TransitionSystem:
     """A complete deterministic transition system over a fixed alphabet."""
 
@@ -59,13 +93,13 @@ class TransitionSystem:
         self.sym_index = {t: i for i, t in enumerate(self.alphabet)}
         if len(self.sym_index) != len(self.alphabet):
             raise InputError("duplicate symbol in alphabet")
-        self.delta = tuple(tuple(row) for row in delta)
+        self.delta = tuple(map(tuple, delta))
         self.initial = initial
         self.n = len(self.delta)
-        for row in self.delta:
-            if len(row) != len(self.alphabet) or any(
-                    not 0 <= q < self.n for q in row):
-                raise InputError("malformed transition table")
+        cells = set().union(*self.delta)  # none when the alphabet is empty
+        if (not set(map(len, self.delta)) <= {len(self.alphabet)}
+                or cells and not (0 <= min(cells) and max(cells) < self.n)):
+            raise InputError("malformed transition table")
         self._access = tuple(access) if access is not None else None
         self.keys = tuple(keys) if keys is not None else None
 
@@ -75,33 +109,13 @@ class TransitionSystem:
         """Construct canonically by BFS.  step(key, sym) returns the successor
         key, or None for the implicit rejecting sink."""
         alphabet = tuple(alphabet)
-        index: dict = {start: 0}
-        keys = [start]
-        access: list[Word] = [()]
-        rows: list[list[int]] = []
-        i = 0
-        while i < len(keys):
-            key = keys[i]
-            row = []
-            for sym in alphabet:
-                nxt = _SINK if key is _SINK else step(key, sym)
-                if nxt is None:
-                    nxt = _SINK
-                j = index.get(nxt)
-                if j is None:
-                    j = len(keys)
-                    index[nxt] = j
-                    keys.append(nxt)
-                    access.append(access[i] + (sym,))
-                row.append(j)
-            rows.append(row)
-            i += 1
-        clean_keys = [None if k is _SINK else k for k in keys]
-        return cls._finish(alphabet, rows, access, clean_keys, **kw)
+        rows, keys = canonical_bfs(
+            start, lambda key: [step(key, sym) for sym in alphabet])
+        return cls._finish(alphabet, rows, keys, **kw)
 
     @classmethod
-    def _finish(cls, alphabet, rows, access, keys):
-        return cls(alphabet, rows, 0, access, keys)
+    def _finish(cls, alphabet, rows, keys):
+        return cls(alphabet, rows, 0, None, keys)
 
     @classmethod
     def from_parts(cls, alphabet: Sequence[str], num_states: int,
@@ -109,16 +123,18 @@ class TransitionSystem:
         """From explicit parts; unreachable states are dropped and missing
         transitions are completed to a rejecting sink."""
         alphabet = tuple(alphabet)
-        syms = set(alphabet)
+        sym_index = {a: i for i, a in enumerate(alphabet)}
+        table = [[None] * len(alphabet) for _ in range(num_states)]
         for (s, a), t in transitions.items():
-            if a not in syms:
+            if a not in sym_index:
                 raise InputError(f"transition on unknown symbol {a!r}")
             if not (0 <= s < num_states and 0 <= t < num_states):
                 raise InputError(f"transition {s}-{a}->{t} out of range")
+            table[s][sym_index[a]] = t
         if not 0 <= initial < num_states:
             raise InputError("initial state out of range")
-        return cls.build(alphabet, initial,
-                         lambda s, a: transitions.get((s, a)), **kw)
+        rows, keys = canonical_bfs(initial, table.__getitem__)
+        return cls._finish(alphabet, rows, keys, **kw)
 
     def after(self, state: int, word: Iterable[str]) -> int:
         d = self.delta
@@ -166,7 +182,8 @@ class Dfa(TransitionSystem):
                  initial: int = 0, access=None, keys=None):
         super().__init__(alphabet, delta, initial, access, keys)
         self.accepting = frozenset(accepting)
-        if any(not 0 <= q < self.n for q in self.accepting):
+        if self.accepting and not (0 <= min(self.accepting)
+                                   and max(self.accepting) < self.n):
             raise InputError("accepting state out of range")
 
     @classmethod
@@ -176,9 +193,9 @@ class Dfa(TransitionSystem):
         return super().build(alphabet, start, step, pred=pred)
 
     @classmethod
-    def _finish(cls, alphabet, rows, access, keys, pred):
+    def _finish(cls, alphabet, rows, keys, pred):
         acc = [i for i, k in enumerate(keys) if k is not None and pred(k)]
-        return cls(alphabet, rows, acc, 0, access, keys)
+        return cls(alphabet, rows, acc, 0, None, keys)
 
     @classmethod
     def from_parts(cls, alphabet, num_states, transitions, initial=0,
@@ -187,7 +204,7 @@ class Dfa(TransitionSystem):
         if any(not 0 <= q < num_states for q in acc):
             raise InputError("accepting state out of range")
         return super().from_parts(alphabet, num_states, transitions, initial,
-                                  accepting=lambda s: s in acc)
+                                  pred=acc.__contains__)
 
     def accepts(self, word: Iterable[str]) -> bool:
         return self.run(word) in self.accepting
@@ -200,24 +217,32 @@ class Dfa(TransitionSystem):
 
 
 def minimize_dfa(dfa: Dfa) -> Dfa:
-    """Minimal complete DFA for the same language, in canonical form."""
-    blocks = [0 if q in dfa.accepting else 1 for q in range(dfa.n)]
+    """Minimal complete DFA for the same language, in canonical form.
+
+    Moore refinement on columns: a round gives each state the signature
+    (block, block of each successor), read off one column per symbol, and
+    numbers the distinct signatures.  Each round refines the last, so the
+    partition is stable as soon as a round adds no block."""
+    acc = dfa.accepting
+    blocks = [q in acc for q in range(dfa.n)]
+    count = len(set(blocks))
+    cols = list(zip(*dfa.delta))
     while True:
-        sigs = {}
-        new = []
-        for q in range(dfa.n):
-            sig = (blocks[q], tuple(blocks[t] for t in dfa.delta[q]))
-            new.append(sigs.setdefault(sig, len(sigs)))
-        if new == blocks:
+        sigs = list(zip(blocks, *[map(blocks.__getitem__, col)
+                                  for col in cols]))
+        number = {sig: i for i, sig in enumerate(dict.fromkeys(sigs))}
+        if len(number) == count:
             break
-        blocks = new
+        blocks = list(map(number.__getitem__, sigs))
+        count = len(number)
     rep = {}
-    for q in range(dfa.n):
-        rep.setdefault(blocks[q], q)
-    return Dfa.build(
-        dfa.alphabet, blocks[dfa.initial],
-        lambda b, a: blocks[dfa.delta[rep[b]][dfa.sym_index[a]]],
-        accepting=lambda b: rep[b] in dfa.accepting)
+    for q, b in enumerate(blocks):
+        rep.setdefault(b, q)
+    rows, keys = canonical_bfs(
+        blocks[dfa.initial],
+        lambda b: list(map(blocks.__getitem__, dfa.delta[rep[b]])))
+    return Dfa(dfa.alphabet, rows,
+               [i for i, b in enumerate(keys) if rep[b] in acc])
 
 
 def combine_dfa(d1: Dfa, d2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:

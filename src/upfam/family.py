@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 from typing import Optional
 
-from .automata import Dfa, Nfa, TransitionSystem, is_weak, weak_loop_accepts
+from .automata import (Dfa, Nfa, TransitionSystem, canonical_bfs, is_weak,
+                       weak_loop_accepts)
 from .errors import InputError, PreconditionError
 from .words import Representation
 
@@ -164,20 +166,24 @@ def up_membership(F: Family, r: Representation) -> bool:
 def refine_family(F: Family) -> Family:
     """Product each progress automaton with the leading system started at the
     owning state, so that equal progress states imply equal leading
-    displacement.  Normalized acceptance of every pair is unchanged."""
+    displacement.  Normalized acceptance of every pair is unchanged.  A
+    product state (d, t) is the integer d * T.n + t."""
     if F.kind == FNFA:
         raise PreconditionError("refine_family applies to fdfa/fdwa only")
     T = F.leading
+    m = T.n
     new = []
-    for q in range(T.n):
+    for q in range(m):
         D = F.progress[q]
+        scaled = [[d * m for d in row] for row in D.delta]
 
-        def step(dt, a, D=D):
-            return (D.delta[dt[0]][D.sym_index[a]],
-                    T.delta[dt[1]][T.sym_index[a]])
+        def succ(key):
+            d, t = divmod(key, m)
+            return list(map(add, scaled[d], T.delta[t]))
 
-        new.append(Dfa.build(D.alphabet, (D.initial, q), step,
-                             accepting=lambda dt, D=D: dt[0] in D.accepting))
+        rows, keys = canonical_bfs(D.initial * m + q, succ)
+        new.append(Dfa(D.alphabet, rows, [i for i, key in enumerate(keys)
+                                          if key // m in D.accepting]))
     return Family(F.kind, T, new)
 
 

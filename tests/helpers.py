@@ -1,8 +1,10 @@
 """Shared builders for randomized tests."""
 
 import random
+from dataclasses import dataclass
 
-from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs
+from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs
+from upfam.errors import CAP_EXCEEDED, Verdict
 from upfam.family import FDFA, FDWA, FNFA, Family
 from upfam.fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
                             universal_fdfa)
@@ -201,3 +203,94 @@ def classify_by_powers(A, tau):
         if all(not hit(i * m) for m in range(1, j + c + 1)):
             return ProfileClass(TERMINAL, i)
     return ProfileClass(ACCEPTING, hits.index(True) + 1)
+
+
+def minimize_by_signatures(dfa: Dfa) -> Dfa:
+    """Reference for automata.minimize_dfa: Moore refinement on whole
+    signature tuples, one state at a time, until the numbering repeats."""
+    blocks = [0 if q in dfa.accepting else 1 for q in range(dfa.n)]
+    while True:
+        sigs = {}
+        new = []
+        for q in range(dfa.n):
+            sig = (blocks[q], tuple(blocks[t] for t in dfa.delta[q]))
+            new.append(sigs.setdefault(sig, len(sigs)))
+        if new == blocks:
+            break
+        blocks = new
+    rep = {}
+    for q in range(dfa.n):
+        rep.setdefault(blocks[q], q)
+    return Dfa.build(
+        dfa.alphabet, blocks[dfa.initial],
+        lambda b, a: blocks[dfa.delta[rep[b]][dfa.sym_index[a]]],
+        accepting=lambda b: rep[b] in dfa.accepting)
+
+
+@dataclass(frozen=True)
+class Transformation:
+    """Effect of a word on one progress automaton: the state map it induces,
+    plus the leading state its reading displaces the anchor to."""
+
+    mapping: tuple
+    displacement: int
+
+
+def almost_by_transformations(F: Family, cap: int) -> Verdict:
+    """Reference for almost.check_almost_saturated: the same capped monoid
+    walk with Transformation nodes, each composed one state at a time, on
+    progress automata minimized by minimize_by_signatures."""
+    T = F.leading
+    total = 0
+    capped = False
+    best = None
+    for q in range(T.n):
+        if capped:
+            break
+        D = minimize_by_signatures(F.progress[q])
+        sym_maps = list(zip(*D.delta))
+        acc = D.accepting
+
+        def bad_power(m):
+            s = m[D.initial]
+            if s not in acc:
+                return None
+            seen = {s}
+            i = 1
+            while True:
+                s = m[s]
+                i += 1
+                if s not in acc:
+                    return i
+                if s in seen:
+                    return None
+                seen.add(s)
+
+        def successors(node):
+            m, row = node.mapping, T.delta[node.displacement]
+            return [Transformation(tuple(sm[v] for v in m), row[si])
+                    for si, sm in enumerate(sym_maps)]
+
+        search = llex_bfs([(Transformation(tuple(range(D.n)), q), ())],
+                          successors)
+        next(search)
+        total += 1
+        for node, w in search:
+            total += 1
+            if total > cap:
+                capped = True
+                break
+            if node.displacement == q:
+                i = bad_power(node.mapping)
+                if i is not None:
+                    key = (len(w), w, q, i)
+                    if best is None or key < best:
+                        best = key
+                    break
+    if best is not None:
+        _, w, q, i = best
+        x = tuple(T.alphabet[si] for si in w)
+        return Verdict("NotAlmostSaturated", (T.access_word(q), x, i))
+    if capped:
+        return Verdict(CAP_EXCEEDED)
+    return Verdict("AlmostSaturated")

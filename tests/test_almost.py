@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from upfam.almost import (CAP_EXCEEDED, NOT_ALMOST_SATURATED, Transformation,
+from upfam.almost import (CAP_EXCEEDED, DEFAULT_CAP, NOT_ALMOST_SATURATED,
                           check_almost_saturated, gen_intersection_fdfa)
 from upfam.automata import Dfa, intersect_dfa
 from upfam.errors import InputError
@@ -20,7 +20,7 @@ from upfam.oracle import brute_almost_saturation
 from upfam.saturation import check_saturated
 from upfam.words import Representation, words_up_to
 
-from helpers import random_family
+from helpers import almost_by_transformations, random_family
 
 NORM = ReferenceSet.NORMALIZED
 
@@ -103,9 +103,56 @@ def test_kind_validation():
         check_almost_saturated(some_a_fdwa())
 
 
-def test_transformation_identity():
-    t = Transformation.identity(3, 1)
-    assert t.apply(2) == 2 and t.displacement == 1
+def mod_counter(n, b_map, accepting):
+    """Progress DFA over ab: a counts up modulo n and b maps s to b_map(s);
+    accepting one state, it is minimal with n states."""
+    trans = {}
+    for s in range(n):
+        trans[(s, "a")] = (s + 1) % n
+        trans[(s, "b")] = b_map(s)
+    return Family(FDFA, trivial_leading("ab"),
+                  [Dfa.from_parts("ab", n, trans, 0, accepting)])
+
+
+def outcome(v):
+    return v.status, v.witness
+
+
+def test_matches_transformation_search_at_every_cap():
+    """The byte-string monoid walk gives the reference's (status, witness)
+    at caps 1-50 and at the default, so the node count and the exact
+    CapExceeded boundary are the reference's."""
+    rng = random.Random("almost-differential")
+    families = [random_family(rng, FDFA, max_leading=3, max_progress=6)
+                for _ in range(150)]
+    families += [zero_u_zero(2), eventually_ab_fdfa(), ba_star_fdfa()]
+    statuses = set()
+    for F in families:
+        for cap in list(range(1, 51)) + [DEFAULT_CAP]:
+            v = check_almost_saturated(F, cap=cap)
+            assert outcome(v) == outcome(almost_by_transformations(F, cap))
+            statuses.add(v.status)
+    assert len(statuses) == 3
+
+
+def test_large_progress_automata_take_the_tuple_path():
+    """A minimized progress automaton of more than 256 states cannot be a
+    byte string; the tuple walk matches the reference too."""
+    saturated = mod_counter(300, lambda s: 0, [0])
+    refuted = mod_counter(300, lambda s: 0, [299])
+    squares = mod_counter(300, lambda s: s * s % 300, [7])
+    assert saturated.progress[0].n == 300
+    for F in (saturated, refuted, squares):
+        for cap in (1, 300, 598, 599, 600, DEFAULT_CAP):
+            v = check_almost_saturated(F, cap=cap)
+            assert outcome(v) == outcome(almost_by_transformations(F, cap))
+    # 300 rotations and 300 constant maps
+    assert check_almost_saturated(saturated, cap=599).status == CAP_EXCEEDED
+    assert check_almost_saturated(saturated, cap=600).ok
+    assert check_almost_saturated(refuted).witness == ((), ("a",) * 299, 2)
+    # not a palindrome: composing the maps in the wrong order shows
+    assert check_almost_saturated(squares).witness == (
+        (), tuple("aabaaa"), 2)
 
 
 def test_agrees_with_oracle_on_random_families():

@@ -4,12 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_weak, random_dfa
+from helpers import make_weak, minimize_by_signatures, random_dfa
 from upfam.automata import (Dfa, Nfa, TransitionSystem, combine_dfa,
                             complement_dfa, dfa_equivalent, dfa_sccs,
                             intersect_dfa, is_weak, llex_bfs, minimize_dfa,
                             weak_loop_accepts)
 from upfam.errors import InputError
+from upfam.faf import parse_sample
+from upfam.learning import learn_passive
 from upfam.words import as_word, words_up_to
 
 
@@ -230,3 +232,54 @@ def test_transition_system_from_parts_validation():
         TransitionSystem.from_parts("a", 1, {(0, "a"): 5})
     with pytest.raises(InputError):
         TransitionSystem.from_parts("aa", 1, {})  # duplicate symbol
+
+
+def test_constructors_validate_the_table():
+    for delta in ([[0, -1]], [[0, 1]], [[0]], [[0, 0], [1]]):
+        with pytest.raises(InputError):
+            TransitionSystem("ab", delta)
+        with pytest.raises(InputError):
+            Dfa("ab", delta, ())
+    for accepting in ([1], [-1], [0, 2]):
+        with pytest.raises(InputError):
+            Dfa("ab", [[0, 0]], accepting)
+    assert Dfa("ab", [[1, 0], [1, 1]], [0, 1]).n == 2
+
+
+def test_zero_symbol_alphabet_builds():
+    assert TransitionSystem((), [()]).n == 1
+    assert Dfa((), [()], [0]).accepts(())
+    F = learn_passive(parse_sample(""))
+    assert F.alphabet == () and F.leading.delta == ((),)
+
+
+def _minimize_case(rng):
+    """A random DFA with 1-4 symbols and up to 40 states: partial tables
+    completed by a sink, and a share with empty or universal languages."""
+    alphabet = "abcd"[:rng.randint(1, 4)]
+    n = rng.randint(1, 40)
+    kind = rng.random()
+    trans = {}
+    for s in range(n):
+        for a in alphabet:
+            if kind < 0.1 or rng.random() < 0.85:
+                # a few target blocks, so that many states are equivalent
+                trans[(s, a)] = rng.randrange(min(n, rng.choice((3, 8, n))))
+    if kind < 0.1:  # total and all accepting: universal
+        acc = range(n)
+    elif kind < 0.2:
+        acc = ()
+    else:
+        acc = {s for s in range(n) if rng.random() < 0.4}
+    return Dfa.from_parts(alphabet, n, trans, rng.randrange(n), acc)
+
+
+def test_minimize_matches_signature_reference():
+    rng = random.Random("minimize")
+    sizes = set()
+    for _ in range(3000):
+        d = _minimize_case(rng)
+        m = minimize_dfa(d)
+        assert m == minimize_by_signatures(d)
+        sizes.add(m.n)
+    assert {1, 2} <= sizes and max(sizes) > 20

@@ -4,12 +4,15 @@ Expected witnesses were derived independently with the bounded oracle and
 by hand-simulating the progress automata, then frozen here.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from upfam.automata import Dfa, TransitionSystem
+from test_cli import run
+from upfam.automata import Dfa, TransitionSystem, minimize_dfa
 from upfam.errors import InputError, PreconditionError
+from upfam.faf import serialize_faf
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet,
                           displacement_map, family_accepts, is_refined,
                           refine_family)
@@ -20,6 +23,7 @@ from upfam.oracle import brute_saturation
 from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
                               check_fdwa_saturated, check_loopshift_stable,
                               check_power_stable, check_saturated)
+from upfam.translate import gen_family
 from upfam.words import up_equal, words_up_to
 
 from helpers import make_weak, random_family, random_ts
@@ -307,3 +311,45 @@ def test_saturated_fixture_survives_progress_noise():
     F = Family(FDFA, base.leading, [fat])
     assert check_saturated(F, ReferenceSet.NORMALIZED).ok
     assert check_saturated(F, ReferenceSet.ALL).ok
+
+
+def _pinned_families():
+    for n in (4, 8, 16):
+        yield "syntactic-gap %d" % n, gen_family("syntactic-gap", n)
+    for n in range(3, 7):
+        yield "fixpoint-alsat %d" % n, gen_family("fixpoint-alsat", n)
+    rng = random.Random("pinned-saturation")
+    for k in range(100):
+        yield "random %d" % k, random_family(rng, FDFA, max_leading=6,
+                                             max_progress=12)
+
+
+# sha256 over every family's output, in the order of _pinned_families
+PINNED = {
+    "refined":
+        "9b81707c6eb61fa15645d1c05c9416055bfd1276bf8f02a53ffcd3662870fe1e",
+    "saturation":
+        "39553fd414fcfffb906119e458e55490ed9cbaf724225db2e0bb3223fff58ba1",
+    "full-saturation":
+        "b73316c94db9d12dc8a9b2fa0cda40108319ff8b77b44854fa43fcdf2ec13e43",
+    "almost-saturation":
+        "9de3d60890d0142730d13355cd3ebe524ca8e6e268a8744aaaaccd6b51410817",
+}
+
+
+def test_saturation_outcomes_are_pinned():
+    """The refined family of the minimized progress automata, and the
+    --json output and exit code of the three FDFA saturation checks, are
+    byte-identical to the ones recorded when this test was written."""
+    digests = {name: hashlib.sha256() for name in PINNED}
+    for label, F in _pinned_families():
+        slim = Family(FDFA, F.leading,
+                      [minimize_dfa(p) for p in F.progress])
+        digests["refined"].update(
+            serialize_faf(refine_family(slim)).encode())
+        text = serialize_faf(F)
+        for check in ("saturation", "full-saturation", "almost-saturation"):
+            code, out = run(["check", check, "-", "--json", "--cap",
+                             "20000"], text)
+            digests[check].update(("%s %d %s" % (label, code, out)).encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == PINNED
