@@ -4,7 +4,7 @@ import random
 from dataclasses import dataclass
 
 from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs
-from upfam.errors import CAP_EXCEEDED, Verdict
+from upfam.errors import CAP_EXCEEDED, CapExceededError, Verdict
 from upfam.family import FDFA, FDWA, FNFA, Family
 from upfam.fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
                             universal_fdfa)
@@ -294,3 +294,32 @@ def almost_by_transformations(F: Family, cap: int) -> Verdict:
     if capped:
         return Verdict(CAP_EXCEEDED)
     return Verdict("AlmostSaturated")
+
+
+def profile_graph_by_composition(N: Nfa, cap: int):
+    """Reference for regularity._profile_graph: every successor profile
+    composed row by row with _image, nothing cached."""
+    nsym = len(N.alphabet)
+    sym = [tuple(sum(1 << t for t in N.delta[s][si]) for s in range(N.n))
+           for si in range(nsym)]
+    profiles = []
+    index = {}
+    succ = []
+    for m in sym:
+        if m not in index:
+            index[m] = len(profiles)
+            profiles.append(m)
+            succ.append([None] * nsym)
+    for i, mi in enumerate(profiles):
+        for si in range(nsym):
+            m = tuple(_image(sym[si], r) for r in mi)
+            j = index.get(m)
+            if j is None:
+                if len(profiles) >= cap:
+                    raise CapExceededError(
+                        f"profile graph exceeded cap {cap}")
+                j = index[m] = len(profiles)
+                profiles.append(m)
+                succ.append([None] * nsym)
+            succ[i][si] = j
+    return profiles, succ

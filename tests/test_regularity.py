@@ -20,14 +20,17 @@ from upfam.fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                             exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
                             one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
-                              TERMINAL, GoodWitness, ProfileClass,
-                              TransitionProfile, brute_ter_roots, check_regular, classify_profile,
-                              find_good_witness, gen_ter_hardness,
-                              label_by_leading, profile_of, stabilize)
+                              DEFAULT_PROFILE_CAP, TERMINAL, GoodWitness,
+                              ProfileClass, TransitionProfile,
+                              _profile_graph, brute_ter_roots, check_regular,
+                              classify_profile, find_good_witness,
+                              gen_ter_hardness, label_by_leading, profile_of,
+                              stabilize)
 from upfam.translate import gen_family
 from upfam.words import Representation, root, words_up_to
 
-from helpers import classify_by_powers, random_dfa, random_family, random_nfa
+from helpers import (classify_by_powers, profile_graph_by_composition,
+                     random_dfa, random_family, random_nfa)
 
 NORM = ReferenceSet.NORMALIZED
 
@@ -337,6 +340,34 @@ def test_cap_exceeded_verdict():
         check_regular(one_b_some_a_fdfa(), cap=0)
 
 
+def _graph_or_capped(explore, N, cap):
+    try:
+        return explore(N, cap)
+    except CapExceededError:
+        return "capped"
+
+
+def test_profile_graph_matches_plain_composition():
+    # The outcome at a cap below the graph size is the outcome at size - 1:
+    # a smaller cap can only raise earlier.  It is "capped" unless every
+    # profile is a one-letter profile, which the cap does not count.
+    rng = random.Random("profile-graph")
+    nfas = [random_nfa(rng, "ab", 4) for _ in range(300)]
+    nfas += [label_by_leading(stabilize(random_family(
+        rng, FDFA, max_leading=2, max_progress=2))).progress[0]
+        for _ in range(250)]
+    capped = 0
+    for N in nfas:
+        graph = profile_graph_by_composition(N, DEFAULT_PROFILE_CAP)
+        size = len(graph[0])
+        below = _graph_or_capped(profile_graph_by_composition, N, size - 1)
+        capped += below == "capped"
+        for cap in range(1, size + 1):
+            expected = graph if cap == size else below
+            assert _graph_or_capped(_profile_graph, N, cap) == expected
+    assert capped >= 300
+
+
 def test_random_verdicts_match_terminal_root_growth():
     # Infinitely many primitive terminal words show up as growth of the
     # bounded enumeration; finitely many as stagnation.  The windows are
@@ -395,6 +426,12 @@ def test_regularity_outcomes_are_pinned(name):
         w = v.witness
         digest.update(repr((v.status, w and w.case, w and w.words)).encode())
     assert digest.hexdigest() == REGULARITY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, n", [("syntactic-gap", 3),
+                                     ("zero-u-zero-fdfa", 6)])
+def test_large_ladders_are_regular(name, n):
+    assert check_regular(gen_family(name, n)) == Verdict("Regular")
 
 
 # ------------------------------------------------------------- enumeration

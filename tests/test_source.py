@@ -1,5 +1,6 @@
 """Source hygiene of the package: every module imports only what it uses,
-and every function it defines is used somewhere.
+every function it defines is used somewhere, and the runtime imports
+nothing outside the standard library.
 
 The import check covers the package and the test modules.  It skips
 `__init__.py`, because its imports are the public re-exports, and `from
@@ -9,6 +10,7 @@ itself and are exempt.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,29 @@ def test_no_unused_functions():
                   path.read_text(encoding="utf-8")).items()
               if name not in read]
     assert unused == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Modules imported from outside the standard library.  Relative imports stay inside the package; `__future__` is a compiler
+    directive, and is listed in sys.stdlib_module_names as well."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append(node.module)
+    return [name for name in out
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_detects_a_non_stdlib_import():
+    src = ("from __future__ import annotations\nimport os, numpy as np\n"
+           "from . import faf\nfrom .words import root\n"
+           "from hypothesis.strategies import text\nimport os.path\n")
+    assert non_stdlib_imports(src) == ["numpy", "hypothesis.strategies"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
