@@ -10,7 +10,8 @@ One breadth-first search, `canonical_bfs`, does the numbering for every
 deterministic construction.  It asks a successor function for the whole
 row of successor keys of a key at once, so a caller whose keys are plain
 integers (the quotient of `minimize_dfa`, the product of
-`family.refine_family`, `from_parts`) pays one list per state and no call
+`family.refine_family`, the successor table of `from_table`, which
+`from_parts` and the FAF parser fill) pays one list per state and no call
 per edge.  Access words are not stored while building: `access_word`
 derives them on first use with `llex_bfs`, whose discovery order is the
 canonical numbering, so the word of each state is the
@@ -118,10 +119,22 @@ class TransitionSystem:
         return cls(alphabet, rows, 0, None, keys)
 
     @classmethod
+    def from_table(cls, alphabet: Sequence[str],
+                   table: Sequence[Sequence[Optional[int]]], initial: int = 0,
+                   **kw):
+        """From a table of successor states, one row per state and one
+        entry per symbol, None for a missing transition; every entry and
+        the initial state must lie in range.  Unreachable states are
+        dropped and missing transitions are completed to a rejecting
+        sink."""
+        rows, keys = canonical_bfs(initial, table.__getitem__)
+        return cls._finish(tuple(alphabet), rows, keys, **kw)
+
+    @classmethod
     def from_parts(cls, alphabet: Sequence[str], num_states: int,
                    transitions: dict, initial: int = 0, **kw):
-        """From explicit parts; unreachable states are dropped and missing
-        transitions are completed to a rejecting sink."""
+        """From explicit parts, a dict from (state, symbol) to the
+        successor state; see `from_table`."""
         alphabet = tuple(alphabet)
         sym_index = {a: i for i, a in enumerate(alphabet)}
         table = [[None] * len(alphabet) for _ in range(num_states)]
@@ -133,8 +146,7 @@ class TransitionSystem:
             table[s][sym_index[a]] = t
         if not 0 <= initial < num_states:
             raise InputError("initial state out of range")
-        rows, keys = canonical_bfs(initial, table.__getitem__)
-        return cls._finish(alphabet, rows, keys, **kw)
+        return cls.from_table(alphabet, table, initial, **kw)
 
     def after(self, state: int, word: Iterable[str]) -> int:
         d = self.delta
@@ -198,13 +210,18 @@ class Dfa(TransitionSystem):
         return cls(alphabet, rows, acc, 0, None, keys)
 
     @classmethod
+    def from_table(cls, alphabet, table, initial=0, accepting=()):
+        acc = frozenset(accepting)
+        if any(not 0 <= q < len(table) for q in acc):
+            raise InputError("accepting state out of range")
+        return super().from_table(alphabet, table, initial,
+                                  pred=acc.__contains__)
+
+    @classmethod
     def from_parts(cls, alphabet, num_states, transitions, initial=0,
                    accepting=()):
-        acc = frozenset(accepting)
-        if any(not 0 <= q < num_states for q in acc):
-            raise InputError("accepting state out of range")
         return super().from_parts(alphabet, num_states, transitions, initial,
-                                  pred=acc.__contains__)
+                                  accepting=accepting)
 
     def accepts(self, word: Iterable[str]) -> bool:
         return self.run(word) in self.accepting

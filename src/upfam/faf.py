@@ -54,11 +54,9 @@ class _Reader:
     """Token rows of a document, comments and blank lines removed."""
 
     def __init__(self, text):
-        self.rows = []
-        for no, raw in enumerate(text.splitlines(), 1):
-            tokens = raw.split()
-            if tokens and not tokens[0].startswith("#"):
-                self.rows.append((no, tokens))
+        self.rows = [(no, tokens)
+                     for no, raw in enumerate(text.splitlines(), 1)
+                     if (tokens := raw.split()) and tokens[0][0] != "#"]
         self.pos = 0
         self.last_line = self.rows[-1][0] if self.rows else 0
 
@@ -134,14 +132,18 @@ def _parse_alphabet(reader):
 
 
 class _Block:
-    """One machine section: states/init· /accepting/trans directives."""
+    """One machine section: states/init· /accepting/trans directives.  A
+    deterministic block keeps its transitions in `table`, one row of
+    successor states per state, None where no line gives one; an fnfa
+    block keeps them in `moves`, from (state, symbol) to its targets."""
 
     def __init__(self, n, header_line):
         self.n = n
         self.header_line = header_line
         self.initials = None
         self.accepting = None
-        self.trans = []  # (lineno, source, symbol, target)
+        self.table = None
+        self.moves = None
 
     def single_initial(self):
         if self.initials is None:
@@ -158,14 +160,41 @@ def _parse_block(reader, alphabet, deterministic, header_line):
     if n < 1:
         _fail(no, "a machine needs at least one state")
     block = _Block(n, header_line)
-    seen_moves = set()
-    while True:
-        row = reader.peek()
-        if row is None or row[1][0] in ("leading", "progress"):
-            return block
-        no, tokens = reader.take()
+    sym_index = {a: i for i, a in enumerate(alphabet)}
+    if deterministic:
+        table = block.table = [[None] * len(alphabet) for _ in range(n)]
+    else:
+        moves = block.moves = {}
+    rows = reader.rows
+    end = len(rows)
+    for i in range(reader.pos, end):
+        no, tokens = rows[i]
         word = tokens[0]
-        if word == "initial":
+        if word == "trans":
+            if len(tokens) == 4:  # no trailing comment to drop
+                _, s, sym, t = tokens
+            else:
+                s, sym, t = _fixed_args(no, tokens, 3)
+            si = sym_index.get(sym)
+            if si is None:
+                _fail(no, "transition on undeclared symbol %r" % sym)
+            try:
+                s, t = int(s), int(t)
+            except ValueError:
+                _fail(no, "transition states must be numbers")
+            if not (0 <= s < n and 0 <= t < n):
+                _fail(no, "transition %d-%s->%d out of range" % (s, sym, t))
+            if not deterministic:
+                moves.setdefault((s, sym), []).append(t)
+            elif table[s][si] is None:
+                table[s][si] = t
+            else:
+                _fail(no, "duplicate transition for state %d on %r"
+                      % (s, sym))
+        elif word == "leading" or word == "progress":
+            end = i
+            break
+        elif word == "initial":
             (arg,) = _fixed_args(no, tokens, 1)
             _set_initials(block, no, [arg])
         elif word == "initials":
@@ -176,24 +205,10 @@ def _parse_block(reader, alphabet, deterministic, header_line):
             if block.accepting is not None:
                 _fail(no, "duplicate 'accepting' line")
             block.accepting = _int_args(no, tokens)
-        elif word == "trans":
-            s, sym, t = _fixed_args(no, tokens, 3)
-            if sym not in alphabet:
-                _fail(no, "transition on undeclared symbol %r" % sym)
-            try:
-                s, t = int(s), int(t)
-            except ValueError:
-                _fail(no, "transition states must be numbers")
-            if not (0 <= s < n and 0 <= t < n):
-                _fail(no, "transition %d-%s->%d out of range" % (s, sym, t))
-            if deterministic:
-                if (s, sym) in seen_moves:
-                    _fail(no, "duplicate transition for state %d on %r"
-                          % (s, sym))
-                seen_moves.add((s, sym))
-            block.trans.append((no, s, sym, t))
         else:
             _fail(no, "unknown directive '%s'" % word)
+    reader.pos = end
+    return block
 
 
 def _set_initials(block, no, raw):
@@ -253,9 +268,8 @@ def parse_faf(text: str) -> Family:
             raise InputError(
                 "missing progress block for leading state %d" % q)
 
-    moves = {(s, sym): t for _no, s, sym, t in lead_block.trans}
-    leading = TransitionSystem.from_parts(
-        alphabet, lead_block.n, moves, lead_block.single_initial())
+    leading = TransitionSystem.from_table(alphabet, lead_block.table,
+                                          lead_block.single_initial())
     progress = []
     for new_q in range(leading.n):
         old = leading.keys[new_q]
@@ -278,14 +292,10 @@ def _build_progress(kind, alphabet, block):
         if not 0 <= q < block.n:
             _fail(block.header_line, "accepting state %d out of range" % q)
     if kind == FNFA:
-        delta = {}
-        for _no, s, sym, t in block.trans:
-            delta.setdefault((s, sym), []).append(t)
-        return Nfa(alphabet, block.n, delta,
+        return Nfa(alphabet, block.n, block.moves,
                    block.initials if block.initials is not None else [0],
                    accepting).trim()
-    moves = {(s, sym): t for _no, s, sym, t in block.trans}
-    return Dfa.from_parts(alphabet, block.n, moves, block.single_initial(),
+    return Dfa.from_table(alphabet, block.table, block.single_initial(),
                           accepting)
 
 
@@ -330,8 +340,7 @@ def parse_dfa_doc(text: str) -> Dfa:
     block = _parse_block(reader, alphabet, True, reader.last_line)
     if reader.peek() is not None:
         _fail(reader.peek()[0], "unexpected content after the machine")
-    moves = {(s, sym): t for _no, s, sym, t in block.trans}
-    return Dfa.from_parts(alphabet, block.n, moves, block.single_initial(),
+    return Dfa.from_table(alphabet, block.table, block.single_initial(),
                           block.accepting or [])
 
 

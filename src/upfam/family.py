@@ -202,10 +202,8 @@ def displacement_map(F: Family, q: int) -> Optional[list[int]]:
     todo = [D.initial]
     while todo:
         d = todo.pop()
-        t = disp[d]
-        for i in range(len(D.alphabet)):
-            d2 = D.delta[d][i]
-            t2 = T.delta[t][T.sym_index[D.alphabet[i]]]
+        # Family requires one alphabet, so symbol i is column i of both.
+        for d2, t2 in zip(D.delta[d], T.delta[disp[d]]):
             if disp[d2] is None:
                 disp[d2] = t2
                 todo.append(d2)

@@ -2,18 +2,39 @@
 
 A family is saturated for a reference set X when any two X-representations
 of the same ultimately periodic word are accepted or rejected together.
-This decomposes into two polynomial checks on a refined family:
+This decomposes into two polynomial checks on the refined family:
 
 * loopshift stability: acceptance is invariant under moving the first loop
   symbol onto the spoke, among pairs of X;
 * power stability: acceptance is invariant under raising the loop to a
   power.
 
-Power stability is checked per progress state on the least X-loop-word
-reaching it; loop rotations (sanctioned by loopshift stability) plus
-determinism let that single representative stand in for every loop word
-reaching the state, and its acceptance orbit is eventually periodic within
-the automaton size, so the scan is complete.
+Power stability is checked per refined progress state on the least
+X-loop-word reaching it; loop rotations (sanctioned by loopshift
+stability) plus determinism let that single representative stand in for
+every loop word reaching the state, and its acceptance orbit is eventually
+periodic within the automaton size, so the scan is complete.
+
+The refined automaton of leading state q is the product of its progress
+automaton D_q with the leading system T started at q: a state (d, t) says
+that a loop word leads D_q to d and T from q to t (`refine_family` builds
+it).  The two stages never build it; their search nodes carry the leading
+state instead, and the nodes they reach are the refined states:
+
+* A loopshift node of the slot (q, a) after the word w is (d1, d2, t):
+  D_q after a*w, D_q' after w with q' = T(q, a), and t = T(q, a*w).  The
+  refined automata of q and q' reach (d1, T(q, a*w)) and (d2, T(q', w)),
+  and T(q', w) = T(q, a*w) = t, so both refined components carry the same
+  leading state and the node graph is isomorphic to their product, edge
+  for edge in alphabet order.  The llex search meets the same nodes with
+  the same words, and the pair (u, a*w) is normalized exactly when t = q.
+* Power representatives are the llex-least nonempty words reaching each
+  node (d, t) of D_q x T from (initial, q), that is each refined state.
+  The orbit of a representative under its powers is then followed on d
+  alone, because acceptance reads only d.  The d-orbit is eventually
+  periodic, so every acceptance value it ever takes is met before d first
+  repeats; the first flip, if any, comes before that point, and the
+  refined orbit, whose pairs repeat no earlier, flips at the same index.
 
 The FDWA check searches for the five-condition witness (u, p, q, r, x, y):
 x reaches p and maps q to p, y maps p to q and reaches r from the progress
@@ -67,40 +88,41 @@ def _displacements(F: Family) -> list[list[int]]:
 
 
 def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
-    """Search, for every leading state and symbol a, for a word w such that
-    (u, a*w) and (u*a, w*a) both lie in the reference set but only one is
-    accepted.  The product of the two progress runs is deterministic, so a
-    breadth-first search finds the least witness per slot."""
+    """Search, for every leading state q and symbol a, for a word w such
+    that (u, a*w) and (u*a, w*a) both lie in the reference set but only one
+    is accepted.  A node (d1, d2, t) holds the runs of the progress
+    automata of q on a*w and of T(q, a) on w, and the leading state
+    T(q, a*w); the product is deterministic, so a breadth-first search
+    finds the least witness per slot.  A slot's search stops at words
+    longer than the best witness so far, which cannot win."""
     if F.kind == FNFA:
         raise InputError("loopshift check needs deterministic progress")
-    disps = _displacements(F)
     T = F.leading
     alphabet = T.alphabet
     normalized = ref_set is ReferenceSet.NORMALIZED
     best = None
+    limit = math.inf
     for q in range(T.n):
         Dq = F.progress[q]
-        disp_q = disps[q]
         acc_q = Dq.accepting
         for ai, a in enumerate(alphabet):
             q2 = T.delta[q][ai]
             Dq2 = F.progress[q2]
             acc_q2 = Dq2.accepting
-
-            def violates(d1, d2):
-                if normalized and disp_q[d1] != q:
-                    return False
-                return (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2)
-
-            start = (Dq.delta[Dq.initial][ai], Dq2.initial)
+            start = (Dq.delta[Dq.initial][ai], Dq2.initial, q2)
             search = llex_bfs(
                 [(start, ())],
-                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]]))
-            for (d1, d2), w in search:
-                if violates(d1, d2):
+                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]], T.delta[n[2]]))
+            for (d1, d2, t), w in search:
+                if len(w) > limit:
+                    break
+                if normalized and t != q:
+                    continue
+                if (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2):
                     key = ((len(w), w), q, ai)
                     if best is None or key < best[0]:
                         best = (key, q, a, w, d1 in acc_q)
+                        limit = len(w)
                     break
     if best is None:
         return Verdict(SATURATED, stage=STAGE_LOOPSHIFT)
@@ -116,35 +138,35 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
 
 
 def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
-    """For each progress state reachable by a reference-set loop word, scan
-    the acceptance orbit of the least such representative under loop powers;
-    a mixed orbit is a saturation violation."""
+    """For each pair (d, t) of a progress state and a leading state reached
+    together by a reference-set loop word, scan the acceptance orbit of the
+    least such representative under loop powers; a mixed orbit is a
+    saturation violation."""
     if F.kind == FNFA:
         raise InputError("power check needs deterministic progress")
-    disps = _displacements(F)
     T = F.leading
     best = None
     normalized = ref_set is ReferenceSet.NORMALIZED
     for q in range(T.n):
         D = F.progress[q]
-        disp = disps[q]
-        # llex-least nonempty word reaching each progress state
-        reps = dict(llex_bfs(
-            [(t, (si,)) for si, t in enumerate(D.delta[D.initial])],
-            D.delta.__getitem__))
-        for d, w in sorted(reps.items()):
-            if normalized and disp[d] != q:
+        acc = D.accepting
+        # llex-least nonempty word reaching each (progress, leading) pair
+        reps = llex_bfs(
+            [(n, (si,)) for si, n in enumerate(zip(D.delta[D.initial],
+                                                   T.delta[q]))],
+            lambda n: zip(D.delta[n[0]], T.delta[n[1]]))
+        for (s, t), w in reps:
+            if normalized and t != q:
                 continue
             rep = tuple(T.alphabet[si] for si in w)
-            s = D.after(D.initial, rep)
-            base = s in D.accepting
+            base = s in acc
             seen = {s}
             i = 1
             flip = None
             while True:
                 s = D.after(s, rep)
                 i += 1
-                if (s in D.accepting) != base:
+                if (s in acc) != base:
                     flip = i
                     break
                 if s in seen:
@@ -169,7 +191,7 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
 
 def check_saturated(F: Family, ref: ReferenceSet = ReferenceSet.NORMALIZED
                     ) -> Verdict:
-    """Full pipeline: minimize progress automata, refine, then run the
+    """Full pipeline: minimize the progress automata, then run the
     loopshift and power stages against the reference set: Normalized for
     saturation, All for full saturation.  Witnesses are word-level, so
     they replay against the original family unchanged."""
@@ -179,11 +201,10 @@ def check_saturated(F: Family, ref: ReferenceSet = ReferenceSet.NORMALIZED
     if not isinstance(ref, ReferenceSet):
         raise InputError(f"unknown reference set {ref!r}")
     slim = Family(FDFA, F.leading, [minimize_dfa(p) for p in F.progress])
-    work = refine_family(slim)
-    verdict = check_loopshift_stable(work, ref)
+    verdict = check_loopshift_stable(slim, ref)
     if not verdict.ok:
         return verdict
-    return check_power_stable(work, ref)
+    return check_power_stable(slim, ref)
 
 
 def _components(D):

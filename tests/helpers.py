@@ -4,11 +4,14 @@ import random
 from dataclasses import dataclass
 
 from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs
-from upfam.errors import CAP_EXCEEDED, CapExceededError, Verdict
-from upfam.family import FDFA, FDWA, FNFA, Family
+from upfam.errors import (CAP_EXCEEDED, CapExceededError,
+                          PreconditionError, Verdict)
+from upfam.family import (FDFA, FDWA, FNFA, Counterexample, Family,
+                          ReferenceSet, displacement_map)
 from upfam.fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
                             universal_fdfa)
 from upfam.regularity import ACCEPTING, REJECTING, TERMINAL, ProfileClass
+from upfam.words import Representation
 
 
 def random_ts(rng: random.Random, alphabet, max_states) -> TransitionSystem:
@@ -137,7 +140,6 @@ def syntactic_targets():
 
 
 def _canonical_loop(u, x):
-    from upfam.words import Representation
     return Representation(u, x).canonical().x
 
 
@@ -323,3 +325,100 @@ def profile_graph_by_composition(N: Nfa, cap: int):
                 succ.append([None] * nsym)
             succ[i][si] = j
     return profiles, succ
+
+
+def _refined_displacements(F: Family) -> list[list[int]]:
+    disps = [displacement_map(F, q) for q in range(F.leading.n)]
+    if None in disps:
+        raise PreconditionError(
+            "family must be refined; apply refine_family first")
+    return disps
+
+
+def loopshift_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
+    """Reference for saturation.check_loopshift_stable: the stage as it
+    ran on the refined family, where a node is a pair of progress states
+    and each progress state fixes its leading displacement."""
+    disps = _refined_displacements(F)
+    T = F.leading
+    alphabet = T.alphabet
+    normalized = ref_set is ReferenceSet.NORMALIZED
+    best = None
+    for q in range(T.n):
+        Dq = F.progress[q]
+        disp_q = disps[q]
+        acc_q = Dq.accepting
+        for ai, a in enumerate(alphabet):
+            Dq2 = F.progress[T.delta[q][ai]]
+            acc_q2 = Dq2.accepting
+
+            def violates(d1, d2):
+                if normalized and disp_q[d1] != q:
+                    return False
+                return (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2)
+
+            start = (Dq.delta[Dq.initial][ai], Dq2.initial)
+            search = llex_bfs(
+                [(start, ())],
+                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]]))
+            for (d1, d2), w in search:
+                if violates(d1, d2):
+                    key = ((len(w), w), q, ai)
+                    if best is None or key < best[0]:
+                        best = (key, q, a, w, d1 in acc_q)
+                    break
+    if best is None:
+        return Verdict("Saturated", stage="Loopshift")
+    _, q, a, w, left_acc = best
+    u = T.access_word(q)
+    w = tuple(alphabet[si] for si in w)
+    cx = Counterexample(
+        "loopshift", Representation(u, (a,) + w),
+        Representation(u + (a,), w + (a,)), left_acc, not left_acc)
+    return Verdict("NotSaturated", cx, "Loopshift")
+
+
+def power_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
+    """Reference for saturation.check_power_stable: the stage as it ran on
+    the refined family, one representative per refined progress state and
+    the power orbit followed on refined states."""
+    disps = _refined_displacements(F)
+    T = F.leading
+    best = None
+    normalized = ref_set is ReferenceSet.NORMALIZED
+    for q in range(T.n):
+        D = F.progress[q]
+        disp = disps[q]
+        reps = dict(llex_bfs(
+            [(t, (si,)) for si, t in enumerate(D.delta[D.initial])],
+            D.delta.__getitem__))
+        for d, w in sorted(reps.items()):
+            if normalized and disp[d] != q:
+                continue
+            rep = tuple(T.alphabet[si] for si in w)
+            s = D.after(D.initial, rep)
+            base = s in D.accepting
+            seen = {s}
+            i = 1
+            flip = None
+            while True:
+                s = D.after(s, rep)
+                i += 1
+                if (s in D.accepting) != base:
+                    flip = i
+                    break
+                if s in seen:
+                    break
+                seen.add(s)
+            if flip is None:
+                continue
+            key = ((len(w), w), q, flip)
+            if best is None or key < best[0]:
+                best = (key, q, rep, flip, base)
+    if best is None:
+        return Verdict("Saturated", stage="Power")
+    _, q, rep, flip, base = best
+    u = T.access_word(q)
+    cx = Counterexample("power", Representation(u, rep),
+                        Representation(u, rep * flip), base, not base)
+    return Verdict("NotSaturated", cx, "Power")

@@ -10,6 +10,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_family
 from upfam.errors import InputError
@@ -137,6 +138,29 @@ BROKEN = [
     ("out of range", "trans 1 a 1", "trans 1 a 7", "out of range"),
     ("initials in dfa block", "  initial 0\n  accepting 1",
      "  initials 0\n  accepting 1", "fnfa"),
+    # Full messages, line prefix included.
+    ("non-numeric state", "trans 1 a 1", "trans x a 1",
+     "line 14: transition states must be numbers"),
+    ("trans with two arguments", "trans 1 a 1", "trans 1 a",
+     "line 14: 'trans' takes 3 argument(s), got 2"),
+    ("unknown directive", "  accepting 1", "  accept 1",
+     "line 12: unknown directive 'accept'"),
+    ("duplicate accepting", "  accepting 1\n",
+     "  accepting 1\n  accepting 2\n", "line 13: duplicate 'accepting' line"),
+    ("duplicate initial", "  initial 0\n  accepting 1",
+     "  initial 0\n  initial 1\n  accepting 1",
+     "line 12: duplicate initial-state line"),
+    ("states x", "states 3", "states x",
+     "line 10: 'states' expects a number, got 'x'"),
+    ("states 0", "states 3", "states 0",
+     "line 10: a machine needs at least one state"),
+    ("accepting out of range", "accepting 1", "accepting 5",
+     "line 9: accepting state 5 out of range"),
+    ("initial out of range", "  initial 0\n  accepting 1",
+     "  initial 4\n  accepting 1", "line 11: initial state 4 out of range"),
+    ("duplicate leading transition", "  trans 0 b 0\n",
+     "  trans 0 b 0\n  trans 0 b 0\n",
+     "line 9: duplicate transition for state 0 on 'b'"),
 ]
 
 
@@ -148,6 +172,12 @@ class TestParseErrors:
         with pytest.raises(InputError, match="line \\d+") as exc:
             parse_faf(text)
         assert needle in str(exc.value)
+
+    def test_trailing_comment_on_transition(self):
+        text = read_file("ba_star.faf")
+        commented = text.replace("trans 1 a 1", "trans 1 a 1  # loop on 1")
+        assert commented != text
+        assert parse_faf(commented) == parse_faf(text)
 
     def test_error_names_symbol_and_line(self):
         text = read_file("ba_star.faf").replace("trans 1 b 2",
@@ -230,6 +260,79 @@ class TestSampleFormat:
             parse_sample("?\ta\ta\n")
         with pytest.raises(InputError, match="nonempty"):
             parse_sample("+\ta\t_\n")
+
+
+# ----------------------------------------------------------------- fuzzing
+
+FUZZ_TOKENS = ("-1", "x", "#", "99", "")
+
+
+def _fuzz_families():
+    return [read_file("ba_star.faf"), read_file("odd_a.faf")] + [
+        serialize_faf(F) for _, F in sorted(canonical_families().items())]
+
+
+def _fuzz_samples():
+    """Consistent samples: x^omega is labelled by whether x has an a."""
+    docs = []
+    for alphabet, depth in (("ab", 2), ("abc", 1)):
+        pos, neg = [], []
+        for u in words_up_to(alphabet, depth):
+            for x in words_up_to(alphabet, depth, min_len=1):
+                (pos if "a" in x else neg).append(Representation(u, x))
+        docs.append(serialize_sample(Sample(pos, neg)))
+    return docs
+
+
+FUZZ_FAMILIES = _fuzz_families()
+FUZZ_SAMPLES = _fuzz_samples()
+
+
+@st.composite
+def mutated(draw, docs, sep):
+    """A document with one to four line edits: delete, duplicate or swap
+    lines, or replace one `sep`-separated token of a line."""
+    lines = draw(st.sampled_from(docs)).split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "token")))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split(sep)
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[i] = sep.join(tokens)
+    return "\n".join(lines)
+
+
+class TestParserFuzz:
+    """A mutated document either loads to something that round-trips or
+    is refused with an InputError; no other exception escapes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated(FUZZ_FAMILIES, " "))
+    def test_family_documents(self, text):
+        try:
+            G = parse_faf(text)
+        except InputError:
+            return
+        assert parse_faf(serialize_faf(G)) == G
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(FUZZ_SAMPLES, "\t"))
+    def test_sample_documents(self, text):
+        try:
+            S = parse_sample(text)
+        except InputError:
+            return
+        back = parse_sample(serialize_sample(S))
+        assert (back.positive, back.negative) == (S.positive, S.negative)
 
 
 class TestDotExport:

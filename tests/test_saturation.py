@@ -11,7 +11,7 @@ import pytest
 
 from test_cli import run
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
-from upfam.errors import InputError, PreconditionError
+from upfam.errors import InputError
 from upfam.faf import serialize_faf
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet,
                           displacement_map, family_accepts, is_refined,
@@ -26,7 +26,8 @@ from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
 from upfam.translate import gen_family
 from upfam.words import up_equal, words_up_to
 
-from helpers import make_weak, random_family, random_ts
+from helpers import (loopshift_on_refined, make_weak, power_on_refined,
+                     random_family, random_ts)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -128,18 +129,39 @@ def test_mode_validation():
         check_saturated(some_a_fdwa(), ReferenceSet.NORMALIZED)
 
 
-def test_stage_checks_require_refined_family():
+def test_stage_checks_match_refined_family():
+    """The stages carry the leading state in their search nodes, so on any
+    FDFA they give what the stages on the refined family gave: the same
+    verdict, stage and witness.  The mod-2 family is not refined (both
+    progress states are reached with both leading displacements); a third
+    of the random families are minimized first, as check_saturated does."""
     from upfam.fixtures import mod2_leading
-    from upfam.automata import Dfa, TransitionSystem
     lead = mod2_leading("ab")
     odd = Dfa.from_parts("ab", 2, {(0, "a"): 1, (0, "b"): 0,
                                    (1, "a"): 0, (1, "b"): 1},
                          accepting={1})
-    F = Family(FDFA, lead, [odd, odd])
-    with pytest.raises(PreconditionError):
-        check_loopshift_stable(F, NORM)
-    with pytest.raises(PreconditionError):
-        check_power_stable(F, NORM)
+    families = [Family(FDFA, lead, [odd, odd])]
+    assert not is_refined(families[0])
+    rng = random.Random("stages-on-unrefined")
+    for k in range(600):
+        F = random_family(rng, FDFA, alphabet=rng.choice(["ab", "abc"]),
+                          max_leading=rng.randint(1, 4),
+                          max_progress=rng.randint(2, 6))
+        if k % 3 == 0:
+            F = Family(FDFA, F.leading,
+                       [minimize_dfa(p) for p in F.progress])
+        families.append(F)
+    refuted = 0
+    for F in families:
+        refined = refine_family(F)
+        for ref in (NORM, ALL):
+            for stage, reference in (
+                    (check_loopshift_stable, loopshift_on_refined),
+                    (check_power_stable, power_on_refined)):
+                v = stage(F, ref)
+                assert v == reference(refined, ref), (F, ref, stage)
+                refuted += not v.ok
+    assert refuted > 800
 
 
 def test_checker_agrees_with_oracle_on_random_families():
