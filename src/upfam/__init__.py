@@ -4,13 +4,11 @@ translations, and active/passive learners, each validated by brute-force
 oracles."""
 
 from .almost import check_almost_saturated, gen_intersection_fdfa
-from .automata import (Dfa, Nba, Nfa, TransitionSystem, complement_dfa,
-                       dfa_equivalent, intersect_dfa, is_weak, minimize_dfa)
+from .automata import Dfa, Nba, Nfa, TransitionSystem, is_weak, minimize_dfa
 from .errors import (CapExceededError, InputError, PreconditionError,
                      ProtocolError, UpfamError, Verdict)
-from .family import (Counterexample, Family, ReferenceSet, displacement_map,
-                     family_accepts, is_normalized, is_refined, normalize,
-                     refine_family, up_membership)
+from .family import (Counterexample, Family, ReferenceSet, family_accepts,
+                     is_normalized, normalize, refine_family, up_membership)
 from .faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                   parse_faf, parse_sample, serialize_dfa_doc, serialize_faf,
                   serialize_nba, serialize_sample)
@@ -18,10 +16,9 @@ from .learning import (DOLLAR, LearnLog, Sample, Teacher, default_fdfa,
                        dollar_dfa_to_fdfa, fdfa_to_dollar_dfa,
                        gen_char_sample, learn_active, learn_passive,
                        make_teacher)
-from .regularity import (GoodWitness, ProfileClass, TransitionProfile,
-                         brute_ter_roots, check_regular, classify_profile,
-                         find_good_witness, gen_ter_hardness,
-                         label_by_leading, profile_of, stabilize)
+from .regularity import (GoodWitness, ProfileClass, check_regular,
+                         classify_profile, find_good_witness,
+                         gen_ter_hardness, label_by_leading, stabilize)
 from .saturation import (check_fdwa_saturated, check_loopshift_stable,
                          check_power_stable, check_saturated)
 from .translate import (GEN_FAMILY_NAMES, complement_saturated_fdwa,

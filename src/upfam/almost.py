@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .automata import Dfa, llex_bfs, minimize_dfa
+from .automata import Dfa, llex_bfs, minimize_dfa, orbit
 from .errors import CAP_EXCEEDED, InputError, Verdict
-from .family import FDFA, Family
-from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
+from .family import FDFA, Family, trivial_leading
 
 ALMOST_SATURATED = "AlmostSaturated"
 NOT_ALMOST_SATURATED = "NotAlmostSaturated"
 
 DEFAULT_CAP = 2_000_000
+
+HASH = "#"  # block separator of both hardness instances
 
 
 def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
@@ -54,22 +55,7 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
         D = minimize_dfa(F.progress[q])
         cols = list(zip(*D.delta))  # per symbol, the map it induces
         acc = D.accepting
-
-        def bad_power(m):
-            s = m[D.initial]
-            if s not in acc:
-                return None
-            seen = {s}
-            i = 1
-            while True:
-                s = m[s]
-                i += 1
-                if s not in acc:
-                    return i
-                if s in seen:
-                    return None
-                seen.add(s)
-
+        s0 = D.initial
         if D.n <= 256:
             tables = [bytes(col) + bytes(256 - D.n) for col in cols]
             identity = bytes(range(D.n))
@@ -92,8 +78,12 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
             if total > cap:
                 capped = True
                 break
-            if node[1] == q:
-                i = bad_power(node[0])
+            if node[1] == q and node[0][s0] in acc:
+                m = node[0]
+                # the states that m, m^2, m^3, ... send the initial state to
+                states, _ = orbit(m[s0], m.__getitem__)
+                i = next((i for i, s in enumerate(states, 1)
+                          if s not in acc), None)
                 if i is not None:
                     key = (len(w), w, q, i)
                     if best is None or key < best:
@@ -106,6 +96,23 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
     if capped:
         return Verdict(CAP_EXCEEDED)
     return Verdict(ALMOST_SATURATED)
+
+
+def next_prime(k: int) -> int:
+    """Least prime p >= max(k, 2)."""
+    p = max(k, 2)
+    while True:
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            return p
+        p += 1
+
+
+def sigma_plus_dfa(alphabet) -> Dfa:
+    """Universal on nonempty words: pads a hardness instance to prime
+    length without changing the intersection."""
+    return Dfa.from_parts(alphabet, 2,
+                          {(s, a): 1 for s in (0, 1) for a in alphabet},
+                          accepting=(1,))
 
 
 def gen_intersection_fdfa(dfas: list) -> Family:

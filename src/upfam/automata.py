@@ -55,6 +55,20 @@ def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
                 yield nxt, nxt_word
 
 
+def orbit(start: Hashable, step: Callable[[Hashable], Hashable]
+          ) -> tuple[list, int]:
+    """(values, j): the values start, step(start), step(step(start)), ...
+    in order, up to the last one before the first repeat.  The value after
+    the last is values[j], so values[:j] is the tail of the rho shape and
+    values[j:] its cycle."""
+    index: dict = {}  # value -> its position; dicts keep insertion order
+    v = start
+    while v not in index:
+        index[v] = len(index)
+        v = step(v)
+    return list(index), index[v]
+
+
 def canonical_bfs(start: Hashable,
                   succ: Callable[[Hashable], Sequence[Optional[Hashable]]]
                   ) -> tuple[list[list[int]], list]:
@@ -226,9 +240,6 @@ class Dfa(TransitionSystem):
     def accepts(self, word: Iterable[str]) -> bool:
         return self.run(word) in self.accepting
 
-    def is_empty(self) -> bool:
-        return not self.accepting  # all states are reachable
-
     def _signature(self):
         return (self.alphabet, self.delta, self.initial, self.accepting)
 
@@ -260,30 +271,6 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
         lambda b: list(map(blocks.__getitem__, dfa.delta[rep[b]])))
     return Dfa(dfa.alphabet, rows,
                [i for i, b in enumerate(keys) if rep[b] in acc])
-
-
-def combine_dfa(d1: Dfa, d2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
-    """Boolean product; both operands must share the alphabet."""
-    if d1.alphabet != d2.alphabet:
-        raise InputError("product of DFAs over different alphabets")
-    i1, i2 = d1.sym_index, d2.sym_index
-    return Dfa.build(
-        d1.alphabet, (d1.initial, d2.initial),
-        lambda pq, a: (d1.delta[pq[0]][i1[a]], d2.delta[pq[1]][i2[a]]),
-        accepting=lambda pq: keep(pq[0] in d1.accepting, pq[1] in d2.accepting))
-
-
-def intersect_dfa(d1: Dfa, d2: Dfa) -> Dfa:
-    return combine_dfa(d1, d2, lambda a, b: a and b)
-
-
-def complement_dfa(d: Dfa) -> Dfa:
-    return Dfa(d.alphabet, d.delta, frozenset(range(d.n)) - d.accepting,
-               d.initial, d._access, d.keys)
-
-
-def dfa_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    return combine_dfa(d1, d2, lambda a, b: a != b).is_empty()
 
 
 def strongly_connected_components(n: int,
@@ -362,14 +349,9 @@ def weak_loop_accepts(d: Dfa, x: Word, state: Optional[int] = None) -> bool:
     if not x:
         raise InputError("loop acceptance needs a nonempty loop")
     s = d.initial if state is None else state
-    seen: dict[int, int] = {}
-    path = []
-    while s not in seen:
-        seen[s] = len(path)
-        path.append(s)
-        s = d.after(s, x)
+    path, j = orbit(s, lambda t: d.after(t, x))
     idx = d.sym_index
-    for t in path[seen[s]:]:
+    for t in path[j:]:
         if t in d.accepting:
             return True
         for sym in x:
@@ -468,29 +450,6 @@ class Nfa:
 
     def accepts(self, word: Iterable[str]) -> bool:
         return bool(self.run_set(word) & self.accepting)
-
-    def trim(self) -> "Nfa":
-        """Restrict to states reachable from the initial set."""
-        seen = set(self.initials)
-        frontier = list(self.initials)
-        while frontier:
-            s = frontier.pop()
-            for row in self.delta[s]:
-                for t in row:
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-        order = sorted(seen)
-        remap = {s: i for i, s in enumerate(order)}
-        delta = {}
-        for s in order:
-            for i, a in enumerate(self.alphabet):
-                ts = [remap[t] for t in self.delta[s][i] if t in seen]
-                if ts:
-                    delta[(remap[s], a)] = ts
-        return Nfa(self.alphabet, len(order), delta,
-                   [remap[s] for s in self.initials],
-                   [remap[s] for s in self.accepting if s in seen])
 
     def __repr__(self):
         return f"<{type(self).__name__} n={self.n} alphabet={self.alphabet}>"

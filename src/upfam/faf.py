@@ -131,10 +131,29 @@ def _parse_alphabet(reader):
     return tuple(symbols)
 
 
+class _Rows(dict):
+    """Successor table of a deterministic block: state -> row of successor
+    states, one per symbol, None where no line gives one.  A row is made
+    when its state is first looked up, so memory follows the transition
+    lines, not the declared state count.  The length is that count, as
+    for a table with one row per declared state."""
+
+    def __init__(self, n, nsym):
+        super().__init__()
+        self.n = n
+        self.nsym = nsym
+
+    def __missing__(self, state):
+        row = self[state] = [None] * self.nsym
+        return row
+
+    def __len__(self):
+        return self.n
+
+
 class _Block:
     """One machine section: states/init· /accepting/trans directives.  A
-    deterministic block keeps its transitions in `table`, one row of
-    successor states per state, None where no line gives one; an fnfa
+    deterministic block keeps its transitions in the _Rows `table`; an fnfa
     block keeps them in `moves`, from (state, symbol) to its targets."""
 
     def __init__(self, n, header_line):
@@ -162,7 +181,7 @@ def _parse_block(reader, alphabet, deterministic, header_line):
     block = _Block(n, header_line)
     sym_index = {a: i for i, a in enumerate(alphabet)}
     if deterministic:
-        table = block.table = [[None] * len(alphabet) for _ in range(n)]
+        table = block.table = _Rows(n, len(alphabet))
     else:
         moves = block.moves = {}
     rows = reader.rows
@@ -186,8 +205,8 @@ def _parse_block(reader, alphabet, deterministic, header_line):
                 _fail(no, "transition %d-%s->%d out of range" % (s, sym, t))
             if not deterministic:
                 moves.setdefault((s, sym), []).append(t)
-            elif table[s][si] is None:
-                table[s][si] = t
+            elif (row := table[s])[si] is None:
+                row[si] = t
             else:
                 _fail(no, "duplicate transition for state %d on %r"
                       % (s, sym))
@@ -263,10 +282,9 @@ def parse_faf(text: str) -> Family:
         if q in blocks:
             _fail(no, "duplicate progress block for leading state %d" % q)
         blocks[q] = _parse_block(reader, alphabet, deterministic, no)
-    for q in range(lead_block.n):
-        if q not in blocks:
-            raise InputError(
-                "missing progress block for leading state %d" % q)
+    if len(blocks) < lead_block.n:  # blocks holds only states in range
+        q = next(q for q in range(lead_block.n) if q not in blocks)
+        raise InputError("missing progress block for leading state %d" % q)
 
     leading = TransitionSystem.from_table(alphabet, lead_block.table,
                                           lead_block.single_initial())
@@ -292,11 +310,31 @@ def _build_progress(kind, alphabet, block):
         if not 0 <= q < block.n:
             _fail(block.header_line, "accepting state %d out of range" % q)
     if kind == FNFA:
-        return Nfa(alphabet, block.n, block.moves,
-                   block.initials if block.initials is not None else [0],
-                   accepting).trim()
+        return _reachable_nfa(alphabet, block.moves,
+                              block.initials or [0], accepting)
     return Dfa.from_table(alphabet, block.table, block.single_initial(),
                           accepting)
+
+
+def _reachable_nfa(alphabet, moves, initials, accepting):
+    """The NFA of an fnfa block on the states its initial states reach,
+    numbered in the order of their declared numbers."""
+    succ = {}
+    for (s, _), ts in moves.items():
+        succ.setdefault(s, []).extend(ts)
+    seen = set(initials)
+    todo = list(seen)
+    while todo:
+        for t in succ.get(todo.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    number = {s: i for i, s in enumerate(sorted(seen))}
+    return Nfa(alphabet, len(number),
+               {(number[s], a): [number[t] for t in ts]
+                for (s, a), ts in moves.items() if s in number},
+               [number[s] for s in initials],
+               [number[s] for s in accepting if s in number])
 
 
 # --------------------------------------------------------------- writing

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import Optional
 
 from .automata import (Dfa, Nfa, TransitionSystem, canonical_bfs, is_weak,
-                       weak_loop_accepts)
+                       orbit, weak_loop_accepts)
 from .errors import InputError, PreconditionError
 from .words import Representation
 
@@ -93,6 +92,11 @@ class Family:
                 f"progress={self.progress_sizes()}>")
 
 
+def trivial_leading(alphabet) -> TransitionSystem:
+    """The one-state leading system over the alphabet."""
+    return TransitionSystem.build(alphabet, 0, lambda s, a: 0)
+
+
 class ReferenceSet(Enum):
     """The universe of pairs a saturation notion quantifies over."""
 
@@ -144,16 +148,8 @@ def normalize(F: Family, r: Representation) -> Representation:
     """A normalized representation of the same ultimately periodic word,
     obtained by sliding whole loop copies into the spoke."""
     T = F.leading
-    seen = {}
-    cur = T.run(r.u)
-    k = 0
-    while cur not in seen:
-        seen[cur] = k
-        cur = T.after(cur, r.x)
-        k += 1
-    a = seen[cur]
-    b = k
-    return Representation(r.u + r.x * a, r.x * (b - a))
+    states, a = orbit(T.run(r.u), lambda q: T.after(q, r.x))
+    return Representation(r.u + r.x * a, r.x * (len(states) - a))
 
 
 def up_membership(F: Family, r: Representation) -> bool:
@@ -167,7 +163,9 @@ def refine_family(F: Family) -> Family:
     """Product each progress automaton with the leading system started at the
     owning state, so that equal progress states imply equal leading
     displacement.  Normalized acceptance of every pair is unchanged.  A
-    product state (d, t) is the integer d * T.n + t."""
+    product state (d, t) is the integer d * T.n + t while it is built; the
+    key of each refined state is its displacement t, the leading state its
+    loop words lead the owner to."""
     if F.kind == FNFA:
         raise PreconditionError("refine_family applies to fdfa/fdwa only")
     T = F.leading
@@ -182,36 +180,8 @@ def refine_family(F: Family) -> Family:
             return list(map(add, scaled[d], T.delta[t]))
 
         rows, keys = canonical_bfs(D.initial * m + q, succ)
-        new.append(Dfa(D.alphabet, rows, [i for i, key in enumerate(keys)
-                                          if key // m in D.accepting]))
+        new.append(Dfa(D.alphabet, rows,
+                       [i for i, key in enumerate(keys)
+                        if key // m in D.accepting],
+                       keys=[key % m for key in keys]))
     return Family(F.kind, T, new)
-
-
-def displacement_map(F: Family, q: int) -> Optional[list[int]]:
-    """For a refined family, the leading state implied by each progress state
-    of the automaton owned by q.  None if the family is not refined: some
-    progress state is reachable with two different leading displacements,
-    or is unreachable."""
-    D = F.progress[q]
-    if isinstance(D, Nfa):
-        raise PreconditionError("displacement maps need deterministic "
-                                "progress automata")
-    T = F.leading
-    disp: list[Optional[int]] = [None] * D.n
-    disp[D.initial] = q
-    todo = [D.initial]
-    while todo:
-        d = todo.pop()
-        # Family requires one alphabet, so symbol i is column i of both.
-        for d2, t2 in zip(D.delta[d], T.delta[disp[d]]):
-            if disp[d2] is None:
-                disp[d2] = t2
-                todo.append(d2)
-            elif disp[d2] != t2:
-                return None
-    return None if None in disp else disp
-
-
-def is_refined(F: Family) -> bool:
-    return all(displacement_map(F, q) is not None
-               for q in range(F.leading.n))

@@ -2,10 +2,13 @@
 deterministic weak automaton per leading state.
 
 The decision runs on transition profiles: the profile of a nonempty word maps
-each state of an NFA to the set of states reachable by reading the word.
-Profiles compose, so the finitely many profiles of an automaton form a monoid
-whose structure determines how acceptance behaves under taking powers of
-words.  A word is classified by its profile:
+each state of an NFA to the set of states reachable by reading the word.  A
+profile is a plain tuple of masks, one per state: entry s is the bitmask of
+the states the word leads to from s, so equal profiles are equal tuples and
+index the profile graph directly.  Profiles compose, so the finitely many
+profiles of an automaton form a monoid whose structure determines how
+acceptance behaves under taking powers of words.  A word is classified by
+its profile:
 
 * accepting  -- some power of the word is accepted;
 * rejecting  -- no power is accepted;
@@ -50,11 +53,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
+from .almost import HASH, next_prime, sigma_plus_dfa
 from .automata import Dfa, Nfa, llex_bfs, strongly_connected_components
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
-from .family import FDWA, FNFA, Family
-from .fixtures import HASH, next_prime, sigma_plus_dfa, trivial_leading
-from .words import Word, as_word, root
+from .family import FDWA, FNFA, Family, trivial_leading
+from .words import Word, root
 
 REGULAR = "Regular"
 NOT_REGULAR = "NotRegular"
@@ -67,26 +70,6 @@ CASE_FIRST_VISITORS = "InfinitelyManyFirstVisitors"
 CASE_DISTINCT_ROOTS = "DistinctRoots"
 
 DEFAULT_PROFILE_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class TransitionProfile:
-    """State-to-state-set summary of a nonempty word.
-
-    ``masks[s]`` is the bitmask of states reachable from s by the word."""
-
-    masks: tuple
-
-    def image(self, state: int) -> frozenset:
-        return frozenset(_bits(self.masks[state]))
-
-    def compose(self, other: "TransitionProfile") -> "TransitionProfile":
-        """Profile of xy from the profiles of x (self) and y (other)."""
-        return TransitionProfile(_compose(self.masks, other.masks))
-
-    @property
-    def n(self) -> int:
-        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -107,23 +90,12 @@ class GoodWitness:
     ``words`` is (stem, cycle, tail) for InfinitelyManyFirstVisitors -- every
     stem cycle^k tail first reaches the profile -- and (x, u) for
     DistinctRoots, where x first reaches the profile, u loops on it, and the
-    two have different primitive roots."""
+    two have different primitive roots.  ``profile`` holds the masks of the
+    terminal profile."""
 
-    profile: TransitionProfile
+    profile: tuple
     case: str
     words: tuple
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _compose(first, second):
-    """Masks of xy from masks of x and y (apply x, then y)."""
-    return tuple(_apply(second, m) for m in first)
 
 
 def _apply(masks, source: int) -> int:
@@ -150,24 +122,10 @@ class _RowImages(dict):
         return image
 
 
-def _symbol_profiles(A):
-    """Profile masks of each symbol of a Dfa or an Nfa, in alphabet order."""
-    if isinstance(A, Nfa):
-        return [tuple(_mask(A.delta[s][i]) for s in range(A.n))
-                for i in range(len(A.alphabet))]
-    if isinstance(A, Dfa):
-        return [tuple(1 << A.delta[s][i] for s in range(A.n))
-                for i in range(len(A.alphabet))]
-    raise InputError("profiles need a DFA or an NFA")
-
-
-def _ends(A):
-    """(initial mask, accepting mask) of a Dfa or an Nfa."""
-    if isinstance(A, Nfa):
-        return _mask(A.initials), _mask(A.accepting)
-    if isinstance(A, Dfa):
-        return 1 << A.initial, _mask(A.accepting)
-    raise InputError("profiles need a DFA or an NFA")
+def _symbol_profiles(N: Nfa):
+    """Profile masks of each symbol of N, in alphabet order."""
+    return [tuple(_mask(N.delta[s][i]) for s in range(N.n))
+            for i in range(len(N.alphabet))]
 
 
 def _mask(states) -> int:
@@ -177,25 +135,10 @@ def _mask(states) -> int:
     return out
 
 
-def profile_of(A, x) -> TransitionProfile:
-    """Transition profile of the nonempty word x on automaton A."""
-    x = as_word(x)
-    if not x:
-        raise InputError("the empty word has no transition profile")
-    sym = _symbol_profiles(A)
-    idx = A.sym_index
-    try:
-        masks = sym[idx[x[0]]]
-        for t in x[1:]:
-            masks = _compose(masks, sym[idx[t]])
-    except KeyError as e:
-        raise InputError(f"unknown symbol {e.args[0]!r}") from None
-    return TransitionProfile(masks)
-
-
-def classify_profile(A, tau: TransitionProfile,
+def classify_profile(N: Nfa, masks: tuple,
                      cap: int = DEFAULT_PROFILE_CAP) -> ProfileClass:
-    """Classify a profile of A as Accepting, Rejecting or Terminal-Accepting.
+    """Classify a profile tau of N, given by its masks, as Accepting,
+    Rejecting or Terminal-Accepting.
 
     tau^e is accepted when its image of the initial set meets the accepting
     set, so only the orbit v_e = init.tau^e (e >= 1) matters, one image per
@@ -209,10 +152,9 @@ def classify_profile(A, tau: TransitionProfile,
     every m, m.i' >= j and m.i' = m.i (mod c), hence no hitting multiple
     either: the least such i is at most j+c-1.  Likewise the multiples m.i
     with m in [j, j+c) cover every residue that a larger m reaches."""
-    if tau.n != A.n:
+    if len(masks) != N.n:
         raise InputError("profile does not match the automaton")
-    init, acc = _ends(A)
-    masks = tau.masks
+    init, acc = _mask(N.initials), _mask(N.accepting)
     first = {}  # orbit value -> least exponent e with v_e equal to it
     hits = []
     v = _apply(masks, init)
@@ -296,7 +238,7 @@ def stabilize(F: Family) -> Family:
     for q in range(T.n):
         starts = [k for q2 in range(T.n) for p in range(len(parts[q2][2]))
                   for k in close((1, q2, p, q, p))]
-        out.append(Nfa.build(T.alphabet, starts, edges, accepting).trim())
+        out.append(Nfa.build(T.alphabet, starts, edges, accepting))
     return Family(FNFA, T, out)
 
 
@@ -327,7 +269,7 @@ def label_by_leading(F: Family) -> Family:
     starts = [(q, q, s0) for q in range(T.n) for s0 in parts[q][0]]
     union = Nfa.build(tokens, starts, edges,
                       lambda key: key[1] == key[0]
-                      and key[2] in parts[key[0]][1]).trim()
+                      and key[2] in parts[key[0]][1])
     return Family(FNFA, trivial_leading(tokens), [union])
 
 
@@ -438,8 +380,7 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
         return tuple(N.alphabet[si] for si in idxs)
 
     terminals = [i for i, m in enumerate(profiles)
-                 if classify_profile(N, TransitionProfile(m), cap)
-                 .classification == TERMINAL]
+                 if classify_profile(N, m, cap).classification == TERMINAL]
     preds = [[] for _ in profiles]
     for i, row in enumerate(succ):
         for j in row:
@@ -456,8 +397,7 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
             stem = _least_word(seeds, rho, succ, avoid=g)
             cycle = _least_word(after_rho, rho, succ, avoid=g)
             tail = _least_word(after_rho, g, succ)
-            return GoodWitness(TransitionProfile(profiles[g]),
-                               CASE_FIRST_VISITORS,
+            return GoodWitness(profiles[g], CASE_FIRST_VISITORS,
                                (to_word(stem), to_word(cycle),
                                 to_word(tail)))
 
@@ -470,14 +410,12 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
             u = to_word(recs[0])
             x = next(to_word(w) for w in fvs
                      if root(to_word(w)) != root(u))
-            return GoodWitness(TransitionProfile(profiles[g]),
-                               CASE_DISTINCT_ROOTS, (x, u))
+            return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
         x = to_word(fvs[0])
         if len(recs) >= 2:
             u = next(to_word(w) for w in recs
                      if root(to_word(w)) != root(x))
-            return GoodWitness(TransitionProfile(profiles[g]),
-                               CASE_DISTINCT_ROOTS, (x, u))
+            return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
         u = to_word(recs[0])
         # A unique first visitor x and a unique recurrence u: every word
         # with profile g is some x u^k.  These have finitely many roots when
@@ -485,8 +423,7 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
         # many x u^k are primitive (Lyndon-Schutzenberger).
         if root(x) == root(u):
             continue
-        return GoodWitness(TransitionProfile(profiles[g]),
-                           CASE_DISTINCT_ROOTS, (x, u))
+        return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
     return None
 
 
@@ -568,30 +505,3 @@ def gen_ter_hardness(dfas) -> Dfa:
 
     return Dfa.build(full, ("init",), step, accepting=accepting)
 
-
-def brute_ter_roots(A, len_bound: int) -> set:
-    """All primitive words up to len_bound whose profile is terminal."""
-    if len_bound < 0:
-        raise InputError("length bound must be nonnegative")
-    sym = _symbol_profiles(A)
-    classes = {}
-
-    def terminal(masks) -> bool:
-        if masks not in classes:
-            c = classify_profile(A, TransitionProfile(masks))
-            classes[masks] = c.classification == TERMINAL
-        return classes[masks]
-
-    out = set()
-    layer = [((), None)]
-    for _ in range(len_bound):
-        nxt = []
-        for w, masks in layer:
-            for si, a in enumerate(A.alphabet):
-                m2 = sym[si] if masks is None else _compose(masks, sym[si])
-                w2 = w + (a,)
-                nxt.append((w2, m2))
-                if terminal(m2) and root(w2) == w2:
-                    out.add(w2)
-        layer = nxt
-    return out

@@ -41,6 +41,10 @@ x reaches p and maps q to p, y maps p to q and reaches r from the progress
 automaton owned by the displacement of p, x*y loops on r, and the parity of
 r disagrees with that of p and q.  Such a witness yields two normalized
 representations of one word with opposite weak acceptance, and conversely.
+The check runs on the refined family, where every progress state fixes the
+leading state its loop words displace the owner to.  `refine_family` keeps
+that leading state as the state's key, so the displacements are read off
+the keys and never walked again.
 
 The reported witness is the least key (len z, z, u, p, q, r) over all
 admissible tuples, z = x*y.  Each tuple's search is limited to the length
@@ -61,11 +65,10 @@ import math
 from collections import deque
 from typing import Optional
 
-from .automata import dfa_sccs, llex_bfs, minimize_dfa
-from .errors import (CAP_EXCEEDED, CapExceededError, InputError,
-                     PreconditionError, Verdict)
+from .automata import dfa_sccs, llex_bfs, minimize_dfa, orbit
+from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
-                     displacement_map, is_refined, refine_family)
+                     refine_family)
 from .words import Representation
 
 SATURATED = "Saturated"
@@ -74,17 +77,6 @@ NOT_SATURATED = "NotSaturated"
 STAGE_LOOPSHIFT = "Loopshift"
 STAGE_POWER = "Power"
 STAGE_FDWA = "FdwaWitness"
-
-
-def _displacements(F: Family) -> list[list[int]]:
-    disps = []
-    for q in range(F.leading.n):
-        d = displacement_map(F, q)
-        if d is None:
-            raise PreconditionError(
-                "family must be refined; apply refine_family first")
-        disps.append(d)
-    return disps
 
 
 def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
@@ -160,18 +152,10 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
                 continue
             rep = tuple(T.alphabet[si] for si in w)
             base = s in acc
-            seen = {s}
-            i = 1
-            flip = None
-            while True:
-                s = D.after(s, rep)
-                i += 1
-                if (s in acc) != base:
-                    flip = i
-                    break
-                if s in seen:
-                    break
-                seen.add(s)
+            # the states that rep, rep^2, rep^3, ... lead to
+            states, _ = orbit(s, lambda t: D.after(t, rep))
+            flip = next((i for i, t in enumerate(states, 1)
+                         if (t in acc) != base), None)
             if flip is None:
                 continue
             key = ((len(w), w), q, flip)
@@ -291,9 +275,10 @@ def _fdwa_witness_word(Bu, Bv, p, q, r, limit, budget):
 def _least_fdwa_witness(work, cap):
     """The least key ((len z, z), u, p, q, r) over all admissible tuples,
     as (key, v), or None.  Each tuple's search is bounded by the length of
-    the best witness so far: a longer word cannot win."""
-    disps = _displacements(work)
+    the best witness so far: a longer word cannot win.  `work` is refined,
+    so the key of each progress state is its displacement."""
     progress = work.progress
+    disps = [B.keys for B in progress]
     comps = [_components(B) for B in progress]
     budget = math.inf if cap is None else cap
     best = None
@@ -341,7 +326,7 @@ def check_fdwa_saturated(W: Family, cap: Optional[int] = None) -> Verdict:
     if cap is not None and cap < 1:
         raise InputError("cap must be positive")
     W.require_weak()
-    work = W if is_refined(W) else refine_family(W)
+    work = refine_family(W)
     try:
         best = _least_fdwa_witness(work, cap)
     except CapExceededError:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from .automata import Dfa, Nba, TransitionSystem, dfa_sccs, llex_bfs
 from .errors import InputError, PreconditionError
-from .family import FDFA, FDWA, Family
-from .fixtures import trivial_leading
+from .family import FDFA, FDWA, Family, trivial_leading
 from .saturation import check_fdwa_saturated
 from .words import Representation
 

@@ -16,8 +16,6 @@ from .errors import InputError
 
 Word = tuple[str, ...]
 
-EPSILON: Word = ()
-
 
 def as_word(w) -> Word:
     """Coerce a str (one token per character) or an iterable of tokens."""
@@ -81,14 +79,6 @@ def root(x: Sequence[str]) -> Word:
     return x
 
 
-def rotate_right(x: Sequence[str], k: int = 1) -> Word:
-    x = tuple(x)
-    if not x:
-        return x
-    k %= len(x)
-    return x[-k:] + x[:-k] if k else x
-
-
 def canonical_pair(u: Sequence[str], x: Sequence[str]) -> tuple[Word, Word]:
     """Canonical form of u * x^omega: shift shared trailing symbols from the
     spoke into the loop, then reduce the loop to its root.  Two pairs denote
@@ -120,10 +110,6 @@ class Representation:
         u, x = canonical_pair(self.u, self.x)
         return Representation(u, x)
 
-    def same_word(self, other: "Representation") -> bool:
-        """True iff both represent the same ultimately periodic word."""
-        return canonical_pair(self.u, self.x) == canonical_pair(other.u, other.x)
-
     def shift(self) -> "Representation":
         """Move the first loop symbol onto the spoke: (u, x) -> (u x0, x')."""
         return Representation(self.u + self.x[:1], self.x[1:] + self.x[:1])
@@ -139,15 +125,4 @@ class Representation:
 
 def up_equal(r1: Representation, r2: Representation) -> bool:
     """True iff r1 and r2 denote the same ultimately periodic word."""
-    return r1.same_word(r2)
-
-
-def up_prefix(u: Sequence[str], x: Sequence[str], n: int) -> Word:
-    """The first n symbols of u * x^omega."""
-    u, x = tuple(u), tuple(x)
-    if not x:
-        raise InputError("loop must be nonempty")
-    out = u
-    while len(out) < n:
-        out = out + x
-    return out[:n]
+    return canonical_pair(r1.u, r1.x) == canonical_pair(r2.u, r2.x)

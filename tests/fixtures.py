@@ -1,39 +1,12 @@
-"""Small hand-built families used throughout the test suite and docs.
+"""Small hand-built families used throughout the test suite.
 
 Each builder is named after the language of its progress automaton; all of
 them use a trivial (single-state) leading transition system unless stated
-otherwise.  The padding helpers at the top are shared by the two hardness
-reductions (almost saturation and regularity).
+otherwise.
 """
 
-from __future__ import annotations
-
-from .automata import Dfa, TransitionSystem
-from .family import FDFA, FDWA, Family
-
-
-HASH = "#"  # block separator of the hardness instances
-
-
-def trivial_leading(alphabet) -> TransitionSystem:
-    return TransitionSystem.build(alphabet, 0, lambda s, a: 0)
-
-
-def next_prime(k: int) -> int:
-    """Least prime p >= max(k, 2)."""
-    p = max(k, 2)
-    while True:
-        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            return p
-        p += 1
-
-
-def sigma_plus_dfa(alphabet) -> Dfa:
-    """Universal on nonempty words: pads a hardness instance to prime
-    length without changing the intersection."""
-    return Dfa.from_parts(alphabet, 2,
-                          {(s, a): 1 for s in (0, 1) for a in alphabet},
-                          accepting=(1,))
+from upfam.automata import Dfa, TransitionSystem
+from upfam.family import FDFA, FDWA, Family, trivial_leading
 
 
 def ba_star_fdfa() -> Family:

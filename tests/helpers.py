@@ -4,14 +4,16 @@ import random
 from dataclasses import dataclass
 
 from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs
-from upfam.errors import (CAP_EXCEEDED, CapExceededError,
+from upfam.errors import (CAP_EXCEEDED, CapExceededError, InputError,
                           PreconditionError, Verdict)
 from upfam.family import (FDFA, FDWA, FNFA, Counterexample, Family,
-                          ReferenceSet, displacement_map)
-from upfam.fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
-                            universal_fdfa)
-from upfam.regularity import ACCEPTING, REJECTING, TERMINAL, ProfileClass
-from upfam.words import Representation
+                          ReferenceSet)
+from upfam.regularity import (ACCEPTING, REJECTING, TERMINAL, ProfileClass,
+                              _apply, classify_profile)
+from upfam.words import Representation, as_word, root
+
+from fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
+                      universal_fdfa)
 
 
 def random_ts(rng: random.Random, alphabet, max_states) -> TransitionSystem:
@@ -172,16 +174,66 @@ def _image(masks, source: int) -> int:
     return out
 
 
-def classify_by_powers(A, tau):
+def as_nfa(D: Dfa) -> Nfa:
+    """D with the same states as an NFA, for the profile code, which reads
+    NFAs only."""
+    return Nfa(D.alphabet, D.n, {(s, a): [t] for s, row in enumerate(D.delta)
+                                 for a, t in zip(D.alphabet, row)},
+               [D.initial], D.accepting)
+
+
+def _symbol_masks(N: Nfa):
+    return [tuple(sum(1 << t for t in N.delta[s][si]) for s in range(N.n))
+            for si in range(len(N.alphabet))]
+
+
+def compose(first, second):
+    """Masks of xy from the masks of x and of y (apply x, then y)."""
+    return tuple(_apply(second, m) for m in first)
+
+
+def profile_of(N: Nfa, x) -> tuple:
+    """Masks of the transition profile of the nonempty word x on N: entry s
+    is the bitmask of the states x leads to from s."""
+    x = as_word(x)
+    if not x:
+        raise InputError("the empty word has no transition profile")
+    sym = _symbol_masks(N)
+    masks = sym[N.sym_index[x[0]]]
+    for t in x[1:]:
+        masks = compose(masks, sym[N.sym_index[t]])
+    return masks
+
+
+def brute_ter_roots(N: Nfa, len_bound: int) -> set:
+    """All primitive words up to len_bound whose profile on N is terminal,
+    enumerated word by word."""
+    sym = _symbol_masks(N)
+    terminal = {}
+    out = set()
+    layer = [((), None)]
+    for _ in range(len_bound):
+        nxt = []
+        for w, masks in layer:
+            for si, a in enumerate(N.alphabet):
+                m2 = sym[si] if masks is None else compose(masks, sym[si])
+                w2 = w + (a,)
+                nxt.append((w2, m2))
+                if m2 not in terminal:
+                    terminal[m2] = (classify_profile(N, m2).classification
+                                    == TERMINAL)
+                if terminal[m2] and root(w2) == w2:
+                    out.add(w2)
+        layer = nxt
+    return out
+
+
+def classify_by_powers(N: Nfa, masks):
     """Reference for regularity.classify_profile: the classifier that built
     the table of distinct matrix powers tau^1 .. tau^(j+c-1), with
     tau^(j+c) == tau^j, and tested acceptance of every power."""
-    if isinstance(A, Nfa):
-        init = sum(1 << s for s in A.initials)
-    else:
-        init = 1 << A.initial
-    acc = sum(1 << s for s in A.accepting)
-    masks = tau.masks
+    init = sum(1 << s for s in N.initials)
+    acc = sum(1 << s for s in N.accepting)
     powers = [masks]
     seen = {masks: 1}
     while True:
@@ -302,8 +354,7 @@ def profile_graph_by_composition(N: Nfa, cap: int):
     """Reference for regularity._profile_graph: every successor profile
     composed row by row with _image, nothing cached."""
     nsym = len(N.alphabet)
-    sym = [tuple(sum(1 << t for t in N.delta[s][si]) for s in range(N.n))
-           for si in range(nsym)]
+    sym = _symbol_masks(N)
     profiles = []
     index = {}
     succ = []
@@ -325,6 +376,36 @@ def profile_graph_by_composition(N: Nfa, cap: int):
                 succ.append([None] * nsym)
             succ[i][si] = j
     return profiles, succ
+
+
+def intersect_dfa(d1: Dfa, d2: Dfa) -> Dfa:
+    """Product DFA of L(d1) and L(d2) over their shared alphabet."""
+    return Dfa.build(
+        d1.alphabet, (d1.initial, d2.initial),
+        lambda pq, a: (d1.delta[pq[0]][d1.sym_index[a]],
+                       d2.delta[pq[1]][d2.sym_index[a]]),
+        accepting=lambda pq: pq[0] in d1.accepting and pq[1] in d2.accepting)
+
+
+def displacement_map(F: Family, q: int):
+    """The leading state implied by each progress state of the automaton
+    owned by q, walked from its initial state; None if some progress state
+    is reached with two different leading displacements, or not at all.
+    Reference for the keys that family.refine_family gives each state."""
+    D = F.progress[q]
+    T = F.leading
+    disp = [None] * D.n
+    disp[D.initial] = q
+    todo = [D.initial]
+    while todo:
+        d = todo.pop()
+        for d2, t2 in zip(D.delta[d], T.delta[disp[d]]):
+            if disp[d2] is None:
+                disp[d2] = t2
+                todo.append(d2)
+            elif disp[d2] != t2:
+                return None
+    return None if None in disp else disp
 
 
 def _refined_displacements(F: Family) -> list[list[int]]:

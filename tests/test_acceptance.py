@@ -9,26 +9,28 @@ import random
 import time
 from functools import lru_cache
 
-from helpers import (fully_saturated_targets, random_family, same_family,
-                     syntactic_targets, AB)
 from upfam.almost import check_almost_saturated, gen_intersection_fdfa
-from upfam.automata import Dfa, intersect_dfa, minimize_dfa
+from upfam.automata import Dfa, minimize_dfa
 from upfam.family import (FDFA, FDWA, ReferenceSet, family_accepts,
                           is_normalized, up_membership)
-from upfam.fixtures import (ba_star_fdfa, empty_fdfa, exactly_one_a_fdfa,
-                            first_a_fdwa, odd_a_fdfa, one_b_some_a_fdfa,
-                            some_a_fdwa, universal_fdfa)
 from upfam.learning import (Sample, fdfa_to_dollar_dfa,
                             gen_char_sample, learn_active, learn_passive,
                             make_teacher)
 from upfam.oracle import (brute_almost_saturation, brute_saturation,
                           nba_lasso_accepts, normalized_word_accepts)
-from upfam.regularity import (brute_ter_roots, check_regular,
-                              classify_profile, gen_ter_hardness, profile_of)
+from upfam.regularity import (check_regular, classify_profile,
+                              gen_ter_hardness)
 from upfam.saturation import (STAGE_LOOPSHIFT, check_fdwa_saturated,
                               check_loopshift_stable, check_saturated)
 from upfam.translate import fdwa_to_nba, gen_family
 from upfam.words import Representation, root, up_equal, words_up_to
+
+from fixtures import (ba_star_fdfa, empty_fdfa, exactly_one_a_fdfa,
+                      first_a_fdwa, odd_a_fdfa, one_b_some_a_fdfa,
+                      some_a_fdwa, universal_fdfa)
+from helpers import (AB, as_nfa, brute_ter_roots, fully_saturated_targets,
+                     intersect_dfa, profile_of, random_family, same_family,
+                     syntactic_targets)
 
 NORM = ReferenceSet.NORMALIZED
 
@@ -83,9 +85,9 @@ def test_1_fixture_verdicts(capsys):
     biab = exactly_one_a_fdfa()
     expect("exactly-one-a: loopshift stable",
            check_loopshift_stable(biab, NORM).ok)
-    D = biab.progress[0]
+    N = as_nfa(biab.progress[0])
     expect("exactly-one-a: abab profile rejecting",
-           classify_profile(D, profile_of(D, "abab")).classification ==
+           classify_profile(N, profile_of(N, "abab")).classification ==
            "Rejecting")
     conclude(capsys, "1 fixture verdicts", t0, 1, failures, "9 checks")
 
@@ -223,7 +225,7 @@ def test_5_hardness_reductions(capsys):
         v = check_almost_saturated(gen_intersection_fdfa(dfas))
         if (v.status == "NotAlmostSaturated") != nonempty:
             failures.append("#%d: intersection instance verdict" % k)
-        D = gen_ter_hardness(dfas)
+        D = as_nfa(gen_ter_hardness(dfas))
         grows = len(brute_ter_roots(D, 8)) > len(brute_ter_roots(D, 4))
         if grows != nonempty:
             failures.append("#%d: terminal-root growth" % k)

@@ -9,18 +9,17 @@ import pytest
 
 from upfam.almost import (CAP_EXCEEDED, DEFAULT_CAP, NOT_ALMOST_SATURATED,
                           check_almost_saturated, gen_intersection_fdfa)
-from upfam.automata import Dfa, intersect_dfa
+from upfam.automata import Dfa
 from upfam.errors import InputError
-from upfam.family import FDFA, Family, ReferenceSet, family_accepts, \
-    is_normalized
-from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa,
-                            exactly_one_a_fdfa, odd_a_fdfa,
-                            one_b_some_a_fdfa, some_a_fdwa, trivial_leading)
+from upfam.family import (FDFA, Family, ReferenceSet, family_accepts,
+                          is_normalized, trivial_leading)
 from upfam.oracle import brute_almost_saturation
 from upfam.saturation import check_saturated
 from upfam.words import Representation, words_up_to
 
-from helpers import almost_by_transformations, random_family
+from fixtures import (ba_star_fdfa, eventually_ab_fdfa, exactly_one_a_fdfa,
+                      odd_a_fdfa, one_b_some_a_fdfa, some_a_fdwa)
+from helpers import almost_by_transformations, intersect_dfa, random_family
 
 NORM = ReferenceSet.NORMALIZED
 

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_weak, minimize_by_signatures, random_dfa
-from upfam.automata import (Dfa, Nfa, TransitionSystem, combine_dfa,
-                            complement_dfa, dfa_equivalent, dfa_sccs,
-                            intersect_dfa, is_weak, llex_bfs, minimize_dfa,
-                            weak_loop_accepts)
+from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs, is_weak,
+                            llex_bfs, minimize_dfa, orbit, weak_loop_accepts)
 from upfam.errors import InputError
 from upfam.faf import parse_sample
 from upfam.learning import learn_passive
@@ -106,20 +104,6 @@ def test_structural_equality_is_isomorphism():
     assert d1 == d2
 
 
-def test_combine_and_complement():
-    aplus = Dfa.from_parts("ab", 2, {(0, "a"): 1, (1, "a"): 1},
-                           accepting={1})
-    bplus = Dfa.from_parts("ab", 2, {(0, "b"): 1, (1, "b"): 1},
-                           accepting={1})
-    inter = intersect_dfa(aplus, bplus)
-    assert inter.is_empty()
-    union = combine_dfa(aplus, bplus, lambda x, y: x or y)
-    assert union.accepts("aa") and union.accepts("b") and \
-        not union.accepts("ab")
-    assert dfa_equivalent(complement_dfa(complement_dfa(aplus)), aplus)
-    assert not dfa_equivalent(aplus, bplus)
-
-
 def test_scc_and_weakness():
     d = ba_star_dfa()
     comps = {frozenset(c) for c in dfa_sccs(d)}
@@ -215,14 +199,17 @@ def test_nfa_basics():
     n = Nfa("ab", 2, {(0, "a"): [0, 1], (0, "b"): [0]}, [0], [1])
     assert n.accepts("a") and n.accepts("bba") and not n.accepts("ab")
     assert not n.accepts("")
-    t = n.trim()
-    assert t.n == 2 and t.accepts("ba")
 
 
-def test_nfa_trim_drops_unreachable():
-    n = Nfa("a", 3, {(0, "a"): [0], (2, "a"): [1]}, [0], [1])
-    t = n.trim()
-    assert t.n == 1 and not t.accepting
+@given(st.integers(0, 12), st.integers(1, 12))
+def test_orbit_has_the_rho_shape(tail, cycle):
+    # step walks 0, 1, ..., tail + cycle - 1 and then back to tail
+    def step(v):
+        return v + 1 if v + 1 < tail + cycle else tail
+
+    values, j = orbit(0, step)
+    assert values == list(range(tail + cycle)) and j == tail
+    assert step(values[-1]) == values[j]
 
 
 def test_transition_system_from_parts_validation():

@@ -15,10 +15,11 @@ from upfam import cli
 from upfam.cli import main, run_subcommand
 from upfam.faf import parse_faf, serialize_faf, serialize_sample
 from upfam.family import FDFA, family_accepts
-from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa, first_a_fdwa,
-                            odd_a_fdfa, some_a_fdwa, universal_fdfa)
 from upfam.learning import gen_char_sample
 from upfam.words import Representation
+
+from fixtures import (ba_star_fdfa, eventually_ab_fdfa, first_a_fdwa,
+                      odd_a_fdfa, some_a_fdwa, universal_fdfa)
 
 FILES = os.path.join(os.path.dirname(__file__), "files")
 BA_STAR = os.path.join(FILES, "ba_star.faf")

@@ -12,7 +12,8 @@ import pytest
 
 from test_cli import BA_STAR, ODD, run
 from upfam.faf import serialize_faf
-from upfam.fixtures import first_a_fdwa, universal_fdfa
+
+from fixtures import first_a_fdwa, universal_fdfa
 
 SOURCES = {
     "ba_star": (BA_STAR, None),

@@ -8,6 +8,7 @@ and a language-preserving renumbering otherwise.
 
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,12 @@ from upfam.faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                        parse_faf, parse_sample, serialize_dfa_doc,
                        serialize_faf, serialize_nba, serialize_sample)
 from upfam.family import FDFA, FNFA, family_accepts
-from upfam.fixtures import (all_fixture_families, ba_star_fdfa, first_a_fdwa,
-                            odd_a_fdfa, some_a_fdwa)
 from upfam.learning import Sample, fdfa_to_dollar_dfa
 from upfam.translate import GEN_FAMILY_NAMES, fdwa_to_nba, gen_family
 from upfam.words import Representation, words_up_to
+
+from fixtures import (all_fixture_families, ba_star_fdfa, first_a_fdwa,
+                      odd_a_fdfa, some_a_fdwa)
 
 FILES = os.path.join(os.path.dirname(__file__), "files")
 
@@ -119,6 +121,30 @@ class TestFamilyFormat:
         assert F.progress[0].initials == frozenset({0, 1})
         assert F.progress[0].delta[0][0] == frozenset({0, 1})
         assert parse_faf(serialize_faf(F)) == F
+
+    def test_fnfa_drops_unreachable_states(self):
+        text = ("faf 1\nkind fnfa\nalphabet a\n"
+                "leading\n  states 1\n  initial 0\n  trans 0 a 0\n"
+                "progress 0\n  states 3\n  initial 0\n  accepting 1\n"
+                "  trans 0 a 0\n  trans 2 a 1\n")
+        N = parse_faf(text).progress[0]
+        assert N.n == 1 and not N.accepting
+
+    @pytest.mark.parametrize("kind", ["fdfa", "fnfa"])
+    def test_memory_follows_the_transition_lines(self, kind):
+        # A block declaring 10^8 states parses at once, to the family the
+        # true count gives: rows are made by the lines that use them.
+        text = ("faf 1\nkind %s\nalphabet a b\n"
+                "leading\n  states 2\n  initial 0\n"
+                "  trans 0 a 1\n  trans 1 a 0\n"
+                "progress 0\n  states 3\n  initial 0\n  accepting 1\n"
+                "  trans 0 b 1\n  trans 1 a 1\n  trans 2 a 0\n"
+                "progress 1\n  states 1\n  initial 0\n" % kind)
+        start = time.perf_counter()
+        F = parse_faf(text.replace("states 3", "states 100000000"))
+        assert time.perf_counter() - start < 5
+        assert F == parse_faf(text)
+        assert F.progress[0].n == {"fdfa": 3, "fnfa": 2}[kind]
 
     def test_progress_blocks_in_any_order(self):
         W = first_a_fdwa()

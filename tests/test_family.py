@@ -2,19 +2,18 @@ import random
 
 import pytest
 
-from helpers import random_family
+from helpers import displacement_map, random_family
 from upfam.automata import Dfa, weak_loop_accepts
 from upfam.errors import InputError, PreconditionError
 from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
-                          displacement_map, family_accepts, is_normalized,
-                          is_refined, normalize, refine_family,
-                          up_membership)
-from upfam.fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
-                            exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
-                            one_b_some_a_fdfa, trivial_leading,
-                            universal_fdfa)
+                          family_accepts, is_normalized, normalize,
+                          refine_family, trivial_leading, up_membership)
 from upfam.oracle import enumerate_normalized
-from upfam.words import Representation, words_up_to
+from upfam.words import Representation, up_equal
+
+from fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
+                      exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
+                      one_b_some_a_fdfa, universal_fdfa)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -87,7 +86,7 @@ def test_normalize_slides_whole_loops():
     r = normalize(f, Representation("", "a"))
     assert is_normalized(f, r)
     assert r.x == ("a", "a")
-    assert r.same_word(Representation("", "a"))
+    assert up_equal(r, Representation("", "a"))
 
 
 def test_up_membership_on_saturated_families():
@@ -110,22 +109,27 @@ def test_refine_family_preserves_acceptance():
     for _ in range(40):
         fam = random_family(rng)
         ref = refine_family(fam)
-        assert is_refined(ref)
+        assert None not in [displacement_map(ref, q)
+                            for q in range(ref.leading.n)]
         for r in enumerate_normalized(fam, 4, 4):
             assert family_accepts(fam, r, NORM) == \
                 family_accepts(ref, r, NORM)
 
 
 def test_refine_family_is_idempotent_up_to_language():
+    """Refining a refined family R gives R itself, and the key of each
+    refined state is the displacement the reference walk finds: the FDWA
+    check reads its displacements off these keys."""
     rng = random.Random(99)
-    for _ in range(15):
-        fam = refine_family(random_family(rng))
-        again = refine_family(fam)
-        for u in words_up_to("ab", 3):
-            for x in words_up_to("ab", 3, 1):
-                r = Representation(u, x)
-                assert family_accepts(fam, r, ALL) == \
-                    family_accepts(again, r, ALL)
+    for k in range(2000):
+        fam = random_family(rng, (FDFA, FDWA)[k % 2],
+                            alphabet=rng.choice(["ab", "abc"]),
+                            max_leading=rng.randint(1, 4),
+                            max_progress=rng.randint(1, 6))
+        ref = refine_family(fam)
+        assert refine_family(ref) == ref
+        for q, D in enumerate(ref.progress):
+            assert list(D.keys) == displacement_map(ref, q)
 
 
 def test_refine_family_bounds_blowup():
@@ -151,7 +155,7 @@ def test_displacement_map_after_refinement():
     fam = refine_family(random_family(rng, max_leading=2, max_progress=3))
     for q in range(fam.leading.n):
         disp = displacement_map(fam, q)
-        assert disp is not None
+        assert disp is not None and disp == list(fam.progress[q].keys)
         assert disp[fam.progress[q].initial] == q
 
 

@@ -19,14 +19,15 @@ from upfam.errors import InputError, PreconditionError, ProtocolError
 from upfam.faf import serialize_faf
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
                           up_membership)
-from upfam.fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
-                            some_a_fdwa, universal_fdfa)
 from upfam.learning import (DOLLAR, Sample, Teacher, _least_dollar_difference,
                             default_fdfa, dollar_dfa_to_fdfa,
                             fdfa_to_dollar_dfa, gen_char_sample, learn_active,
                             learn_passive, make_teacher)
 from upfam.saturation import check_saturated
 from upfam.words import Representation, llex_key, words_up_to
+
+from fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
+                      some_a_fdwa, universal_fdfa)
 
 GAMMA = AB + (DOLLAR,)
 

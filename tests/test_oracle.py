@@ -7,11 +7,12 @@ from helpers import random_family
 from upfam.automata import Nfa
 from upfam.errors import InputError
 from upfam.family import ReferenceSet, family_accepts, up_membership
-from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa, mod2_leading,
-                            odd_a_fdfa, universal_fdfa)
 from upfam.oracle import (brute_almost_saturation, brute_saturation,
                           enumerate_normalized, nba_lasso_accepts)
 from upfam.words import Representation, up_equal
+
+from fixtures import (ba_star_fdfa, eventually_ab_fdfa, mod2_leading,
+                      odd_a_fdfa, universal_fdfa)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -24,7 +25,7 @@ def test_enumerate_normalized_trivial():
 
 def test_enumerate_normalized_mod2():
     from upfam.family import FDFA, Family
-    from upfam.fixtures import empty_fdfa
+    from fixtures import empty_fdfa
     f = Family(FDFA, mod2_leading("a"), [empty_fdfa("a").progress[0]] * 2)
     assert enumerate_normalized(f, 0, 2) == [Representation("", "aa")]
 

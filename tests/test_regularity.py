@@ -12,24 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upfam.automata import Dfa, intersect_dfa
+from upfam.automata import Dfa
 from upfam.errors import CapExceededError, InputError, Verdict
 from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts)
-from upfam.fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
-                            exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
-                            one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               DEFAULT_PROFILE_CAP, TERMINAL, GoodWitness,
-                              ProfileClass, TransitionProfile,
-                              _profile_graph, brute_ter_roots, check_regular,
+                              ProfileClass, _profile_graph, check_regular,
                               classify_profile, find_good_witness,
-                              gen_ter_hardness, label_by_leading, profile_of,
-                              stabilize)
+                              gen_ter_hardness, label_by_leading, stabilize)
 from upfam.translate import gen_family
 from upfam.words import Representation, root, words_up_to
 
-from helpers import (classify_by_powers, profile_graph_by_composition,
+from fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
+                      exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
+                      one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
+from helpers import (as_nfa, brute_ter_roots, classify_by_powers, compose,
+                     intersect_dfa, profile_graph_by_composition, profile_of,
                      random_dfa, random_family, random_nfa)
 
 NORM = ReferenceSet.NORMALIZED
@@ -60,18 +59,18 @@ def assert_same_up_language(F, S, max_x=4):
 
 
 def test_profile_of_rejects_empty_word():
-    D = odd_a_fdfa().progress[0]
+    N = as_nfa(odd_a_fdfa().progress[0])
     with pytest.raises(InputError):
-        profile_of(D, ())
+        profile_of(N, ())
 
 
 def test_profile_composition_is_a_homomorphism():
-    D = exactly_one_a_fdfa().progress[0]
+    N = as_nfa(exactly_one_a_fdfa().progress[0])
     words = list(words_up_to("ab", 3, min_len=1))
     for x in words:
         for y in words:
-            assert profile_of(D, x + y) == \
-                profile_of(D, x).compose(profile_of(D, y))
+            assert profile_of(N, x + y) == \
+                compose(profile_of(N, x), profile_of(N, y))
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,39 +83,41 @@ def test_profile_composition_on_an_nfa(x, y):
     xs = tuple(toks[0] if a == "a" else toks[1] for a in x)
     ys = tuple(toks[0] if a == "a" else toks[1] for a in y)
     assert profile_of(N, xs + ys) == \
-        profile_of(N, xs).compose(profile_of(N, ys))
+        compose(profile_of(N, xs), profile_of(N, ys))
 
 
 def test_profile_images():
-    D = odd_a_fdfa().progress[0]
-    tau = profile_of(D, "a")
-    assert tau.image(0) == {1} and tau.image(1) == {0}
-    assert tau.compose(tau).image(0) == {0}
+    N = as_nfa(odd_a_fdfa().progress[0])
+    tau = profile_of(N, "a")
+    assert tau == (0b10, 0b01)  # a swaps the two states
+    assert compose(tau, tau) == (0b01, 0b10)
 
 
 def test_classify_odd_a():
-    D = odd_a_fdfa().progress[0]
-    c = classify_profile(D, profile_of(D, "a"))
+    N = as_nfa(odd_a_fdfa().progress[0])
+    c = classify_profile(N, profile_of(N, "a"))
     assert c == ProfileClass(TERMINAL, 2)  # aa and all its powers rejected
-    assert classify_profile(D, profile_of(D, "aa")).classification == \
+    assert classify_profile(N, profile_of(N, "aa")).classification == \
         "Rejecting"
+    with pytest.raises(InputError):
+        classify_profile(N, (0b10,))  # one mask for two states
 
 
 def test_classify_exactly_one_a():
-    D = exactly_one_a_fdfa().progress[0]
-    assert classify_profile(D, profile_of(D, "abab")).classification == \
+    N = as_nfa(exactly_one_a_fdfa().progress[0])
+    assert classify_profile(N, profile_of(N, "abab")).classification == \
         "Rejecting"
-    c = classify_profile(D, profile_of(D, "ab"))
+    c = classify_profile(N, profile_of(N, "ab"))
     assert c.classification == TERMINAL and c.power == 2
     # no power of b ever sees an a, so its profile is rejecting outright
-    assert classify_profile(D, profile_of(D, "b")) == \
+    assert classify_profile(N, profile_of(N, "b")) == \
         ProfileClass("Rejecting")
 
 
 def test_classify_universal_progress_never_terminal():
-    D = universal_fdfa("ab").progress[0]
+    N = as_nfa(universal_fdfa("ab").progress[0])
     for x in words_up_to("ab", 3, min_len=1):
-        c = classify_profile(D, profile_of(D, x))
+        c = classify_profile(N, profile_of(N, x))
         assert c.classification == "Accepting"
 
 
@@ -140,19 +141,18 @@ def test_orbit_classifier_matches_matrix_powers():
     for k in range(4000):
         kind = k % 4
         if kind == 0:
-            A = random_dfa(rng, "ab", 6)
+            N = as_nfa(random_dfa(rng, "ab", 6))
         elif kind == 1:
-            A = random_nfa(rng, "ab", 6)
+            N = random_nfa(rng, "ab", 6)
         else:
-            A = _permutation_dfa(rng, rng.randint(2, 12))
+            N = as_nfa(_permutation_dfa(rng, rng.randint(2, 12)))
         if rng.random() < 0.25:  # any relation, not only a word's
-            tau = TransitionProfile(tuple(rng.getrandbits(A.n)
-                                          for _ in range(A.n)))
+            tau = tuple(rng.getrandbits(N.n) for _ in range(N.n))
         else:
             x = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
-            tau = profile_of(A, x)
-        c = classify_profile(A, tau)
-        assert c == classify_by_powers(A, tau), (A.delta, tau)
+            tau = profile_of(N, x)
+        c = classify_profile(N, tau)
+        assert c == classify_by_powers(N, tau), (N.delta, tau)
         seen[c.classification] = max(seen.get(c.classification, 0),
                                      c.power or 0)
     assert seen.keys() == {"Accepting", "Rejecting", TERMINAL}
@@ -438,12 +438,13 @@ def test_large_ladders_are_regular(name, n):
 
 
 def test_brute_ter_roots_on_fixtures():
-    assert brute_ter_roots(odd_a_fdfa().progress[0], 6) == {("a",)}
-    roots = brute_ter_roots(exactly_one_a_fdfa().progress[0], 4)
+    assert brute_ter_roots(as_nfa(odd_a_fdfa().progress[0]), 6) == {("a",)}
+    roots = brute_ter_roots(as_nfa(exactly_one_a_fdfa().progress[0]), 4)
     assert ("a", "b") in roots  # ab accepted, every higher power rejected
     assert ("a", "b", "a", "b") not in roots
     assert all(root(r) == r for r in roots)
-    assert brute_ter_roots(universal_fdfa("ab").progress[0], 5) == set()
+    assert brute_ter_roots(as_nfa(universal_fdfa("ab").progress[0]), 5) == \
+        set()
 
 
 def test_brute_ter_roots_grows_on_the_not_regular_fixtures():
@@ -482,7 +483,7 @@ def b_plus():
 
 
 def test_hardness_single_automaton_has_growing_roots():
-    D = gen_ter_hardness([a_plus()])
+    D = as_nfa(gen_ter_hardness([a_plus()]))
     roots4 = brute_ter_roots(D, 4)
     assert ("#", "a") in roots4 and ("#", "a", "a") in roots4
     roots8 = brute_ter_roots(D, 8)
@@ -491,7 +492,7 @@ def test_hardness_single_automaton_has_growing_roots():
 
 
 def test_hardness_empty_intersection_has_no_roots():
-    D = gen_ter_hardness([a_plus(), b_plus()])
+    D = as_nfa(gen_ter_hardness([a_plus(), b_plus()]))
     assert brute_ter_roots(D, 8) == set()
 
 
@@ -553,7 +554,8 @@ def test_hardness_matches_intersection_emptiness():
         for d in ds[1:]:
             inter = intersect_dfa(inter, d)
         nonempty = bool(inter.accepting)
-        assert bool(brute_ter_roots(gen_ter_hardness(ds), 8)) == nonempty
+        D = as_nfa(gen_ter_hardness(ds))
+        assert bool(brute_ter_roots(D, 8)) == nonempty
         nonempty_seen += nonempty
         empty_seen += not nonempty
     assert nonempty_seen >= 30 and empty_seen >= 30

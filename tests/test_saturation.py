@@ -13,12 +13,8 @@ from test_cli import run
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
 from upfam.errors import InputError
 from upfam.faf import serialize_faf
-from upfam.family import (FDFA, FDWA, Family, ReferenceSet,
-                          displacement_map, family_accepts, is_refined,
+from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
                           refine_family)
-from upfam.fixtures import (ba_star_fdfa, eventually_ab_fdfa,
-                            exactly_one_a_fdfa, first_a_fdwa, odd_a_fdfa,
-                            some_a_fdwa, universal_fdfa)
 from upfam.oracle import brute_saturation
 from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
                               check_fdwa_saturated, check_loopshift_stable,
@@ -26,8 +22,10 @@ from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
 from upfam.translate import gen_family
 from upfam.words import up_equal, words_up_to
 
-from helpers import (loopshift_on_refined, make_weak, power_on_refined,
-                     random_family, random_ts)
+from fixtures import (ba_star_fdfa, eventually_ab_fdfa, exactly_one_a_fdfa,
+                      first_a_fdwa, odd_a_fdfa, some_a_fdwa, universal_fdfa)
+from helpers import (displacement_map, loopshift_on_refined, make_weak,
+                     power_on_refined, random_family, random_ts)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -69,7 +67,7 @@ def test_odd_a_power_witness():
 
 
 def test_one_b_power_witness():
-    from upfam.fixtures import one_b_some_a_fdfa
+    from fixtures import one_b_some_a_fdfa
     v = check_saturated(one_b_some_a_fdfa(), ReferenceSet.NORMALIZED)
     assert v.stage == STAGE_POWER
     assert rep_pair(v.witness) == (((), ("a", "b")),
@@ -135,13 +133,13 @@ def test_stage_checks_match_refined_family():
     verdict, stage and witness.  The mod-2 family is not refined (both
     progress states are reached with both leading displacements); a third
     of the random families are minimized first, as check_saturated does."""
-    from upfam.fixtures import mod2_leading
+    from fixtures import mod2_leading
     lead = mod2_leading("ab")
     odd = Dfa.from_parts("ab", 2, {(0, "a"): 1, (0, "b"): 0,
                                    (1, "a"): 0, (1, "b"): 1},
                          accepting={1})
     families = [Family(FDFA, lead, [odd, odd])]
-    assert not is_refined(families[0])
+    assert displacement_map(families[0], 0) is None
     rng = random.Random("stages-on-unrefined")
     for k in range(600):
         F = random_family(rng, FDFA, alphabet=rng.choice(["ab", "abc"]),
@@ -223,7 +221,7 @@ def test_fdwa_check_refines_progress_with_unreachable_states():
     # family is not refined and the checker must refine it first.
     W = Family(FDWA, TransitionSystem("ab", [[0, 0]]),
                [Dfa("ab", [[0, 0], [1, 1], [2, 1]], [0, 1], 0)])
-    assert displacement_map(W, 0) is None and not is_refined(W)
+    assert displacement_map(W, 0) is None
     assert check_fdwa_saturated(W).status == "Saturated"
 
 
@@ -299,7 +297,7 @@ def test_fdwa_witness_is_llex_least():
     unsat = 0
     for W in families:
         v = check_fdwa_saturated(W)
-        work = W if is_refined(W) else refine_family(W)
+        work = refine_family(W)
         disps = [displacement_map(work, u) for u in range(work.leading.n)]
         if v.ok:
             bound = 4

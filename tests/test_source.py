@@ -1,6 +1,7 @@
 """Source hygiene of the package: every module imports only what it uses,
-every function it defines is used somewhere, and the runtime imports
-nothing outside the standard library.
+every function it defines is used somewhere, every public function and
+class is run by the package or the benchmark, not only by tests, and the
+runtime imports nothing outside the standard library.
 
 The import check covers the package and the test modules.  It skips
 `__init__.py`, because its imports are the public re-exports, and `from
@@ -98,6 +99,43 @@ def test_no_unused_functions():
               for name, line in defined_functions(
                   path.read_text(encoding="utf-8")).items()
               if name not in read]
+    assert unused == []
+
+
+# Public names that nothing in src/ or bench/ runs, kept on purpose: the
+# paper's two hardness reductions, which acceptance test 5 builds and checks
+# against DFA intersection emptiness.
+LIBRARY_ONLY = {"gen_intersection_fdfa", "gen_ter_hardness"}
+
+
+def public_definitions(source: str) -> dict[str, int]:
+    """Name and line of every public module-level function and class."""
+    return {node.name: node.lineno for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def test_detects_a_public_definition():
+    src = ("class C:\n    def m(self): pass\n"
+           "def f(): pass\ndef _g(): pass\n")
+    assert public_definitions(src) == {"C": 1, "f": 3}
+
+
+def test_package_runs_every_public_definition():
+    """A public function or class of the package is read by the package
+    itself or by the benchmark; a name only tests read belongs in tests/.
+    The re-exports of __init__.py do not count as reads, and the oracle
+    module, which the checkers never call, is not checked."""
+    read = set().union(*(names_read(p.read_text(encoding="utf-8"))
+                         for d in ("src", "bench")
+                         for p in (ROOT / d).rglob("*.py")
+                         if p.name != "__init__.py"))
+    unused = ["%s (%s line %d)" % (name, path.name, line)
+              for path in MODULES if path.name != "oracle.py"
+              for name, line in public_definitions(
+                  path.read_text(encoding="utf-8")).items()
+              if name not in read | LIBRARY_ONLY]
     assert unused == []
 
 

@@ -17,9 +17,7 @@ from upfam.automata import Dfa, weak_loop_accepts
 from upfam.errors import InputError, PreconditionError
 from upfam.faf import serialize_nba
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
-                          is_normalized)
-from upfam.fixtures import (empty_fdfa, first_a_fdwa, odd_a_fdfa,
-                            some_a_fdwa, trivial_leading, universal_fdfa)
+                          is_normalized, trivial_leading)
 from upfam.oracle import nba_lasso_accepts, normalized_word_accepts
 from upfam.saturation import check_fdwa_saturated, check_saturated
 from upfam.translate import (GEN_FAMILY_NAMES, complement_saturated_fdwa,
@@ -27,6 +25,8 @@ from upfam.translate import (GEN_FAMILY_NAMES, complement_saturated_fdwa,
                              fdwa_to_nba, gen_family, is_duo_normalized)
 from upfam.words import Representation, words_up_to
 
+from fixtures import (empty_fdfa, first_a_fdwa, odd_a_fdfa, some_a_fdwa,
+                      universal_fdfa)
 from helpers import random_family
 
 NORM = ReferenceSet.NORMALIZED

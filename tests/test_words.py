@@ -5,12 +5,20 @@ from hypothesis import given, strategies as st
 
 from upfam.errors import InputError
 from upfam.words import (Representation, as_word, canonical_pair,
-                         format_word, llex_key, parse_word, root,
-                         rotate_right, up_equal, up_prefix, words_up_to)
+                         format_word, llex_key, parse_word, root, up_equal,
+                         words_up_to)
 
 
 def binary_words(max_len, min_len=0):
     return list(words_up_to("ab", max_len, min_len))
+
+
+def up_prefix(u, x, n):
+    """The first n symbols of u * x^omega."""
+    out = tuple(u)
+    while len(out) < n:
+        out += tuple(x)
+    return out[:n]
 
 
 def test_root_basic():
@@ -78,13 +86,6 @@ def test_canonical_idempotent_and_preserves_word(u, x):
     assert c.canonical() == c
     n = len(u) + 8 * len(x)
     assert up_prefix(r.u, r.x, n) == up_prefix(c.u, c.x, n)
-
-
-@given(st.text("ab", min_size=1, max_size=6), st.integers(0, 10))
-def test_rotate_right_preserves_multiset_and_cycles(x, k):
-    w = as_word(x)
-    assert sorted(rotate_right(w, k)) == sorted(w)
-    assert rotate_right(w, len(w)) == w
 
 
 def test_llex_order_of_words_up_to():
