@@ -16,6 +16,10 @@ per edge.  Access words are not stored while building: `access_word`
 derives them on first use with `llex_bfs`, whose discovery order is the
 canonical numbering, so the word of each state is the
 length-lexicographically least word reaching it.
+
+The other walks the checkers share live here too: `reachable`, the plain
+reachability walk, and `strongly_connected_components` with `on_cycle`,
+the one rule for which states lie on a cycle.
 """
 
 from __future__ import annotations
@@ -53,6 +57,21 @@ def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
                 words[nxt] = nxt_word
                 queue.append(nxt)
                 yield nxt, nxt_word
+
+
+def reachable(seeds: Iterable[Hashable],
+              succ: Callable[[Hashable], Iterable[Hashable]],
+              avoid: Optional[Hashable] = None) -> set:
+    """The nodes reachable from `seeds` along `succ`, the seeds included,
+    on paths that never enter `avoid`."""
+    seen = {v for v in seeds if v != avoid}
+    todo = list(seen)
+    while todo:
+        for t in succ(todo.pop()):
+            if t != avoid and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 def orbit(start: Hashable, step: Callable[[Hashable], Hashable]
@@ -102,8 +121,7 @@ class TransitionSystem:
     """A complete deterministic transition system over a fixed alphabet."""
 
     def __init__(self, alphabet: Sequence[str], delta: Sequence[Sequence[int]],
-                 initial: int = 0, access: Optional[Sequence[Word]] = None,
-                 keys: Optional[Sequence] = None):
+                 initial: int = 0, keys: Optional[Sequence] = None):
         self.alphabet = tuple(alphabet)
         self.sym_index = {t: i for i, t in enumerate(self.alphabet)}
         if len(self.sym_index) != len(self.alphabet):
@@ -115,7 +133,7 @@ class TransitionSystem:
         if (not set(map(len, self.delta)) <= {len(self.alphabet)}
                 or cells and not (0 <= min(cells) and max(cells) < self.n)):
             raise InputError("malformed transition table")
-        self._access = tuple(access) if access is not None else None
+        self._access: Optional[tuple] = None  # filled by access_word
         self.keys = tuple(keys) if keys is not None else None
 
     @classmethod
@@ -130,7 +148,7 @@ class TransitionSystem:
 
     @classmethod
     def _finish(cls, alphabet, rows, keys):
-        return cls(alphabet, rows, 0, None, keys)
+        return cls(alphabet, rows, 0, keys)
 
     @classmethod
     def from_table(cls, alphabet: Sequence[str],
@@ -205,8 +223,8 @@ class Dfa(TransitionSystem):
     """A transition system with an accepting-state set."""
 
     def __init__(self, alphabet, delta, accepting: Iterable[int],
-                 initial: int = 0, access=None, keys=None):
-        super().__init__(alphabet, delta, initial, access, keys)
+                 initial: int = 0, keys=None):
+        super().__init__(alphabet, delta, initial, keys)
         self.accepting = frozenset(accepting)
         if self.accepting and not (0 <= min(self.accepting)
                                    and max(self.accepting) < self.n):
@@ -221,7 +239,7 @@ class Dfa(TransitionSystem):
     @classmethod
     def _finish(cls, alphabet, rows, keys, pred):
         acc = [i for i, k in enumerate(keys) if k is not None and pred(k)]
-        return cls(alphabet, rows, acc, 0, None, keys)
+        return cls(alphabet, rows, acc, 0, keys)
 
     @classmethod
     def from_table(cls, alphabet, table, initial=0, accepting=()):
@@ -324,6 +342,13 @@ def strongly_connected_components(n: int,
     return out
 
 
+def on_cycle(comp: Sequence[int], succ: Sequence[Iterable[int]]) -> bool:
+    """True when the states of a strongly connected component lie on a
+    cycle: the component has several states, or its one state has a
+    self-loop."""
+    return len(comp) > 1 or comp[0] in succ[comp[0]]
+
+
 def dfa_sccs(d: TransitionSystem) -> list[list[int]]:
     succ = [sorted(set(row)) for row in d.delta]
     return strongly_connected_components(d.n, succ)
@@ -339,8 +364,8 @@ def is_weak(d: Dfa) -> bool:
     return True
 
 
-def weak_loop_accepts(d: Dfa, x: Word, state: Optional[int] = None) -> bool:
-    """Deterministic-Buchi acceptance of x^omega from the given state.
+def weak_loop_accepts(d: Dfa, x: Word) -> bool:
+    """Deterministic-Buchi acceptance of x^omega from the initial state.
 
     The states visited infinitely often are exactly those on the cycle of
     whole-x iterates, including positions inside each application of x;
@@ -348,8 +373,7 @@ def weak_loop_accepts(d: Dfa, x: Word, state: Optional[int] = None) -> bool:
     with the SCC classification of the cycle."""
     if not x:
         raise InputError("loop acceptance needs a nonempty loop")
-    s = d.initial if state is None else state
-    path, j = orbit(s, lambda t: d.after(t, x))
+    path, j = orbit(d.initial, lambda t: d.after(t, x))
     idx = d.sym_index
     for t in path[j:]:
         if t in d.accepting:

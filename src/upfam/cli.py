@@ -10,6 +10,7 @@ exceeded.  `-` stands for stdin/stdout so commands compose in pipes.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -264,7 +265,10 @@ def _cmd_oracle(args) -> int:
     return _emit(args.which, verdict, args.json, [bounds])
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: the
+    handlers it binds look the checkers up when they run."""
     p = argparse.ArgumentParser(
         prog="upfam",
         description="Decision procedures, translations, and learners for "

@@ -21,13 +21,14 @@ A family document looks like
 
 with one ``progress <q>`` block per leading state.  Deterministic kinds
 reject duplicate (state, symbol) transitions; ``fnfa`` blocks may repeat
-them and may declare several start states with ``initials``.  Missing
-transitions fall into an implicit rejecting sink, and machines are
-renumbered in canonical breadth-first order on load (unreachable states are
-dropped).  Lines starting with ``#`` are comments, as is anything after a
-directive's arguments.  ``#`` and ``$`` are legal alphabet symbols; since
-``#`` also opens comments, declare it as the last token of the
-``alphabet`` line.
+them and may declare several start states with ``initials``.  Unreachable
+states are dropped on load.  Deterministic machines are renumbered in
+canonical breadth-first order, and their missing transitions fall into an
+implicit rejecting sink; ``fnfa`` blocks keep their reachable states in
+declared order, and a missing transition there leads nowhere.  Lines
+starting with ``#`` are comments, as is anything after a directive's
+arguments.  ``#`` and ``$`` are legal alphabet symbols; since ``#`` also
+opens comments, declare it as the last token of the ``alphabet`` line.
 
 Dollar machines (plain DFAs) use the same directives under a ``dfa 1``
 header; serialized Buchi automata use ``nba 1`` with ``initials``.  Sample
@@ -37,7 +38,7 @@ files carry one labeled pair per line, ``+<TAB>u<TAB>x`` or
 
 from __future__ import annotations
 
-from .automata import Dfa, Nfa, TransitionSystem
+from .automata import Dfa, Nfa, TransitionSystem, reachable
 from .errors import InputError
 from .family import FNFA, KINDS, Family
 from .learning import Sample
@@ -322,13 +323,7 @@ def _reachable_nfa(alphabet, moves, initials, accepting):
     succ = {}
     for (s, _), ts in moves.items():
         succ.setdefault(s, []).extend(ts)
-    seen = set(initials)
-    todo = list(seen)
-    while todo:
-        for t in succ.get(todo.pop(), ()):
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
+    seen = reachable(initials, lambda s: succ.get(s, ()))
     number = {s: i for i, s in enumerate(sorted(seen))}
     return Nfa(alphabet, len(number),
                {(number[s], a): [number[t] for t in ts]

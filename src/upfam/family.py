@@ -21,7 +21,7 @@ from enum import Enum
 from operator import add
 
 from .automata import (Dfa, Nfa, TransitionSystem, canonical_bfs, is_weak,
-                       orbit, weak_loop_accepts)
+                       llex_bfs, orbit, weak_loop_accepts)
 from .errors import InputError, PreconditionError
 from .words import Representation
 
@@ -157,6 +157,18 @@ def up_membership(F: Family, r: Representation) -> bool:
     normalize the pair, then test acceptance.  Only well-defined when the
     family is saturated (caller-asserted)."""
     return family_accepts(F, normalize(F, r), ReferenceSet.NORMALIZED)
+
+
+def loop_words(F: Family, q: int):
+    """Each node (d, t) of D x T that a nonempty word leads to from
+    (D.initial, q), where D is the progress automaton of q and T the
+    leading system, with the llex-least such word as symbol indices.  The
+    nodes are the states of the refined automaton of q (`refine_family`),
+    and they come in llex order of their words."""
+    D, T = F.progress[q], F.leading
+    starts = [(n, (si,)) for si, n in enumerate(zip(D.delta[D.initial],
+                                                    T.delta[q]))]
+    return llex_bfs(starts, lambda n: zip(D.delta[n[0]], T.delta[n[1]]))
 
 
 def refine_family(F: Family) -> Family:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 
 from .automata import Dfa, TransitionSystem, llex_bfs
 from .errors import InputError, PreconditionError, ProtocolError
-from .family import (FDFA, Family, ReferenceSet, family_accepts,
+from .family import (FDFA, Family, ReferenceSet, family_accepts, loop_words,
                      up_membership)
 from .saturation import check_saturated
 from .words import (Representation, Word, canonical_pair, format_word,
@@ -610,26 +610,18 @@ def gen_char_sample(target: Family) -> Sample:
                     emit(u, D.access_word(s) + (a,) + z)
                     if D.access_word(j) + z:
                         emit(u, D.access_word(j) + z)
+        # the llex-least nonempty loop word leading D to s and T back to q
+        loops = {s: w for (s, t), w in loop_words(target, q) if t == q}
         for s in sorted(D.accepting):
-            emit(u, _normalized_loop(T, q, D, s))
+            if s not in loops:
+                raise PreconditionError(
+                    "accepting progress state %d of leading state %d has no"
+                    " normalized loop" % (s, q))
+            emit(u, tuple(T.alphabet[i] for i in loops[s]))
         for a in T.alphabet:
             emit(u, (a,))
 
     return Sample(positive, negative)
-
-
-def _normalized_loop(T, q, D, s):
-    """Shortest nonempty x that drives D to state s while looping the
-    leading system at q; such a word must exist for accepting states."""
-    starts = [(cfg, (i,)) for i, cfg in enumerate(zip(D.delta[D.initial],
-                                                      T.delta[q]))]
-    for cfg, w in llex_bfs(starts, lambda n: zip(D.delta[n[0]],
-                                                 T.delta[n[1]])):
-        if cfg == (s, q):
-            return tuple(T.alphabet[i] for i in w)
-    raise PreconditionError(
-        "accepting progress state %d of leading state %d has no normalized"
-        " loop" % (s, q))
 
 
 def _leading_separator(F: Family, q: int, p: int) -> tuple[Word, Word]:

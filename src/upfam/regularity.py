@@ -54,7 +54,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .almost import HASH, next_prime, sigma_plus_dfa
-from .automata import Dfa, Nfa, llex_bfs, strongly_connected_components
+from .automata import (Dfa, Nfa, llex_bfs, on_cycle, reachable,
+                       strongly_connected_components)
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import FDWA, FNFA, Family, trivial_leading
 from .words import Word, root
@@ -120,12 +121,6 @@ class _RowImages(dict):
     def __missing__(self, row: int) -> int:
         image = self[row] = _apply(self.masks, row)
         return image
-
-
-def _symbol_profiles(N: Nfa):
-    """Profile masks of each symbol of N, in alphabet order."""
-    return [tuple(_mask(N.delta[s][i]) for s in range(N.n))
-            for i in range(len(N.alphabet))]
 
 
 def _mask(states) -> int:
@@ -303,40 +298,29 @@ def _least_word(starts, target: int, succ, avoid: Optional[int] = None):
     return next(w for v, w in found if v == target)
 
 
-def _reachable(seeds, adj, avoid: int) -> set:
-    """Nodes reachable from seeds along adj without entering avoid."""
-    seen = {v for v in seeds if v != avoid}
-    todo = list(seen)
-    while todo:
-        for t in adj[todo.pop()]:
-            if t != avoid and t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return seen
-
-
 def _least_on_cycle(region: set, succ) -> Optional[int]:
-    """The least node of region on a cycle of the subgraph region induces:
-    one in a strongly connected component of several nodes, or one with a
-    self-loop."""
+    """The least node of region on a cycle of the subgraph region
+    induces."""
     nodes = sorted(region)
     pos = {v: k for k, v in enumerate(nodes)}
     sub = [[pos[t] for t in succ[v] if t in pos] for v in nodes]
-    on_cycle = [k for comp in strongly_connected_components(len(nodes), sub)
-                for k in comp if len(comp) > 1 or k in sub[k]]
-    return nodes[min(on_cycle)] if on_cycle else None
+    cyclic = [k for comp in strongly_connected_components(len(nodes), sub)
+              if on_cycle(comp, sub) for k in comp]
+    return nodes[min(cyclic)] if cyclic else None
 
 
 def _profile_graph(N: Nfa, cap: int):
-    """(profiles, succ) of N: the masks of every profile in discovery
-    order, the one-letter profiles first, and succ[i][si], the id of the
-    profile of x followed by symbol si for any word x with profile i.
-    More than `cap` profiles raise CapExceededError.
+    """(profiles, succ, letters) of N: the masks of every profile in
+    discovery order, the one-letter profiles first; succ[i][si], the id of
+    the profile of x followed by symbol si for any word x with profile i;
+    and letters[si], the id of the profile of symbol si.  More than `cap`
+    profiles raise CapExceededError.
 
     A successor is composed row by row through a per-symbol _RowImages
     cache, so each distinct row is applied to each symbol once."""
     nsym = len(N.alphabet)
-    sym = _symbol_profiles(N)
+    sym = [tuple(_mask(N.delta[s][i]) for s in range(N.n))
+           for i in range(nsym)]
     images = [_RowImages(m).__getitem__ for m in sym]
     profiles = []
     index = {}
@@ -346,6 +330,7 @@ def _profile_graph(N: Nfa, cap: int):
             index[m] = len(profiles)
             profiles.append(m)
             succ.append([None] * nsym)
+    letters = [index[m] for m in sym]
     for i, mi in enumerate(profiles):  # also visits profiles added below
         for si in range(nsym):
             m = tuple(map(images[si], mi))
@@ -358,7 +343,7 @@ def _profile_graph(N: Nfa, cap: int):
                 profiles.append(m)
                 succ.append([None] * nsym)
             succ[i][si] = j
-    return profiles, succ
+    return profiles, succ, letters
 
 
 def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
@@ -373,8 +358,7 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
     nsym = len(N.alphabet)
     if nsym == 0:
         return None
-    sym = _symbol_profiles(N)
-    profiles, succ = _profile_graph(N, cap)
+    profiles, succ, letters = _profile_graph(N, cap)
 
     def to_word(idxs) -> Word:
         return tuple(N.alphabet[si] for si in idxs)
@@ -385,12 +369,12 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
     for i, row in enumerate(succ):
         for j in row:
             preds[j].append(i)
-    seeds = [(profiles.index(m), (si,)) for si, m in enumerate(sym)]
+    seeds = [(v, (si,)) for si, v in enumerate(letters)]
     for g in terminals:
         # Profiles on a first-visit path to g, and the least one of them
         # that such a path can pass twice.
-        region = (_reachable([v for v, _ in seeds], succ, g)
-                  & _reachable(preds[g], preds, g))
+        region = (reachable(letters, succ.__getitem__, g)
+                  & reachable(preds[g], preds.__getitem__, g))
         rho = _least_on_cycle(region, succ)
         if rho is not None:
             after_rho = [(t, (si,)) for si, t in enumerate(succ[rho])]
@@ -406,24 +390,18 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
         recs = _least_words(rec_seeds, g, succ, nsym, 2)
         if not recs:
             continue
-        if len(fvs) >= 2:
-            u = to_word(recs[0])
-            x = next(to_word(w) for w in fvs
-                     if root(to_word(w)) != root(u))
-            return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
-        x = to_word(fvs[0])
-        if len(recs) >= 2:
-            u = next(to_word(w) for w in recs
-                     if root(to_word(w)) != root(x))
-            return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
-        u = to_word(recs[0])
-        # A unique first visitor x and a unique recurrence u: every word
-        # with profile g is some x u^k.  These have finitely many roots when
+        # With two first visitors, pair each with the least recurrence;
+        # otherwise pair the one first visitor with each recurrence.  A
+        # unique first visitor x and a unique recurrence u make every word
+        # with profile g some x u^k.  These have finitely many roots when
         # x and u commute, that is share a root; otherwise all but finitely
         # many x u^k are primitive (Lyndon-Schutzenberger).
-        if root(x) == root(u):
-            continue
-        return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
+        pairs = ([(x, recs[0]) for x in fvs] if len(fvs) >= 2
+                 else [(fvs[0], u) for u in recs])
+        for x, u in pairs:
+            x, u = to_word(x), to_word(u)
+            if root(x) != root(u):
+                return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
     return None
 
 

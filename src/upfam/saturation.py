@@ -29,12 +29,13 @@ state instead, and the nodes they reach are the refined states:
   for edge in alphabet order.  The llex search meets the same nodes with
   the same words, and the pair (u, a*w) is normalized exactly when t = q.
 * Power representatives are the llex-least nonempty words reaching each
-  node (d, t) of D_q x T from (initial, q), that is each refined state.
-  The orbit of a representative under its powers is then followed on d
-  alone, because acceptance reads only d.  The d-orbit is eventually
-  periodic, so every acceptance value it ever takes is met before d first
-  repeats; the first flip, if any, comes before that point, and the
-  refined orbit, whose pairs repeat no earlier, flips at the same index.
+  node (d, t) of D_q x T from (initial, q), that is each refined state;
+  `loop_words` yields them.  The orbit of a representative under its
+  powers is then followed on d alone, because acceptance reads only d.
+  The d-orbit is eventually periodic, so every acceptance value it ever
+  takes is met before d first repeats; the first flip, if any, comes
+  before that point, and the refined orbit, whose pairs repeat no
+  earlier, flips at the same index.
 
 The FDWA check searches for the five-condition witness (u, p, q, r, x, y):
 x reaches p and maps q to p, y maps p to q and reaches r from the progress
@@ -65,10 +66,10 @@ import math
 from collections import deque
 from typing import Optional
 
-from .automata import dfa_sccs, llex_bfs, minimize_dfa, orbit
+from .automata import dfa_sccs, llex_bfs, minimize_dfa, on_cycle, orbit
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
-                     refine_family)
+                     loop_words, refine_family)
 from .words import Representation
 
 SATURATED = "Saturated"
@@ -142,12 +143,7 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     for q in range(T.n):
         D = F.progress[q]
         acc = D.accepting
-        # llex-least nonempty word reaching each (progress, leading) pair
-        reps = llex_bfs(
-            [(n, (si,)) for si, n in enumerate(zip(D.delta[D.initial],
-                                                   T.delta[q]))],
-            lambda n: zip(D.delta[n[0]], T.delta[n[1]]))
-        for (s, t), w in reps:
+        for (s, t), w in loop_words(F, q):
             if normalized and t != q:
                 continue
             rep = tuple(T.alphabet[si] for si in w)
@@ -193,16 +189,15 @@ def check_saturated(F: Family, ref: ReferenceSet = ReferenceSet.NORMALIZED
 
 def _components(D):
     """(component of each state, states on a cycle) of a DFA: p and q
-    reach each other exactly when comp[p] == comp[q], and r lies on a cycle
-    when its component has several states or r has a self-loop."""
+    reach each other exactly when comp[p] == comp[q]."""
     comp = [0] * D.n
-    on_cycle = set()
+    cyclic = set()
     for k, states in enumerate(dfa_sccs(D)):
         for s in states:
             comp[s] = k
-            if len(states) > 1 or s in D.delta[s]:
-                on_cycle.add(s)
-    return comp, on_cycle
+        if on_cycle(states, D.delta):
+            cyclic.update(states)
+    return comp, cyclic
 
 
 def _fdwa_witness_word(Bu, Bv, p, q, r, limit, budget):

@@ -87,8 +87,7 @@ def complement_saturated_fdwa(W: Family) -> Family:
     progress = []
     for B in W.progress:
         acc = frozenset(range(B.n)) - B.accepting
-        progress.append(Dfa(B.alphabet, B.delta, acc, B.initial,
-                            B._access, B.keys))
+        progress.append(Dfa(B.alphabet, B.delta, acc, B.initial, B.keys))
     return Family(FDWA, W.leading, progress)
 
 
@@ -166,8 +165,7 @@ def duo_to_fdwa(F: Family) -> Family:
                         f"input was not duo-saturated: progress automaton "
                         f"{q} needs a mixed component")
                 acc |= cs
-        progress.append(Dfa(D.alphabet, D.delta, acc, D.initial,
-                            D._access, D.keys))
+        progress.append(Dfa(D.alphabet, D.delta, acc, D.initial, D.keys))
     return Family(FDWA, T, progress)
 
 

@@ -41,7 +41,7 @@ def make_weak(rng: random.Random, dfa: Dfa) -> Dfa:
     for comp in dfa_sccs(dfa):
         if rng.random() < 0.5:
             acc.update(comp)
-    return Dfa(dfa.alphabet, dfa.delta, acc, dfa.initial, dfa._access)
+    return Dfa(dfa.alphabet, dfa.delta, acc, dfa.initial)
 
 
 def random_weak_dfa(rng, alphabet, max_states) -> Dfa:

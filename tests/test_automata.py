@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_weak, minimize_by_signatures, random_dfa
 from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs, is_weak,
-                            llex_bfs, minimize_dfa, orbit, weak_loop_accepts)
+                            llex_bfs, minimize_dfa, on_cycle, orbit,
+                            reachable, strongly_connected_components,
+                            weak_loop_accepts)
 from upfam.errors import InputError
 from upfam.faf import parse_sample
 from upfam.learning import learn_passive
@@ -192,6 +194,45 @@ def test_llex_bfs_matches_brute_force(seed, nonempty):
     assert dict(found) == least
     keys = [(len(w), w) for _, w in found]
     assert keys == sorted(keys)
+
+
+def _closure(adj, seeds, avoid=None):
+    """Nodes reachable from seeds without entering avoid, as the least
+    fixed point of whole sweeps over the edges."""
+    reach = {v for v in seeds if v != avoid}
+    while True:
+        more = reach | {t for v in reach for t in adj[v] if t != avoid}
+        if more == reach:
+            return reach
+        reach = more
+
+
+def _random_graph(rng):
+    """Adjacency lists of 1 to 9 nodes, self-loops allowed."""
+    n = rng.randint(1, 9)
+    return [[t for t in range(n) if rng.random() < 0.2] for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reachable_matches_closure(seed):
+    rng = random.Random(seed)
+    adj = _random_graph(rng)
+    seeds = rng.sample(range(len(adj)), rng.randint(1, min(3, len(adj))))
+    # no avoided node, a random one, and one of the seeds
+    for avoid in (None, rng.randrange(len(adj)), seeds[0]):
+        assert (reachable(seeds, adj.__getitem__, avoid)
+                == _closure(adj, seeds, avoid))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_on_cycle_matches_closure(seed):
+    """A node lies on a cycle when a nonempty path leads back to it."""
+    adj = _random_graph(random.Random(seed))
+    comps = strongly_connected_components(len(adj), adj)
+    assert sorted(v for comp in comps for v in comp) == list(range(len(adj)))
+    for comp in comps:
+        for v in comp:
+            assert on_cycle(comp, adj) == (v in _closure(adj, adj[v]))
 
 
 def test_nfa_basics():

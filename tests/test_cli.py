@@ -4,6 +4,7 @@ Exit codes are the contract: 0 holds/success, 1 refuted with a printed
 witness, 2 usage or parse error, 3 cap exceeded.
 """
 
+import argparse
 import io
 import json
 import os
@@ -123,6 +124,20 @@ class TestCheck:
         assert main(["check", check, path, "--cap", "500"]) == 1
         assert calls == [{"cap": 500}]
         assert capsys.readouterr().out.startswith("NOT-")
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        main(["check", "saturation", BA_STAR])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["check", "saturation", BA_STAR]) == 1
+        assert main(["check", "regularity", BA_STAR, "--json"]) == 1
+        assert built == []
 
 
 class TestJsonAndReplay:

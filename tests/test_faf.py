@@ -130,6 +130,19 @@ class TestFamilyFormat:
         N = parse_faf(text).progress[0]
         assert N.n == 1 and not N.accepting
 
+    def test_fnfa_keeps_reachable_states_in_declared_order(self):
+        # States 0, 2 and 3 are reachable from 2 and become 0, 1 and 2;
+        # breadth-first order from the initial state would number 2 first.
+        text = ("faf 1\nkind fnfa\nalphabet a\n"
+                "leading\n  states 1\n  initial 0\n  trans 0 a 0\n"
+                "progress 0\n  states 4\n  initial 2\n  accepting 3\n"
+                "  trans 2 a 0\n  trans 0 a 3\n  trans 1 a 1\n")
+        N = parse_faf(text).progress[0]
+        assert N.n == 3
+        assert N.initials == {1} and N.accepting == {2}
+        assert N.delta == ((frozenset({2}),), (frozenset({0}),),
+                           (frozenset(),))
+
     @pytest.mark.parametrize("kind", ["fdfa", "fnfa"])
     def test_memory_follows_the_transition_lines(self, kind):
         # A block declaring 10^8 states parses at once, to the family the

@@ -339,6 +339,16 @@ class TestPassiveLearning:
         with pytest.raises(PreconditionError):
             gen_char_sample(ba_star_fdfa())
 
+    def test_char_sample_needs_a_normalized_loop_per_accepting_state(self):
+        # The accepting initial state is never reached again, so no
+        # nonempty loop word leads to it.
+        F = Family(FDFA, TransitionSystem(AB, [[0, 0]]),
+                   [Dfa(AB, [[1, 1], [1, 1]], {0, 1})])
+        with pytest.raises(PreconditionError,
+                           match="accepting progress state 0 of leading"
+                                 " state 0 has no normalized loop"):
+            gen_char_sample(F)
+
     def test_single_positive_example(self):
         learned = learn_passive(Sample([Representation((), ("a",))], []))
         assert up_membership(learned, Representation((), ("a",)))

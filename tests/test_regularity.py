@@ -347,6 +347,10 @@ def _graph_or_capped(explore, N, cap):
         return "capped"
 
 
+def _profiles_and_successors(N, cap):
+    return _profile_graph(N, cap)[:2]
+
+
 def test_profile_graph_matches_plain_composition():
     # The outcome at a cap below the graph size is the outcome at size - 1:
     # a smaller cap can only raise earlier.  It is "capped" unless every
@@ -364,7 +368,11 @@ def test_profile_graph_matches_plain_composition():
         capped += below == "capped"
         for cap in range(1, size + 1):
             expected = graph if cap == size else below
-            assert _graph_or_capped(_profile_graph, N, cap) == expected
+            assert _graph_or_capped(_profiles_and_successors, N,
+                                    cap) == expected
+        profiles, _, letters = _profile_graph(N, size)
+        assert [profiles[v] for v in letters] == [profile_of(N, (a,))
+                                                  for a in N.alphabet]
     assert capped >= 300
 
 

@@ -1,7 +1,8 @@
 """Source hygiene of the package: every module imports only what it uses,
 every function it defines is used somewhere, every public function and
-class is run by the package or the benchmark, not only by tests, and the
-runtime imports nothing outside the standard library.
+class is run by the package or the benchmark, not only by tests, every
+defaulted parameter is passed by some call, and the runtime imports
+nothing outside the standard library.
 
 The import check covers the package and the test modules.  It skips
 `__init__.py`, because its imports are the public re-exports, and `from
@@ -137,6 +138,97 @@ def test_package_runs_every_public_definition():
                   path.read_text(encoding="utf-8")).items()
               if name not in read | LIBRARY_ONLY]
     assert unused == []
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, object, int]]:
+    """(function, parameter, position, line) of every parameter with a
+    default, over the module's functions and the methods of its classes;
+    dunders and functions nested in functions are left out.  The position
+    is the index of the positional argument that fills the parameter, not
+    counting a method's self or cls, and None for a keyword-only one."""
+    out = []
+
+    def visit(body, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))):
+                a = node.args
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                params = (a.posonlyargs + a.args)[bound:]
+                for k, arg in enumerate(params):
+                    if k >= len(params) - len(a.defaults):
+                        out.append((node.name, arg.arg, k, node.lineno))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out.append((node.name, arg.arg, None, node.lineno))
+
+    visit(ast.parse(source).body, False)
+    return out
+
+
+def call_arguments(sources):
+    """(most positional arguments, keywords) passed to each called name
+    over the sources, by a call of `name(...)` or `obj.name(...)`.  A `*`
+    argument counts as any number of positional arguments, and `**` as
+    every keyword, which is written as the keyword None."""
+    most, keywords = {}, set()
+    for node in (node for source in sources
+                 for node in ast.walk(ast.parse(source))):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None)
+        if name is None:
+            continue
+        count = (float("inf") if any(isinstance(a, ast.Starred)
+                                     for a in node.args) else len(node.args))
+        most[name] = max(most.get(name, 0), count)
+        keywords.update((name, kw.arg) for kw in node.keywords)
+    return most, keywords
+
+
+def unpassed_parameters(calls, source: str) -> list[str]:
+    """Defaulted parameters of the source that none of the calls, as
+    `call_arguments` gives them, passes; as "function(parameter) line N"."""
+    most, keywords = calls
+    return ["%s(%s) line %d" % (fn, param, line)
+            for fn, param, pos, line in defaulted_parameters(source)
+            if not ((pos is not None and most.get(fn, 0) > pos)
+                    or (fn, param) in keywords or (fn, None) in keywords)]
+
+
+def test_detects_an_unpassed_parameter():
+    src = ("class C:\n"
+           "    def m(self, a, b=1, *, c=2): pass\n"
+           "    @staticmethod\n"
+           "    def s(a=1): pass\n"
+           "    def __eq__(self, o=None): pass\n"
+           "def f(x, y=0, z=0):\n"
+           "    def inner(k=k): pass\n"
+           "def g(p=0, *, q=0): pass\n"
+           "f(1, 2)\nC().m(0, c=3)\nC.s(*args)\ng(**kw)\n")
+    assert [p[:3] for p in defaulted_parameters(src)] == [
+        ("m", "b", 1), ("m", "c", None), ("s", "a", 0),
+        ("f", "y", 1), ("f", "z", 2), ("g", "p", 0), ("g", "q", None)]
+    assert unpassed_parameters(call_arguments([src]), src) == [
+        "m(b) line 2", "f(z) line 6"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no call in src/, tests/ or bench/ overrides is a
+    parameter nobody needs."""
+    calls = call_arguments(p.read_text(encoding="utf-8") for p in SCANNED)
+    unpassed = ["%s: %s" % (path.name, entry)
+                for path in sorted(SRC.glob("*.py"))
+                for entry in unpassed_parameters(
+                    calls, path.read_text(encoding="utf-8"))]
+    assert unpassed == []
 
 
 def non_stdlib_imports(source: str) -> list[str]:
