@@ -58,6 +58,22 @@ can first reach an x-node and a y-node together.  A node-by-node queue
 would then put all children of the x-node before those of the y-node and
 leave llex order; the search therefore queues the group of nodes first
 reached by one word and expands each group as a whole.
+
+All tuples (p, q, r) of one pair (u, v), v the displacement of p, walk
+the same two product graphs, Bu x Bu x Bv over x and Bu x Bv x Bv over y;
+only the start, the switch and the target depend on the tuple.  So the
+pair keeps one distinct-successor list per product node (`_SuccessorLists`):
+its distinct children, each with the least symbol leading to it, in symbol
+order.  A list is built from one pass over the alphabet when its node is
+first expanded, and every tuple of the pair reads it; wide alphabets have
+far fewer distinct children than symbols.  A group is expanded by merging
+its nodes' lists and taking the children symbol by symbol in ascending
+order, as a pass over the whole alphabet would.  A symbol that a list
+leaves out leads its node to a child that a smaller symbol already led it
+to, and that child was stored (or found stored) at the smaller symbol; so
+the left-out symbol stores nothing, and the stored nodes, the words that
+reach them, the node count that `--cap` bounds and the point where the cap
+is exceeded are those of the pass over the whole alphabet.
 """
 
 from __future__ import annotations
@@ -200,7 +216,49 @@ def _components(D):
     return comp, cyclic
 
 
-def _fdwa_witness_word(Bu, Bv, p, q, r, limit, budget):
+class _SuccessorLists(dict):
+    """Distinct-successor lists of the two product graphs of one pair (u, v)
+    of refined progress automata: node code -> [(si, child code), ...],
+    each distinct child once with the least symbol index reaching it, in
+    symbol order.  An x-node (a, b, c) of Bu x Bu x Bv has the code
+    (a * nu + b) * nv + c; a y-node (a, b, c) of Bu x Bv x Bv has the code
+    y_base + (a * nv + b) * nv + c, so the two graphs share one code space.
+    A list is built from the zipped `delta` rows when its node is first
+    looked up, and every tuple (p, q, r) on the pair reads the same list."""
+
+    def __init__(self, Bu, Bv):
+        super().__init__()
+        self.nu, self.nv = Bu.n, Bv.n
+        self.u0, self.v0 = Bu.initial, Bv.initial
+        self.y_base = Bu.n * Bu.n * Bv.n
+        self.du, self.dv = Bu.delta, Bv.delta
+
+    def __missing__(self, code):
+        nu, nv, y_base, dv = self.nu, self.nv, self.y_base, self.dv
+        if code < y_base:
+            a, bc = divmod(code, nu * nv)
+            b, c = divmod(bc, nv)
+            codes = [(a * nu + b) * nv + c
+                     for a, b, c in zip(self.du[a], self.du[b], dv[c])]
+        else:
+            a, bc = divmod(code - y_base, nv * nv)
+            b, c = divmod(bc, nv)
+            codes = [y_base + (a * nv + b) * nv + c
+                     for a, b, c in zip(self.du[a], dv[b], dv[c])]
+        children = dict.fromkeys(codes)  # distinct, in order of first use
+        if len(children) == len(codes):  # every symbol a different child
+            row = list(enumerate(codes))
+        else:
+            row = []
+            si = -1
+            for child in children:
+                si = codes.index(child, si + 1)  # the child's first use
+                row.append((si, child))
+        self[code] = row
+        return row
+
+
+def _fdwa_witness_word(lists, p, q, r, limit, budget):
     """(z, nodes): z is the llex-least nonempty word x*y, as symbol
     indices, satisfying the five structural conditions for (p, q, r), or
     None when no such word is at most `limit` long; nodes is the number of
@@ -209,61 +267,73 @@ def _fdwa_witness_word(Bu, Bv, p, q, r, limit, budget):
 
     An x-node (a, b, c) runs Bu from its initial state and from q and Bv
     from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
-    state and Bv on from the x-node's c over y.  Each queue entry is the
-    group of nodes first reached by one word (see the module docstring),
-    and groups leave the queue in llex order of their words."""
-    du, dv = Bu.delta, Bv.delta
-    nu, nv, v0 = Bu.n, Bv.n, Bv.initial
-    nsym = len(Bu.alphabet)
-    y_base = nu * nu * nv  # x-node codes lie below, y-node codes from here
-    switch = y_base + (p * nv + v0) * nv
+    state and Bv on from the x-node's c over y.  `lists` holds the
+    distinct-successor lists of the pair (u, v), shared with its other
+    tuples.  Each queue entry is the group of node codes first reached by
+    one word, and groups leave the queue in llex order of their words.  A
+    group's lists are merged, and its new children are stored symbol by
+    symbol in ascending order; a symbol that stored any is then settled,
+    the node count tested against the budget before the target is looked
+    for, exactly as a pass over the whole alphabet would (see the module
+    docstring for why the lists store the same nodes)."""
+    nu, nv, v0, y_base = lists.nu, lists.nv, lists.v0, lists.y_base
+    pp = (p * nu + p) * nv  # x-nodes (p, p, c) have the codes pp + c
+    pp_end = pp + nv
+    shift = y_base + (p * nv + v0) * nv - pp  # x (p, p, c) -> y (p, v0, c)
     target = y_base + (q * nv + r) * nv + r
-    switch_hits = p == q and v0 == r  # a switch to (p, v0, r) is the target
+    # A child that ends the search at the limit: the target, or the x-node
+    # whose switch is the target.
+    hits = (target, pp + r if p == q and v0 == r else target)
     seen = set()
     # The empty word never counts as a witness, so length-0 nodes stay out
     # of `seen` and do not shadow a later nonempty arrival.
-    start = (Bu.initial, q, r)
-    queue = deque([((), [start], [(p, v0, r)] if start[:2] == (p, p) else [])])
+    start = (lists.u0 * nu + q) * nv + r
+    queue = deque([((), [start, start + shift] if pp <= start < pp_end
+                    else [start])])
     while queue:
-        w, xs, ys = queue.popleft()
+        w, group = queue.popleft()
         depth = len(w) + 1  # length of the children
         if depth > limit:
             break
         if depth == limit:
             # Children at the limit are never expanded: only the target
             # matters, so they are tested and not stored.
-            for si in range(nsym):
-                if (any(du[a][si] == q and dv[b][si] == r == dv[c][si]
-                        for a, b, c in ys)
-                        or switch_hits and any(
-                            du[a][si] == p == du[b][si] and dv[c][si] == r
-                            for a, b, c in xs)):
-                    return w + (si,), len(seen)
+            found = [si for code in group for si, child in lists[code]
+                     if child in hits]
+            if found:
+                return w + (min(found),), len(seen)
             continue
-        for si in range(nsym):
-            new_xs, new_ys = [], []
-            for a, b, c in xs:
-                a, b, c = du[a][si], du[b][si], dv[c][si]
-                code = (a * nu + b) * nv + c
-                if code in seen:
-                    continue
-                seen.add(code)
-                new_xs.append((a, b, c))
-                if a == p and b == p and switch + c not in seen:
-                    seen.add(switch + c)
-                    new_ys.append((p, v0, c))
-            for a, b, c in ys:
-                a, b, c = du[a][si], dv[b][si], dv[c][si]
-                code = y_base + (a * nv + b) * nv + c
-                if code not in seen:
-                    seen.add(code)
-                    new_ys.append((a, b, c))
-            if new_xs or new_ys:
-                if len(seen) > budget:
-                    raise CapExceededError("FDWA witness search exceeded cap")
-                if target in seen:
-                    return w + (si,), len(seen)
-                queue.append((w + (si,), new_xs, new_ys))
+        if len(group) == 1:
+            steps = lists[group[0]]
+        else:
+            steps = []
+            for code in group:
+                steps += lists[code]
+            steps.sort()
+        # Store the children symbol by symbol, then settle each symbol's
+        # batch in order: the node count after it, then the target.
+        stored = len(seen)
+        batches = []
+        sym = None
+        for si, code in steps:
+            if code in seen:
+                continue
+            seen.add(code)
+            if si != sym:
+                sym = si
+                new = []
+                batches.append((si, new))
+            new.append(code)
+            if pp <= code < pp_end and code + shift not in seen:
+                seen.add(code + shift)
+                new.append(code + shift)
+        for si, new in batches:
+            stored += len(new)
+            if stored > budget:
+                raise CapExceededError("FDWA witness search exceeded cap")
+            if target in new:
+                return w + (si,), stored
+            queue.append((w + (si,), new))
     return None, len(seen)
 
 
@@ -271,7 +341,12 @@ def _least_fdwa_witness(work, cap):
     """The least key ((len z, z), u, p, q, r) over all admissible tuples,
     as (key, v), or None.  Each tuple's search is bounded by the length of
     the best witness so far: a longer word cannot win.  `work` is refined,
-    so the key of each progress state is its displacement."""
+    so the key of each progress state is its displacement.  The tuples are
+    visited in ascending (u, p, q, r), from candidate lists made once per u:
+    the q of each component and acceptance, and the r of each (v, parity)
+    that can close a witness.  The tuples of one pair (u, v) share its
+    successor lists; a pair only recurs within its u, so the lists of u are
+    dropped when u is done."""
     progress = work.progress
     disps = [B.keys for B in progress]
     comps = [_components(B) for B in progress]
@@ -281,26 +356,31 @@ def _least_fdwa_witness(work, cap):
     for u, Bu in enumerate(progress):
         acc_u = Bu.accepting
         comp_u = comps[u][0]
+        # q shares the component and the acceptance of p
+        classes = {}
+        for q in range(Bu.n):
+            classes.setdefault((comp_u[q], q in acc_u), []).append(q)
+        # r is displaced back to u, has the other acceptance than p and lies
+        # on a cycle (every state of a refined family is reachable)
+        ends = {}
+        pair_lists = {}
         for p in range(Bu.n):
             v = disps[u][p]
             Bv = progress[v]
-            acc_v = Bv.accepting
-            cyc_v = comps[v][1]
-            for q in range(Bu.n):
-                if (p in acc_u) != (q in acc_u):
-                    continue
-                if comp_u[p] != comp_u[q]:
-                    continue
-                for r in range(Bv.n):
-                    if disps[v][r] != u:
-                        continue
-                    if (p in acc_u) == (r in acc_v):
-                        continue
-                    # Every state of a refined family is reachable, so r
-                    # only has to lie on a cycle.
-                    if r not in cyc_v:
-                        continue
-                    z, nodes = _fdwa_witness_word(Bu, Bv, p, q, r, limit,
+            p_acc = p in acc_u
+            if (v, p_acc) not in ends:
+                ends[v, p_acc] = sorted(
+                    r for r in comps[v][1]
+                    if disps[v][r] == u and (r in Bv.accepting) != p_acc)
+            rs = ends[v, p_acc]
+            if not rs:
+                continue
+            if v not in pair_lists:
+                pair_lists[v] = _SuccessorLists(Bu, Bv)
+            lists = pair_lists[v]
+            for q in classes[comp_u[p], p_acc]:
+                for r in rs:
+                    z, nodes = _fdwa_witness_word(lists, p, q, r, limit,
                                                   budget)
                     budget -= nodes
                     if z is None:

@@ -1,6 +1,8 @@
 """Shared builders for randomized tests."""
 
+import math
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs
@@ -503,3 +505,135 @@ def power_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
     cx = Counterexample("power", Representation(u, rep),
                         Representation(u, rep * flip), base, not base)
     return Verdict("NotSaturated", cx, "Power")
+
+
+def _components(D):
+    """(component of each state, states on a cycle) of a DFA."""
+    comp = [0] * D.n
+    cyclic = set()
+    for k, states in enumerate(dfa_sccs(D)):
+        for s in states:
+            comp[s] = k
+        if len(states) > 1 or any(s in D.delta[s] for s in states):
+            cyclic.update(states)
+    return comp, cyclic
+
+
+def fdwa_witness_word_by_symbol(Bu, Bv, p, q, r, limit, budget):
+    """(z, nodes): z is the llex-least nonempty word x*y, as symbol
+    indices, satisfying the five structural conditions for (p, q, r), or
+    None when no such word is at most `limit` long; nodes is the number of
+    search nodes stored, those reached by nonempty words shorter than the
+    limit.  More than `budget` of them raises CapExceededError.
+
+    Reference for saturation._fdwa_witness_word: the same search with one
+    pass over the whole alphabet for each expanded group, every symbol
+    applied to every node of the group.  It counts the nodes it stores
+    independently, so the two agree on the --cap boundary only if they
+    store the same nodes.
+
+    An x-node (a, b, c) runs Bu from its initial state and from q and Bv
+    from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
+    state and Bv on from the x-node's c over y.  Each queue entry is the
+    group of nodes first reached by one word (see the saturation module
+    docstring), and groups leave the queue in llex order of their words."""
+    du, dv = Bu.delta, Bv.delta
+    nu, nv, v0 = Bu.n, Bv.n, Bv.initial
+    nsym = len(Bu.alphabet)
+    y_base = nu * nu * nv  # x-node codes lie below, y-node codes from here
+    switch = y_base + (p * nv + v0) * nv
+    target = y_base + (q * nv + r) * nv + r
+    switch_hits = p == q and v0 == r  # a switch to (p, v0, r) is the target
+    seen = set()
+    # The empty word never counts as a witness, so length-0 nodes stay out
+    # of `seen` and do not shadow a later nonempty arrival.
+    start = (Bu.initial, q, r)
+    queue = deque([((), [start], [(p, v0, r)] if start[:2] == (p, p) else [])])
+    while queue:
+        w, xs, ys = queue.popleft()
+        depth = len(w) + 1  # length of the children
+        if depth > limit:
+            break
+        if depth == limit:
+            # Children at the limit are never expanded: only the target
+            # matters, so they are tested and not stored.
+            for si in range(nsym):
+                if (any(du[a][si] == q and dv[b][si] == r == dv[c][si]
+                        for a, b, c in ys)
+                        or switch_hits and any(
+                            du[a][si] == p == du[b][si] and dv[c][si] == r
+                            for a, b, c in xs)):
+                    return w + (si,), len(seen)
+            continue
+        for si in range(nsym):
+            new_xs, new_ys = [], []
+            for a, b, c in xs:
+                a, b, c = du[a][si], du[b][si], dv[c][si]
+                code = (a * nu + b) * nv + c
+                if code in seen:
+                    continue
+                seen.add(code)
+                new_xs.append((a, b, c))
+                if a == p and b == p and switch + c not in seen:
+                    seen.add(switch + c)
+                    new_ys.append((p, v0, c))
+            for a, b, c in ys:
+                a, b, c = du[a][si], dv[b][si], dv[c][si]
+                code = y_base + (a * nv + b) * nv + c
+                if code not in seen:
+                    seen.add(code)
+                    new_ys.append((a, b, c))
+            if new_xs or new_ys:
+                if len(seen) > budget:
+                    raise CapExceededError("FDWA witness search exceeded cap")
+                if target in seen:
+                    return w + (si,), len(seen)
+                queue.append((w + (si,), new_xs, new_ys))
+    return None, len(seen)
+
+
+def least_fdwa_witness_by_symbol(work, cap):
+    """Reference for saturation._least_fdwa_witness, each tuple searched by
+    fdwa_witness_word_by_symbol: the least key ((len z, z), u, p, q, r)
+    over all admissible tuples, as (key, v), or None.  Each tuple's search
+    is bounded by the length of the best witness so far, and the tuples
+    share one node budget of `cap`.  `work` is refined, so the key of each
+    progress state is its displacement."""
+    progress = work.progress
+    disps = [B.keys for B in progress]
+    comps = [_components(B) for B in progress]
+    budget = math.inf if cap is None else cap
+    best = None
+    limit = math.inf
+    for u, Bu in enumerate(progress):
+        acc_u = Bu.accepting
+        comp_u = comps[u][0]
+        for p in range(Bu.n):
+            v = disps[u][p]
+            Bv = progress[v]
+            acc_v = Bv.accepting
+            cyc_v = comps[v][1]
+            for q in range(Bu.n):
+                if (p in acc_u) != (q in acc_u):
+                    continue
+                if comp_u[p] != comp_u[q]:
+                    continue
+                for r in range(Bv.n):
+                    if disps[v][r] != u:
+                        continue
+                    if (p in acc_u) == (r in acc_v):
+                        continue
+                    # Every state of a refined family is reachable, so r
+                    # only has to lie on a cycle.
+                    if r not in cyc_v:
+                        continue
+                    z, nodes = fdwa_witness_word_by_symbol(
+                        Bu, Bv, p, q, r, limit, budget)
+                    budget -= nodes
+                    if z is None:
+                        continue
+                    key = ((len(z), z), u, p, q, r)
+                    if best is None or key < best[0]:
+                        best = (key, v)
+                        limit = len(z)
+    return best

@@ -6,10 +6,12 @@ by hand-simulating the progress automata, then frozen here.
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from test_cli import run
+from upfam import saturation
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
 from upfam.errors import InputError
 from upfam.faf import serialize_faf
@@ -24,8 +26,9 @@ from upfam.words import up_equal, words_up_to
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, exactly_one_a_fdfa,
                       first_a_fdwa, odd_a_fdfa, some_a_fdwa, universal_fdfa)
-from helpers import (displacement_map, loopshift_on_refined, make_weak,
-                     power_on_refined, random_family, random_ts)
+from helpers import (displacement_map, least_fdwa_witness_by_symbol,
+                     loopshift_on_refined, make_weak, power_on_refined,
+                     random_family, random_ts)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -282,35 +285,160 @@ def sink_weak_family(rng):
                   [make_weak(rng, Dfa.from_parts("ab", n, trans))])
 
 
+def assert_fdwa_witness_is_llex_least(W, bound):
+    """Checked without the witness search: the reported loop z meets the
+    five conditions and no nonempty word llex-smaller than z does; for a
+    saturated family, no nonempty word up to length `bound` does.  Returns
+    the verdict."""
+    v = check_fdwa_saturated(W)
+    work = refine_family(W)
+    disps = [displacement_map(work, u) for u in range(work.leading.n)]
+    z = None
+    if not v.ok:
+        z = v.witness.left.x
+        assert fdwa_tuples(work, disps, z)
+        bound = len(z)
+    for w in words_up_to(W.alphabet, bound, 1):
+        if w == z:
+            break
+        assert not fdwa_tuples(work, disps, w), (v, w)
+    return v
+
+
 def test_fdwa_witness_is_llex_least():
-    """Checked without the witness search: no nonempty word llex-smaller
-    than the reported loop z meets the five conditions, and z does; for a
-    saturated family, no nonempty word up to length 4 does.  A search that
-    leaves llex order where one word reaches an x-node and a y-node
-    together goes wrong rarely (on about one sink family in three
+    """A search that leaves llex order where one word reaches an x-node and
+    a y-node together goes wrong rarely (on about one sink family in three
     thousand), hence the size of the sweep; the families with several
     leading states exercise the displacement maps."""
     rng = random.Random(2)
     families = [sink_weak_family(rng) for _ in range(6000)]
     families += [random_family(rng, kind=FDWA, max_leading=3, max_progress=4)
                  for _ in range(400)]
-    unsat = 0
-    for W in families:
-        v = check_fdwa_saturated(W)
-        work = refine_family(W)
-        disps = [displacement_map(work, u) for u in range(work.leading.n)]
-        if v.ok:
-            bound = 4
-        else:
-            z = v.witness.left.x
-            assert fdwa_tuples(work, disps, z)
-            bound = len(z)
-            unsat += 1
-        for w in words_up_to(W.alphabet, bound, 1):
-            if not v.ok and w == z:
-                break
-            assert not fdwa_tuples(work, disps, w), (v, w)
+    unsat = sum(not assert_fdwa_witness_is_llex_least(W, 4).ok
+                for W in families)
     assert unsat > 1000
+
+
+def copied_column_family(rng):
+    """A weak family over abcd, 1 to 3 leading states and 1 to 5 progress
+    states, in which one letter's column is a copy of another's: in every
+    automaton, or in the progress automata of some leading states only.
+    Equal columns give product nodes several symbols to the same child, in
+    either order of the two letters, which a search that keeps one symbol
+    per distinct child must resolve to the least."""
+    W = random_family(rng, kind=FDWA, alphabet="abcd", max_leading=3,
+                      max_progress=5)
+    src, dst = rng.sample(range(4), 2)
+    everywhere = rng.random() < 0.5
+
+    def copy(delta):
+        return [row[:dst] + (row[src],) + row[dst + 1:] for row in delta]
+
+    progress = [Dfa(B.alphabet, copy(B.delta), B.accepting, B.initial)
+                if everywhere or rng.random() < 0.5 else B
+                for B in W.progress]
+    if not everywhere:
+        return Family(FDWA, W.leading, progress)
+    # The copy drops the edges of the overwritten letter, so a leading state
+    # may become unreachable: keep the reachable ones with their progress
+    # automata.  Components can only split, so the progress stays weak.
+    delta = copy(W.leading.delta)
+    lead = TransitionSystem.build(
+        W.alphabet, W.leading.initial,
+        lambda t, a: delta[t][W.leading.sym_index[a]])
+    return Family(FDWA, lead, [progress[t] for t in lead.keys])
+
+
+def test_fdwa_witness_is_llex_least_with_shared_columns():
+    """The sweep above on four letters, two of which share a column, so
+    that a product node reaches one child by several symbols.  Families
+    with several leading states, and groups of several nodes whose lists
+    are merged, show up here and not over ab."""
+    rng = random.Random(12)
+    families = [copied_column_family(rng) for _ in range(600)]
+    unsat = sum(not assert_fdwa_witness_is_llex_least(W, 3).ok
+                for W in families)
+    assert unsat > 150
+    assert sum(W.leading.n > 1 for W in families) > 250
+
+
+def test_fdwa_group_is_expanded_in_symbol_order():
+    """One progress automaton where the word a reaches an x-node and a
+    y-node together: their lists must be merged by symbol.  Taking the
+    x-node's list before the y-node's reaches the target first by abb,
+    which is not llex-least; aba is."""
+    D = Dfa("ab", [[1, 2], [1, 1], [2, 3], [2, 2]], [0, 1])
+    W = Family(FDWA, TransitionSystem("ab", [[0, 0]]), [D])
+    v = assert_fdwa_witness_is_llex_least(W, 3)
+    assert rep_pair(v.witness) == (((), ("a", "b", "a")),
+                                   (("a",), ("b", "a", "a")))
+    assert_replays(W, v.witness, NORM)
+
+
+def test_fdwa_search_matches_the_per_symbol_reference(monkeypatch):
+    """Status, stage and witness agree with the check whose tuples are
+    searched by the reference of helpers, which tries every symbol on every
+    node and counts its own nodes.  The caps fall on both sides of the node
+    counts: the distinct-successor lists must store the same nodes, so
+    that --cap is exceeded at the same point."""
+    rng = random.Random(13)
+    families = [gen_family("subset-occurrence", n) for n in (2, 3, 4)]
+    families += [random_family(rng, kind=FDWA, alphabet=alphabet,
+                               max_leading=4, max_progress=8)
+                 for alphabet in ("ab", "abc", "abcd") for _ in range(50)]
+    statuses = Counter()
+    for W in families:
+        for cap in (None, 3, 30, 300, 3000):
+            v = check_fdwa_saturated(W, cap)
+            with monkeypatch.context() as m:
+                m.setattr(saturation, "_least_fdwa_witness",
+                          least_fdwa_witness_by_symbol)
+                ref = check_fdwa_saturated(W, cap)
+            assert (v.status, v.stage, v.witness) == (
+                ref.status, ref.stage, ref.witness), cap
+            statuses[v.status] += 1
+    assert min(statuses.values()) > 50, statuses
+
+
+# The least cap at which the check decides, from counts of the search
+# nodes stored; one less gives CapExceeded.
+CAP_BOUNDARY = [
+    ("first_a_fdwa", first_a_fdwa(), 12),
+    ("subset-occurrence 3", gen_family("subset-occurrence", 3), 378),
+    ("subset-occurrence 4", gen_family("subset-occurrence", 4), 792),
+    ("subset-occurrence 5", gen_family("subset-occurrence", 5), 1430),
+    ("fixpoint-fdwa 3", gen_family("fixpoint-fdwa", 3), 245),
+    ("fixpoint-fdwa 6", gen_family("fixpoint-fdwa", 6), 1562),
+    ("zero-u-zero-fdwa 4", gen_family("zero-u-zero-fdwa", 4), 75),
+    ("zero-u-zero-fdwa 6", gen_family("zero-u-zero-fdwa", 6), 131),
+]
+
+
+@pytest.mark.parametrize("label,W,k", CAP_BOUNDARY,
+                         ids=[c[0] for c in CAP_BOUNDARY])
+def test_fdwa_cap_boundary_is_pinned(label, W, k):
+    decided = check_fdwa_saturated(W, k)
+    assert decided.status != "CapExceeded"
+    assert decided == check_fdwa_saturated(W)
+    assert check_fdwa_saturated(W, k - 1).status == "CapExceeded"
+
+
+def test_fdwa_successor_lists_are_built_once_per_pair_and_node(
+        monkeypatch):
+    """On subset-occurrence n=4 (255 symbols, 16 tuples on one pair, 792
+    stored nodes) every (pair, node) list is built at most once in the
+    whole check, so no tuple and no symbol repeats the work of another."""
+    built = Counter()
+    build = saturation._SuccessorLists.__missing__
+
+    def counting(lists, code):
+        built[id(lists), code] += 1
+        return build(lists, code)
+
+    monkeypatch.setattr(saturation._SuccessorLists, "__missing__", counting)
+    assert check_fdwa_saturated(gen_family("subset-occurrence", 4)).ok
+    assert built and max(built.values()) == 1
+    assert len(built) < 792
 
 
 def test_saturated_fixture_survives_progress_noise():
