@@ -7,7 +7,11 @@ progress automaton, paired with the leading displacement of the word; a
 transformation m generated by a loop word whose iterates m^i walk the
 initial state from an accepting to a rejecting state is exactly a violation.
 The monoid can be exponential, so the walk is capped; hitting the cap is
-reported as its own verdict, never as a pass.
+reported as its own verdict, never as a pass.  Unlike the saturation
+stages, the walk keeps minimizing each progress automaton first: the cap
+counts monoid nodes of the minimal automaton, and the monoid of a larger
+automaton for the same language maps onto that one, so it can only be
+larger and the CapExceeded boundary would move.
 
 A node of the walk is a pair (mapping, displacement).  When the minimized
 progress automaton has at most 256 states, the mapping is a byte string and

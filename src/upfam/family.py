@@ -21,7 +21,7 @@ from enum import Enum
 from operator import add
 
 from .automata import (Dfa, Nfa, TransitionSystem, canonical_bfs, is_weak,
-                       llex_bfs, orbit, weak_loop_accepts)
+                       llex_bfs, orbit, reachable, weak_loop_accepts)
 from .errors import InputError, PreconditionError
 from .words import Representation
 
@@ -44,6 +44,10 @@ class Family:
         if len(self.progress) != leading.n:
             raise InputError("need exactly one progress automaton per "
                              "leading state")
+        live = reachable([leading.initial], leading.delta.__getitem__)
+        if len(live) != leading.n:
+            k = min(set(range(leading.n)) - live)
+            raise InputError(f"leading state {k} is unreachable")
         for i, p in enumerate(self.progress):
             if p.alphabet != leading.alphabet:
                 raise InputError(f"progress automaton {i} has a different "

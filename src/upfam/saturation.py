@@ -17,63 +17,67 @@ periodic within the automaton size, so the scan is complete.
 
 The refined automaton of leading state q is the product of its progress
 automaton D_q with the leading system T started at q: a state (d, t) says
-that a loop word leads D_q to d and T from q to t (`refine_family` builds
-it).  The two stages never build it; their search nodes carry the leading
-state instead, and the nodes they reach are the refined states:
+that a loop word leads D_q to d and T from q to t.  The two stages never
+build it; their search nodes carry the leading state instead, and the
+nodes they reach are the refined states:
 
 * A loopshift node of the slot (q, a) after the word w is (d1, d2, t):
-  D_q after a*w, D_q' after w with q' = T(q, a), and t = T(q, a*w).  The
-  refined automata of q and q' reach (d1, T(q, a*w)) and (d2, T(q', w)),
-  and T(q', w) = T(q, a*w) = t, so both refined components carry the same
-  leading state and the node graph is isomorphic to their product, edge
-  for edge in alphabet order.  The llex search meets the same nodes with
-  the same words, and the pair (u, a*w) is normalized exactly when t = q.
+  D_q after a*w, D_q' after w with q' = T(q, a), and t = T(q, a*w) =
+  T(q', w).  Both refined components carry t, so the node graph is
+  isomorphic to their product, edge for edge in alphabet order, and the
+  pair (u, a*w) is normalized exactly when t = q.
 * Power representatives are the llex-least nonempty words reaching each
-  node (d, t) of D_q x T from (initial, q), that is each refined state;
-  `loop_words` yields them.  The orbit of a representative under its
-  powers is then followed on d alone, because acceptance reads only d.
-  The d-orbit is eventually periodic, so every acceptance value it ever
-  takes is met before d first repeats; the first flip, if any, comes
-  before that point, and the refined orbit, whose pairs repeat no
-  earlier, flips at the same index.
+  node (d, t) of D_q x T from (initial, q), each refined state
+  (`loop_words`).  Acceptance reads only d, so the orbit of a
+  representative under its powers is followed on d alone: the d-orbit is
+  eventually periodic, the first flip, if any, comes before d first
+  repeats, and the refined orbit, whose pairs repeat no earlier, flips at
+  the same index.
 
-The FDWA check searches for the five-condition witness (u, p, q, r, x, y):
-x reaches p and maps q to p, y maps p to q and reaches r from the progress
-automaton owned by the displacement of p, x*y loops on r, and the parity of
-r disagrees with that of p and q.  Such a witness yields two normalized
-representations of one word with opposite weak acceptance, and conversely.
-The check runs on the refined family, where every progress state fixes the
-leading state its loop words displace the owner to.  `refine_family` keeps
-that leading state as the state's key, so the displacements are read off
-the keys and never walked again.
+Nor do the stages need minimal progress automata: on the family as given
+they give the status, witness and stage they give on the minimized one.
+
+* Loopshift.  The goal test of a slot (q, a) reads only whether (u, a*w)
+  and (u*a, w*a) are accepted, and t; so the least w of each slot is
+  fixed by the languages, not by the automata.
+* Power.  The least word of a class of minimal states (with one t) is
+  also the least word of the fine node (d, t) it reaches.  The words of
+  the other fine nodes in that class are larger, and by the
+  representative argument on the minimized automaton they flip only when
+  the class's word flips.  The flip index is the first power whose
+  acceptance differs, a fact about the language.  (The argument needs
+  loopshift stability, which holds whenever `check_saturated` runs this
+  stage.)
+
+The FDWA check searches the refined family for the five-condition witness
+(u, p, q, r, x, y): x reaches p and maps q to p, y maps p to q and reaches
+r from the progress automaton owned by the displacement of p, x*y loops on
+r, and the parity of r disagrees with that of p and q.  Such a witness
+yields two normalized representations of one word with opposite weak
+acceptance, and conversely.  `refine_family` keeps the displacement of
+each state as its key, so it is never walked again.
 
 The reported witness is the least key (len z, z, u, p, q, r) over all
-admissible tuples, z = x*y.  Each tuple's search is limited to the length
-of the best witness found so far: a longer word loses on the first
-component of the key, so cutting the search there changes no verdict and
-no witness, while a word of equal length is still found and compared.
-Saturated families have no witness, so every search still runs to its end.
-The switch from the x-phase to the y-phase reads no symbol, so one word
-can first reach an x-node and a y-node together.  A node-by-node queue
-would then put all children of the x-node before those of the y-node and
-leave llex order; the search therefore queues the group of nodes first
-reached by one word and expands each group as a whole.
+admissible tuples, z = x*y.  Each tuple's search stops at the length of
+the best witness so far: a longer word loses on the first component of the
+key, and a word of equal length is still found and compared; saturated
+families have no witness, so every search still runs to its end.  The
+switch from the x-phase to the y-phase reads no symbol, so one word can
+first reach an x-node and a y-node together.  A node-by-node queue would
+put all children of the x-node first and leave llex order; the search
+therefore queues the group of nodes first reached by one word and expands
+it whole.
 
 All tuples (p, q, r) of one pair (u, v), v the displacement of p, walk
-the same two product graphs, Bu x Bu x Bv over x and Bu x Bv x Bv over y;
-only the start, the switch and the target depend on the tuple.  So the
-pair keeps one distinct-successor list per product node (`_SuccessorLists`):
-its distinct children, each with the least symbol leading to it, in symbol
-order.  A list is built from one pass over the alphabet when its node is
-first expanded, and every tuple of the pair reads it; wide alphabets have
-far fewer distinct children than symbols.  A group is expanded by merging
-its nodes' lists and taking the children symbol by symbol in ascending
-order, as a pass over the whole alphabet would.  A symbol that a list
-leaves out leads its node to a child that a smaller symbol already led it
-to, and that child was stored (or found stored) at the smaller symbol; so
-the left-out symbol stores nothing, and the stored nodes, the words that
-reach them, the node count that `--cap` bounds and the point where the cap
-is exceeded are those of the pass over the whole alphabet.
+the same two product graphs, Bu x Bu x Bv over x and Bu x Bv x Bv over y,
+so the pair keeps one distinct-successor list per product node
+(`_SuccessorLists`): its distinct children, each with the least symbol
+leading to it, in symbol order.  A group is expanded by merging its
+nodes' lists in symbol order.  A symbol that a list leaves out leads its
+node to a child that a smaller symbol already stored (or found stored), so
+it stores nothing: the stored nodes, their words, the node count that
+`--cap` bounds and the point where it is exceeded are those of a pass over
+the whole alphabet.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from .automata import dfa_sccs, llex_bfs, minimize_dfa, on_cycle, orbit
+from .automata import dfa_sccs, llex_bfs, on_cycle, orbit
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
                      loop_words, refine_family)
@@ -138,11 +142,9 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     _, q, a, w, left_acc = best
     u = T.access_word(q)
     w = tuple(alphabet[si] for si in w)
-    cx = Counterexample(
-        "loopshift",
-        Representation(u, (a,) + w),
-        Representation(u + (a,), w + (a,)),
-        left_acc, not left_acc)
+    cx = Counterexample("loopshift", Representation(u, (a,) + w),
+                        Representation(u + (a,), w + (a,)),
+                        left_acc, not left_acc)
     return Verdict(NOT_SATURATED, cx, STAGE_LOOPSHIFT)
 
 
@@ -177,30 +179,26 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
         return Verdict(SATURATED, stage=STAGE_POWER)
     _, q, rep, flip, base = best
     u = T.access_word(q)
-    cx = Counterexample(
-        "power",
-        Representation(u, rep),
-        Representation(u, rep * flip),
-        base, not base)
+    cx = Counterexample("power", Representation(u, rep),
+                        Representation(u, rep * flip), base, not base)
     return Verdict(NOT_SATURATED, cx, STAGE_POWER)
 
 
 def check_saturated(F: Family, ref: ReferenceSet = ReferenceSet.NORMALIZED
                     ) -> Verdict:
-    """Full pipeline: minimize the progress automata, then run the
-    loopshift and power stages against the reference set: Normalized for
-    saturation, All for full saturation.  Witnesses are word-level, so
-    they replay against the original family unchanged."""
+    """Full pipeline: the loopshift and then the power stage, on the family
+    as given, against the reference set: Normalized for saturation, All for
+    full saturation.  The progress automata are not minimized first; the
+    module docstring shows why no verdict, stage or witness changes."""
     if F.kind != FDFA:
         raise InputError("saturation pipeline applies to FDFAs; "
                          "use check_fdwa_saturated for FDWAs")
     if not isinstance(ref, ReferenceSet):
         raise InputError(f"unknown reference set {ref!r}")
-    slim = Family(FDFA, F.leading, [minimize_dfa(p) for p in F.progress])
-    verdict = check_loopshift_stable(slim, ref)
+    verdict = check_loopshift_stable(F, ref)
     if not verdict.ok:
         return verdict
-    return check_power_stable(slim, ref)
+    return check_power_stable(F, ref)
 
 
 def _components(D):
@@ -280,10 +278,12 @@ def _fdwa_witness_word(lists, p, q, r, limit, budget):
     pp = (p * nu + p) * nv  # x-nodes (p, p, c) have the codes pp + c
     pp_end = pp + nv
     shift = y_base + (p * nv + v0) * nv - pp  # x (p, p, c) -> y (p, v0, c)
+    # No x-node switches to the target.  The switch of (p, p, r) is the
+    # target only if p = q and r = v0; v0 is displaced to v and r to u, so
+    # v = u, and x leads the initial state of Bu to p and to r: p = r,
+    # which the caller's parity filter rules out.  So only the target
+    # itself ends the search.
     target = y_base + (q * nv + r) * nv + r
-    # A child that ends the search at the limit: the target, or the x-node
-    # whose switch is the target.
-    hits = (target, pp + r if p == q and v0 == r else target)
     seen = set()
     # The empty word never counts as a witness, so length-0 nodes stay out
     # of `seen` and do not shadow a later nonempty arrival.
@@ -299,7 +299,7 @@ def _fdwa_witness_word(lists, p, q, r, limit, budget):
             # Children at the limit are never expanded: only the target
             # matters, so they are tested and not stored.
             found = [si for code in group for si, child in lists[code]
-                     if child in hits]
+                     if child == target]
             if found:
                 return w + (min(found),), len(seen)
             continue
@@ -412,21 +412,13 @@ def check_fdwa_saturated(W: Family, cap: Optional[int] = None) -> Verdict:
     T = work.leading
     z = tuple(T.alphabet[si] for si in z)
     Bu, Bv = work.progress[u], work.progress[v]
-    split = None
-    for k in range(len(z) + 1):
-        x, y = z[:k], z[k:]
-        if (Bu.after(Bu.initial, x) == p and Bu.after(q, x) == p
+    splits = ((z[:k], z[k:]) for k in range(len(z) + 1))
+    x, y = next((x, y) for x, y in splits
+                if Bu.after(Bu.initial, x) == Bu.after(q, x) == p
                 and Bu.after(p, y) == q and Bv.after(Bv.initial, y) == r
-                and Bv.after(r, z) == r):
-            split = k
-            break
-    assert split is not None
-    x, y = z[:split], z[split:]
+                and Bv.after(r, z) == r)
     U = T.access_word(u)
-    cx = Counterexample(
-        "pair",
-        Representation(U, z),
-        Representation(U + x, y + x),
-        p in Bu.accepting,
-        r in Bv.accepting)
+    cx = Counterexample("pair", Representation(U, z),
+                        Representation(U + x, y + x),
+                        p in Bu.accepting, r in Bv.accepting)
     return Verdict(NOT_SATURATED, cx, STAGE_FDWA)

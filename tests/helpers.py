@@ -5,13 +5,15 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from upfam.automata import Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs
+from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs,
+                            minimize_dfa)
 from upfam.errors import (CAP_EXCEEDED, CapExceededError, InputError,
                           PreconditionError, Verdict)
 from upfam.family import (FDFA, FDWA, FNFA, Counterexample, Family,
                           ReferenceSet)
 from upfam.regularity import (ACCEPTING, REJECTING, TERMINAL, ProfileClass,
                               _apply, classify_profile)
+from upfam.saturation import check_loopshift_stable, check_power_stable
 from upfam.words import Representation, as_word, root
 
 from fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
@@ -505,6 +507,28 @@ def power_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
     cx = Counterexample("power", Representation(u, rep),
                         Representation(u, rep * flip), base, not base)
     return Verdict("NotSaturated", cx, "Power")
+
+
+def saturation_on_minimized(F: Family, ref_set: ReferenceSet) -> Verdict:
+    """Reference for saturation.check_saturated: the pipeline that first
+    minimized every progress automaton and then ran the loopshift and the
+    power stage on the minimized family."""
+    slim = Family(FDFA, F.leading, [minimize_dfa(p) for p in F.progress])
+    verdict = check_loopshift_stable(slim, ref_set)
+    if not verdict.ok:
+        return verdict
+    return check_power_stable(slim, ref_set)
+
+
+def padded(D: Dfa, k: int) -> Dfa:
+    """D with each state copied k times: copy j of a state moves to copy
+    j + 1 mod k of its successor.  The copies of a state are equivalent,
+    so the language is that of D; where two of them are reached, the
+    automaton is not minimal."""
+    return Dfa.build(D.alphabet, (D.initial, 0),
+                     lambda s, a: (D.delta[s[0]][D.sym_index[a]],
+                                   (s[1] + 1) % k),
+                     accepting=lambda s: s[0] in D.accepting)
 
 
 def _components(D):

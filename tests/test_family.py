@@ -3,17 +3,21 @@ import random
 import pytest
 
 from helpers import displacement_map, random_family
-from upfam.automata import Dfa, weak_loop_accepts
+from upfam.almost import check_almost_saturated
+from upfam.automata import Dfa, TransitionSystem, weak_loop_accepts
 from upfam.errors import InputError, PreconditionError
+from upfam.faf import parse_faf, serialize_faf
 from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts, is_normalized, normalize,
                           refine_family, trivial_leading, up_membership)
 from upfam.oracle import enumerate_normalized
+from upfam.regularity import check_regular
+from upfam.saturation import check_fdwa_saturated, check_saturated
 from upfam.words import Representation, up_equal
 
 from fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
-                      exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
-                      one_b_some_a_fdfa, universal_fdfa)
+                      exactly_one_a_fdfa, first_a_fdwa, mod2_leading,
+                      odd_a_fdfa, one_b_some_a_fdfa, universal_fdfa)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -45,6 +49,49 @@ def test_family_validation():
     assert family_accepts(fam, Representation("", "a"), NORM)
     assert family_accepts(fam, Representation("", "aa"), NORM)
     assert not family_accepts(fam, Representation("", "b"), NORM)
+
+
+# Leading state 0 loops on both letters and owns the universal progress
+# automaton; leading state 1 cannot be reached.  A checker that read state
+# 1 would answer for a state no word leads to: the saturation checks raise
+# "state 1 is unreachable" from access_word, and regularity answers
+# NotRegular where the family parsed from text answers Regular.
+UNREACHABLE_ROUTES = [
+    (fixture, name, check)
+    for fixture in (ba_star_fdfa, exactly_one_a_fdfa, one_b_some_a_fdfa)
+    for name, check in (
+        ("saturation", lambda F: check_saturated(F, NORM)),
+        ("full-saturation", lambda F: check_saturated(F, ALL)),
+        ("almost-saturation", check_almost_saturated),
+        ("regularity", check_regular))
+] + [(first_a_fdwa, name, check)
+     for name, check in (("fdwa-saturation", check_fdwa_saturated),
+                         ("regularity", check_regular))]
+
+
+@pytest.mark.parametrize("fixture,name,check", UNREACHABLE_ROUTES,
+                         ids=["%s-%s" % (f.__name__, name)
+                              for f, name, _ in UNREACHABLE_ROUTES])
+def test_family_rejects_unreachable_leading_states(fixture, name, check):
+    """The family is refused when it is built, so no checker sees the
+    state.  Parsed from text, the state is dropped, and the check answers
+    as on the one-state family."""
+    kind = fixture().kind
+    progress = fixture().progress[0]
+    one_state = universal_fdfa(kind=kind)
+    univ = one_state.progress[0]
+    with pytest.raises(InputError, match="leading state 1 is unreachable"):
+        check(Family(kind, TransitionSystem("ab", [[0, 0], [1, 1]]),
+                     [univ, progress]))
+    blocks = [serialize_faf(Family(kind, one_state.leading, [D]))
+              .split("progress 0\n")[1] for D in (univ, progress)]
+    text = ("faf 1\nkind %s\nalphabet a b\nleading\n  states 2\n"
+            "  initial 0\n  trans 0 a 0\n  trans 0 b 0\n  trans 1 a 1\n"
+            "  trans 1 b 1\nprogress 0\n%sprogress 1\n%s"
+            % (kind, blocks[0], blocks[1]))
+    parsed = parse_faf(text)
+    assert parsed == one_state
+    assert check(parsed) == check(one_state)
 
 
 def test_is_normalized():

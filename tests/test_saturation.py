@@ -24,11 +24,13 @@ from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
 from upfam.translate import gen_family
 from upfam.words import up_equal, words_up_to
 
-from fixtures import (ba_star_fdfa, eventually_ab_fdfa, exactly_one_a_fdfa,
-                      first_a_fdwa, odd_a_fdfa, some_a_fdwa, universal_fdfa)
+from fixtures import (all_fixture_families, ba_star_fdfa, eventually_ab_fdfa,
+                      exactly_one_a_fdfa, first_a_fdwa, odd_a_fdfa,
+                      some_a_fdwa, universal_fdfa)
 from helpers import (displacement_map, least_fdwa_witness_by_symbol,
-                     loopshift_on_refined, make_weak, power_on_refined,
-                     random_family, random_ts)
+                     loopshift_on_refined, make_weak, padded,
+                     power_on_refined, random_family, random_ts,
+                     saturation_on_minimized)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL
@@ -135,7 +137,7 @@ def test_stage_checks_match_refined_family():
     FDFA they give what the stages on the refined family gave: the same
     verdict, stage and witness.  The mod-2 family is not refined (both
     progress states are reached with both leading displacements); a third
-    of the random families are minimized first, as check_saturated does."""
+    of the random families are minimized first."""
     from fixtures import mod2_leading
     lead = mod2_leading("ab")
     odd = Dfa.from_parts("ab", 2, {(0, "a"): 1, (0, "b"): 0,
@@ -163,6 +165,51 @@ def test_stage_checks_match_refined_family():
                 assert v == reference(refined, ref), (F, ref, stage)
                 refuted += not v.ok
     assert refuted > 800
+
+
+def test_saturation_matches_the_minimized_pipeline():
+    """check_saturated runs its stages on the family as given, and gives
+    the status, stage and witness of the stages run on the minimized
+    family: on random FDFAs, a good share of them with progress automata
+    that are not minimal, and on families whose progress states are all
+    copied two and three times."""
+    rng = random.Random("as-given")
+    families = [random_family(rng, FDFA, alphabet=rng.choice(["ab", "abc"]),
+                              max_leading=rng.randint(1, 4),
+                              max_progress=rng.randint(2, 8))
+                for _ in range(1500)]
+    assert sum(any(minimize_dfa(D).n < D.n for D in F.progress)
+               for F in families) > 450
+    bases = [gen_family("syntactic-gap", n) for n in (4, 8)]
+    bases += all_fixture_families().values()
+    for F in bases:
+        families.append(F)
+        families += [Family(FDFA, F.leading, [padded(D, k)
+                                              for D in F.progress])
+                     for k in (2, 3)]
+    refuted = 0
+    for F in families:
+        for ref in (NORM, ALL):
+            v = check_saturated(F, ref)
+            assert v == saturation_on_minimized(F, ref), (F, ref)
+            refuted += not v.ok
+    assert refuted > 1800
+
+
+def test_saturation_stages_get_the_callers_family(monkeypatch):
+    """No copy of the family is made for the stages: both receive the
+    object the caller passed."""
+    received = []
+    for name in ("check_loopshift_stable", "check_power_stable"):
+        def spy(F, ref, stage=getattr(saturation, name)):
+            received.append(F)
+            return stage(F, ref)
+        monkeypatch.setattr(saturation, name, spy)
+    F = Family(FDFA, eventually_ab_fdfa().leading,
+               [padded(eventually_ab_fdfa().progress[0], 2)])
+    assert check_saturated(F, NORM).ok
+    assert len(received) == 2
+    assert all(G is F for G in received)
 
 
 def test_checker_agrees_with_oracle_on_random_families():
