@@ -16,9 +16,9 @@ from .learning import (DOLLAR, LearnLog, Sample, Teacher, default_fdfa,
                        dollar_dfa_to_fdfa, fdfa_to_dollar_dfa,
                        gen_char_sample, learn_active, learn_passive,
                        make_teacher)
-from .regularity import (GoodWitness, ProfileClass, check_regular,
-                         classify_profile, find_good_witness,
-                         gen_ter_hardness, label_by_leading, stabilize)
+from .regularity import (GoodWitness, check_regular, classify_profile,
+                         find_good_witness, gen_ter_hardness,
+                         label_by_leading, stabilize)
 from .saturation import (check_fdwa_saturated, check_loopshift_stable,
                          check_power_stable, check_saturated)
 from .translate import (GEN_FAMILY_NAMES, complement_saturated_fdwa,

@@ -56,7 +56,7 @@ class Family:
                 if not isinstance(p, Nfa):
                     raise InputError("fnfa progress automata must be NFAs")
             else:
-                if not isinstance(p, Dfa) or isinstance(p, Nfa):
+                if not isinstance(p, Dfa):
                     raise InputError(f"{kind} progress automata must be DFAs")
 
     def require_weak(self):
@@ -71,10 +71,6 @@ class Family:
 
     def progress_sizes(self) -> tuple[int, ...]:
         return tuple(p.n for p in self.progress)
-
-    def size(self) -> tuple[int, int]:
-        """(leading states, largest progress automaton)."""
-        return (self.leading.n, max(self.progress_sizes()))
 
     def _signature(self):
         def key(p):

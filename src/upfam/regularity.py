@@ -32,7 +32,10 @@ symbol and distinct row, and equal rows share one stored image.
 A profile is classified by its orbit: tau^e is accepted exactly when the
 image of the initial set under tau^e meets the accepting set, so it is
 enough to follow that image, one step per power, until it repeats; the
-matrix powers themselves are never formed.  For a terminal profile g, the
+matrix powers themselves are never formed.  Every element of a finite
+monoid has an idempotent power, so a profile is terminal exactly when
+some power of it is accepted and its idempotent power is rejected: one
+lookup on the orbit.  For a terminal profile g, the
 profiles that a first-visit path to g can pass form a region (reachable
 from the one-letter profiles and co-reachable to g, with g avoided).  The
 least region profile on a cycle inside the region, found through the
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .almost import HASH, next_prime, sigma_plus_dfa
-from .automata import (Dfa, Nfa, llex_bfs, on_cycle, reachable,
+from .automata import (Dfa, Nfa, llex_bfs, on_cycle, orbit, reachable,
                        strongly_connected_components)
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import FDWA, FNFA, Family, trivial_leading
@@ -71,17 +74,6 @@ CASE_FIRST_VISITORS = "InfinitelyManyFirstVisitors"
 CASE_DISTINCT_ROOTS = "DistinctRoots"
 
 DEFAULT_PROFILE_CAP = 100_000
-
-
-@dataclass(frozen=True)
-class ProfileClass:
-    """Classification of a profile together with the interesting power.
-
-    For Accepting, ``power`` is the least i with tau^i accepted; for
-    Terminal-Accepting it is the least i such that tau^i is rejecting."""
-
-    classification: str
-    power: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -130,49 +122,31 @@ def _mask(states) -> int:
     return out
 
 
-def classify_profile(N: Nfa, masks: tuple,
-                     cap: int = DEFAULT_PROFILE_CAP) -> ProfileClass:
+def classify_profile(N: Nfa, masks: tuple) -> str:
     """Classify a profile tau of N, given by its masks, as Accepting,
     Rejecting or Terminal-Accepting.
 
-    tau^e is accepted when its image of the initial set meets the accepting
-    set, so only the orbit v_e = init.tau^e (e >= 1) matters, one image per
-    step.  The orbit is walked until a value repeats, v_(j+c) = v_j, and
-    hit(e) is whether v_e meets the accepting set.  More than `cap`
-    distinct values raise CapExceededError; the orbit is never longer than
-    the list of distinct powers of tau.
+    tau^e is accepted when v_e = init.tau^e meets the accepting set, so
+    only this orbit (e >= 1) matters.  It is followed until a value
+    repeats, v_(j+c) = v_j.  When no v_e meets the accepting set, tau is
+    Rejecting.
 
-    From j on, hit(e) depends only on e mod c.  So when some i >= j+c has no
-    multiple that hits, the i' in [j, j+c) with i' = i (mod c) has, for
-    every m, m.i' >= j and m.i' = m.i (mod c), hence no hitting multiple
-    either: the least such i is at most j+c-1.  Likewise the multiples m.i
-    with m in [j, j+c) cover every residue that a larger m reaches."""
+    Otherwise let P be the least multiple of c that is at least j.  For
+    every m >= 1, mP >= j and c divides mP, so v_mP = v_P.  So P is a power
+    with no accepted power exactly when v_P misses the accepting set.
+    Conversely, any power i with no accepted power has the power i.P,
+    whose image is v_P.  So tau is Terminal-Accepting exactly when v_P
+    misses the accepting set; v_P is init under tau's idempotent power."""
     if len(masks) != N.n:
         raise InputError("profile does not match the automaton")
-    init, acc = _mask(N.initials), _mask(N.accepting)
-    first = {}  # orbit value -> least exponent e with v_e equal to it
-    hits = []
-    v = _apply(masks, init)
-    while v not in first:
-        first[v] = len(hits) + 1
-        hits.append(bool(v & acc))
-        if len(hits) > cap:
-            raise CapExceededError("profile orbit exceeded cap")
-        v = _apply(masks, v)
-    j = first[v]
-    c = len(hits) + 1 - j
-
-    def hit(e: int) -> bool:
-        if e > len(hits):
-            e = j + (e - j) % c
-        return hits[e - 1]
-
-    if not any(hits):
-        return ProfileClass(REJECTING)
-    for i in range(1, len(hits) + 1):
-        if not any(hit(i * m) for m in range(1, j + c)):
-            return ProfileClass(TERMINAL, i)
-    return ProfileClass(ACCEPTING, hits.index(True) + 1)
+    acc = _mask(N.accepting)
+    values, k = orbit(_apply(masks, _mask(N.initials)),
+                      lambda v: _apply(masks, v))
+    if not any(v & acc for v in values):
+        return REJECTING
+    c = len(values) - k  # values[e - 1] is v_e, and j = k + 1
+    P = (k // c + 1) * c  # the least multiple of c that is at least j
+    return ACCEPTING if values[P - 1] & acc else TERMINAL
 
 
 def _to_sets(progress):
@@ -364,7 +338,7 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
         return tuple(N.alphabet[si] for si in idxs)
 
     terminals = [i for i, m in enumerate(profiles)
-                 if classify_profile(N, m, cap).classification == TERMINAL]
+                 if classify_profile(N, m) == TERMINAL]
     preds = [[] for _ in profiles]
     for i, row in enumerate(succ):
         for j in row:

@@ -11,7 +11,7 @@ suites and the command line.
 
 from __future__ import annotations
 
-from .automata import Dfa, Nba, TransitionSystem, dfa_sccs, llex_bfs
+from .automata import Dfa, Nba, TransitionSystem, dfa_sccs, reachable
 from .errors import InputError, PreconditionError
 from .family import FDFA, FDWA, Family, trivial_leading
 from .saturation import check_fdwa_saturated
@@ -131,9 +131,7 @@ def _duo_reachable(T: TransitionSystem, q: int, D: Dfa, s: int) -> bool:
         t, d1, d2 = node
         return zip(T.delta[t], D.delta[d1], D.delta[d2])
 
-    starts = [(node, (i,))
-              for i, node in enumerate(successors((q, D.initial, s)))]
-    return any(node == (q, s, s) for node, _ in llex_bfs(starts, successors))
+    return (q, s, s) in reachable(successors((q, D.initial, s)), successors)
 
 
 def duo_to_fdwa(F: Family) -> Family:

@@ -110,15 +110,6 @@ class Representation:
         u, x = canonical_pair(self.u, self.x)
         return Representation(u, x)
 
-    def shift(self) -> "Representation":
-        """Move the first loop symbol onto the spoke: (u, x) -> (u x0, x')."""
-        return Representation(self.u + self.x[:1], self.x[1:] + self.x[:1])
-
-    def power(self, k: int) -> "Representation":
-        if k < 1:
-            raise InputError("loop power must be positive")
-        return Representation(self.u, self.x * k)
-
     def __str__(self):
         return f"({format_word(self.u) or 'eps'}, {format_word(self.x)})"
 

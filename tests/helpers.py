@@ -11,8 +11,7 @@ from upfam.errors import (CAP_EXCEEDED, CapExceededError, InputError,
                           PreconditionError, Verdict)
 from upfam.family import (FDFA, FDWA, FNFA, Counterexample, Family,
                           ReferenceSet)
-from upfam.regularity import (ACCEPTING, REJECTING, TERMINAL, ProfileClass,
-                              _apply, classify_profile)
+from upfam.regularity import ACCEPTING, REJECTING, TERMINAL, _apply
 from upfam.saturation import check_loopshift_stable, check_power_stable
 from upfam.words import Representation, as_word, root
 
@@ -211,7 +210,8 @@ def profile_of(N: Nfa, x) -> tuple:
 
 def brute_ter_roots(N: Nfa, len_bound: int) -> set:
     """All primitive words up to len_bound whose profile on N is terminal,
-    enumerated word by word."""
+    enumerated word by word.  Profiles are classified by the matrix-power
+    reference classify_by_powers, not by the checker's classify_profile."""
     sym = _symbol_masks(N)
     terminal = {}
     out = set()
@@ -224,18 +224,20 @@ def brute_ter_roots(N: Nfa, len_bound: int) -> set:
                 w2 = w + (a,)
                 nxt.append((w2, m2))
                 if m2 not in terminal:
-                    terminal[m2] = (classify_profile(N, m2).classification
-                                    == TERMINAL)
+                    terminal[m2] = classify_by_powers(N, m2)[0] == TERMINAL
                 if terminal[m2] and root(w2) == w2:
                     out.add(w2)
         layer = nxt
     return out
 
 
-def classify_by_powers(N: Nfa, masks):
+def classify_by_powers(N: Nfa, masks) -> tuple:
     """Reference for regularity.classify_profile: the classifier that built
     the table of distinct matrix powers tau^1 .. tau^(j+c-1), with
-    tau^(j+c) == tau^j, and tested acceptance of every power."""
+    tau^(j+c) == tau^j, and tested acceptance of every power.  Returns
+    (classification, power): for Accepting the least i with tau^i accepted,
+    for Terminal-Accepting the least i with no accepted power of tau^i, and
+    None for Rejecting."""
     init = sum(1 << s for s in N.initials)
     acc = sum(1 << s for s in N.accepting)
     powers = [masks]
@@ -256,11 +258,11 @@ def classify_by_powers(N: Nfa, masks):
 
     hits = [hit(e) for e in range(1, len(powers) + 1)]
     if not any(hits):
-        return ProfileClass(REJECTING)
+        return REJECTING, None
     for i in range(1, len(powers) + 1):
         if all(not hit(i * m) for m in range(1, j + c + 1)):
-            return ProfileClass(TERMINAL, i)
-    return ProfileClass(ACCEPTING, hits.index(True) + 1)
+            return TERMINAL, i
+    return ACCEPTING, hits.index(True) + 1
 
 
 def minimize_by_signatures(dfa: Dfa) -> Dfa:

@@ -87,8 +87,7 @@ def test_1_fixture_verdicts(capsys):
            check_loopshift_stable(biab, NORM).ok)
     N = as_nfa(biab.progress[0])
     expect("exactly-one-a: abab profile rejecting",
-           classify_profile(N, profile_of(N, "abab")).classification ==
-           "Rejecting")
+           classify_profile(N, profile_of(N, "abab")) == "Rejecting")
     conclude(capsys, "1 fixture verdicts", t0, 1, failures, "9 checks")
 
 
@@ -150,8 +149,9 @@ def test_3_generated_family_sizes_and_verdicts(capsys):
     for n in (1, 2, 3):
         for name, size_of in expect_size.items():
             F = gen_family(name, n)
-            if F.size() != size_of(n):
-                failures.append("%s n=%d size %r" % (name, n, F.size()))
+            size = (F.leading.n, max(F.progress_sizes()))
+            if size != size_of(n):
+                failures.append("%s n=%d size %r" % (name, n, size))
         for name in ("fixpoint-fdwa", "subset-occurrence"):
             if not check_fdwa_saturated(gen_family(name, n)).ok:
                 failures.append("%s n=%d not fdwa-saturated" % (name, n))

@@ -5,22 +5,27 @@ witness, 2 usage or parse error, 3 cap exceeded.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from upfam import cli
 from upfam.cli import main, run_subcommand
 from upfam.faf import parse_faf, serialize_faf, serialize_sample
-from upfam.family import FDFA, family_accepts
+from upfam.family import FDFA, FDWA, FNFA, family_accepts
 from upfam.learning import gen_char_sample
+from upfam.translate import GEN_FAMILY_NAMES, gen_family
 from upfam.words import Representation
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, first_a_fdwa,
                       odd_a_fdfa, some_a_fdwa, universal_fdfa)
+from helpers import random_family
 
 FILES = os.path.join(os.path.dirname(__file__), "files")
 BA_STAR = os.path.join(FILES, "ba_star.faf")
@@ -337,3 +342,81 @@ class TestUsageErrors:
 
     def test_help_is_exit_0(self, capsys):
         assert run(["--help"])[0] == 0
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Every command that reads a family document: each `check` property, the
+# five family translations and the two bounded oracles, with small bounds.
+FUZZ_COMMANDS = (
+    [["check", which, "-", "--cap", "300", "--json"] for which in cli._CHECKS]
+    + [["translate", which, "-"] for which in (
+        "fdwa-to-nba", "complement", "duo-to-fdwa", "fdwa-to-duo",
+        "to-dollar")]
+    + [["oracle", which, "-", "--max-u", "1", "--max-x", "2",
+        "--max-power", "3"] for which in ("saturation", "almost-saturation")])
+FUZZ_TOKENS = ("0", "1", "2", "3", "a", "b", "c", "-1", "99", "x", "#", "")
+STRAY_LINES = ("states 2", "initial 0", "initials 0 1", "accepting 0",
+               "trans 0 a 1", "trans 1 c 0", "leading", "progress 0",
+               "progress 5", "kind fnfa", "kind fdwa", "alphabet a",
+               "faf 1", "dfa 1", "bogus 3")
+
+
+def fuzz_documents():
+    """The two fixture files, the six ladders at n = 1 and 2, two rungs
+    that exceed the cap of 300 unmutated, and seeded random families of
+    each kind."""
+    docs = [Path(path).read_text() for path in (BA_STAR, ODD)]
+    rungs = [(name, n) for name in GEN_FAMILY_NAMES for n in (1, 2)]
+    rungs += [("zero-u-zero-fdfa", 3), ("fixpoint-alsat", 4)]
+    docs += [serialize_faf(gen_family(name, n)) for name, n in rungs]
+    rng = random.Random("cli-fuzz-families")
+    docs += [serialize_faf(random_family(rng, kind, max_progress=4))
+             for kind in (FDFA, FDWA, FNFA) for _ in range(4)]
+    return docs
+
+
+def mutate(rng, text):
+    """One to three edits: delete, duplicate or swap lines, replace one
+    token of a line, or insert a stray directive.  Only token edits touch
+    the three header lines, so most documents get past the header."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("delete", "duplicate", "swap", "token", "stray"))
+        i = rng.randrange(0 if op == "token" else 3, len(lines))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = rng.randrange(3, len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = lines[i].split() or [""]
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        else:
+            lines.insert(i, rng.choice(STRAY_LINES))
+    return "\n".join(lines)
+
+
+def test_mutated_documents_end_in_an_exit_code():
+    """Through `main`, every mutated document ends in exit 0, 1, 2 or 3:
+    a verdict, a usage or parse error, or a cap.  Nothing raises."""
+    rng = random.Random("cli-fuzz")
+    docs = fuzz_documents()
+    codes = {}
+    for _ in range(1000):
+        text = mutate(rng, rng.choice(docs))
+        for argv in FUZZ_COMMANDS:
+            old_stdin = sys.stdin
+            sys.stdin = io.StringIO(text)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+            finally:
+                sys.stdin = old_stdin
+            assert code in (0, 1, 2, 3), (argv, text)
+            codes[code] = codes.get(code, 0) + 1
+    assert codes.keys() == {0, 1, 2, 3}

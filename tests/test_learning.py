@@ -378,7 +378,7 @@ class TestPassiveLearning:
 
     def test_canonical_family_detects_isomorphism(self):
         F, _ = syntactic_targets()["eventually-ab"]
-        assert canonical_family(F).size() == F.size()
+        assert canonical_family(F).progress_sizes() == F.progress_sizes()
         assert same_family(F, F)
         assert not same_family(F, empty_fdfa("ab"))
 

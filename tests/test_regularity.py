@@ -18,7 +18,7 @@ from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               DEFAULT_PROFILE_CAP, TERMINAL, GoodWitness,
-                              ProfileClass, _profile_graph, check_regular,
+                              _profile_graph, check_regular,
                               classify_profile, find_good_witness,
                               gen_ter_hardness, label_by_leading, stabilize)
 from upfam.translate import gen_family
@@ -95,30 +95,28 @@ def test_profile_images():
 
 def test_classify_odd_a():
     N = as_nfa(odd_a_fdfa().progress[0])
-    c = classify_profile(N, profile_of(N, "a"))
-    assert c == ProfileClass(TERMINAL, 2)  # aa and all its powers rejected
-    assert classify_profile(N, profile_of(N, "aa")).classification == \
-        "Rejecting"
+    tau = profile_of(N, "a")
+    assert classify_profile(N, tau) == TERMINAL
+    assert classify_by_powers(N, tau) == (TERMINAL, 2)  # aa never accepted
+    assert classify_profile(N, profile_of(N, "aa")) == "Rejecting"
     with pytest.raises(InputError):
         classify_profile(N, (0b10,))  # one mask for two states
 
 
 def test_classify_exactly_one_a():
     N = as_nfa(exactly_one_a_fdfa().progress[0])
-    assert classify_profile(N, profile_of(N, "abab")).classification == \
-        "Rejecting"
-    c = classify_profile(N, profile_of(N, "ab"))
-    assert c.classification == TERMINAL and c.power == 2
+    assert classify_profile(N, profile_of(N, "abab")) == "Rejecting"
+    tau = profile_of(N, "ab")
+    assert classify_profile(N, tau) == TERMINAL
+    assert classify_by_powers(N, tau) == (TERMINAL, 2)
     # no power of b ever sees an a, so its profile is rejecting outright
-    assert classify_profile(N, profile_of(N, "b")) == \
-        ProfileClass("Rejecting")
+    assert classify_profile(N, profile_of(N, "b")) == "Rejecting"
 
 
 def test_classify_universal_progress_never_terminal():
     N = as_nfa(universal_fdfa("ab").progress[0])
     for x in words_up_to("ab", 3, min_len=1):
-        c = classify_profile(N, profile_of(N, x))
-        assert c.classification == "Accepting"
+        assert classify_profile(N, profile_of(N, x)) == "Accepting"
 
 
 def _permutation_dfa(rng, n):
@@ -151,10 +149,9 @@ def test_orbit_classifier_matches_matrix_powers():
         else:
             x = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
             tau = profile_of(N, x)
-        c = classify_profile(N, tau)
-        assert c == classify_by_powers(N, tau), (N.delta, tau)
-        seen[c.classification] = max(seen.get(c.classification, 0),
-                                     c.power or 0)
+        c, power = classify_by_powers(N, tau)
+        assert classify_profile(N, tau) == c, (N.delta, tau)
+        seen[c] = max(seen.get(c, 0), power or 0)
     assert seen.keys() == {"Accepting", "Rejecting", TERMINAL}
     assert seen[TERMINAL] >= 6
 
@@ -294,7 +291,7 @@ def test_ba_star_not_regular():
     assert profile_path_hits(N, x, w.profile) == [len(x)]  # first visit
     for k in (1, 2, 3):  # u loops on the profile, so x u^k stays terminal
         assert profile_of(N, x + u * k) == w.profile
-    assert classify_profile(N, w.profile).classification == TERMINAL
+    assert classify_profile(N, w.profile) == TERMINAL
 
 
 def test_one_b_some_a_not_regular():
@@ -303,7 +300,7 @@ def test_one_b_some_a_not_regular():
         (("0:a", "0:a"), ("0:a",), ("0:b",))).words
     N = label_by_leading(stabilize(one_b_some_a_fdfa())).progress[0]
     g = profile_of(N, stem + tail)
-    assert classify_profile(N, g).classification == TERMINAL
+    assert classify_profile(N, g) == TERMINAL
     for k in range(3):  # pumping the cycle keeps producing first visitors
         word = stem + cycle * k + tail
         assert profile_path_hits(N, word, g) == [len(word)]
@@ -338,6 +335,17 @@ def test_cap_exceeded_verdict():
         find_good_witness(N, cap=2)
     with pytest.raises(InputError):
         check_regular(one_b_some_a_fdfa(), cap=0)
+
+
+def test_cap_counts_profiles_not_orbit_steps():
+    # a cycles 0 -> 1 -> 2 -> 0, b = a^2 and c is the identity, so the three
+    # one-letter profiles already form the whole monoid, and the cap, which
+    # does not count them, never fires.  Classifying a walks an orbit of
+    # three values, which the cap does not bound either.
+    N = as_nfa(Dfa("abc", [[1, 2, 0], [2, 0, 1], [0, 1, 2]], [0]))
+    for cap in (1, 2, 3, 4):
+        assert find_good_witness(N, cap=cap) is None
+    assert classify_profile(N, profile_of(N, "a")) == "Accepting"
 
 
 def _graph_or_capped(explore, N, cap):

@@ -1,8 +1,9 @@
 """Source hygiene of the package: every module imports only what it uses,
 every function it defines is used somewhere, every public function and
 class is run by the package or the benchmark, not only by tests, every
-defaulted parameter is passed by some call, and the runtime imports
-nothing outside the standard library.
+method of a package class is read as an attribute by the package or the
+benchmark, every defaulted parameter is passed by some call, and the
+runtime imports nothing outside the standard library.
 
 The import check covers the package and the test modules.  It skips
 `__init__.py`, because its imports are the public re-exports, and `from
@@ -138,6 +139,46 @@ def test_package_runs_every_public_definition():
                   path.read_text(encoding="utf-8")).items()
               if name not in read | LIBRARY_ONLY]
     assert unused == []
+
+
+def class_methods(source: str) -> dict[str, int]:
+    """Name and line of every method of the module's classes, dunders left
+    out."""
+    return {item.name: item.lineno for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
+def attributes_read(source: str) -> set[str]:
+    """The names read as an attribute, `obj.name`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_detects_an_unread_method():
+    src = ("class C:\n    def __eq__(self, o): pass\n"
+           "    def m(self): pass\n    def n(self): return self.k()\n"
+           "    def k(self): pass\n"
+           "def m(): pass\nm(); C.n\n")
+    assert class_methods(src) == {"m": 3, "n": 4, "k": 5}
+    assert attributes_read(src) == {"k", "n"}
+
+
+def test_package_reads_every_method():
+    """A method of a package class is read as an attribute, `obj.name`, by
+    the package or the benchmark.  A plain name does not count: a local
+    variable or a function of the same name says nothing about the
+    method."""
+    read = set().union(*(attributes_read(p.read_text(encoding="utf-8"))
+                         for d in ("src", "bench")
+                         for p in (ROOT / d).rglob("*.py")))
+    unread = ["%s (%s line %d)" % (name, path.name, line)
+              for path in MODULES
+              for name, line in class_methods(
+                  path.read_text(encoding="utf-8")).items()
+              if name not in read]
+    assert unread == []
 
 
 def defaulted_parameters(source: str) -> list[tuple[str, str, object, int]]:

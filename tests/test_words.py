@@ -116,11 +116,3 @@ def test_parse_word_rejects_unknown_symbol():
     with pytest.raises(InputError):
         parse_word("abc", "ab")
 
-
-def test_representation_shift_and_power():
-    r = Representation("", "ab")
-    assert r.shift() == Representation("a", "ba")
-    assert up_equal(r, r.shift())
-    assert r.power(3) == Representation("", "ababab")
-    with pytest.raises(InputError):
-        r.power(0)
