@@ -240,6 +240,12 @@ def learn_active(teacher: Teacher) -> tuple[Family, LearnLog]:
     tells which spelling the table has wrong, so the teacher's equivalence
     oracle only ever sees fully saturated candidates.  Counterexample words
     are absorbed by adding all their suffixes as table columns.
+
+    The table keeps one representative prefix per row: the empty word, and
+    each llex-least one-letter extension whose row was new.  The hypothesis
+    is built on the representatives by `Dfa.build`; its state numbering is
+    never seen, since `dollar_dfa_to_fdfa` renumbers canonically and
+    acceptance does not depend on numbering.
     """
     sigma = tuple(teacher.alphabet)
     if DOLLAR in sigma:
@@ -260,37 +266,24 @@ def learn_active(teacher: Teacher) -> tuple[Family, LearnLog]:
             cache[w] = got
         return got
 
-    prefixes: list[Word] = [()]
     suffixes: list[Word] = [()]
 
     def row(w: Word):
         return tuple(mem(w + e) for e in suffixes)
 
+    rep = {row(()): ()}
     while True:
-        # close the table: every one-letter extension must match some row
+        # close the table: add the llex-least one-letter extension with a
+        # new row until every extension matches some representative
         while True:
-            rows = {row(s) for s in prefixes}
-            missing = None
-            for w in sorted((s + (a,) for s in prefixes for a in gamma),
-                            key=lambda v: llex_key(v, order)):
-                if row(w) not in rows:
-                    missing = w
-                    break
+            ext = sorted((s + (a,) for s in rep.values() for a in gamma),
+                         key=lambda v: llex_key(v, order))
+            missing = next((w for w in ext if row(w) not in rep), None)
             if missing is None:
                 break
-            prefixes.append(missing)
-            prefixes.sort(key=lambda v: llex_key(v, order))
-
-        state_of: dict = {}
-        reps: list[Word] = []
-        for s in prefixes:
-            r = row(s)
-            if r not in state_of:
-                state_of[r] = len(reps)
-                reps.append(s)
-        delta = [[state_of[row(s + (a,))] for a in gamma] for s in reps]
-        accepting = [i for i, s in enumerate(reps) if row(s)[0]]
-        hypothesis = Dfa(gamma, delta, accepting, 0)
+            rep[row(missing)] = missing
+        hypothesis = Dfa.build(gamma, (), lambda s, a: rep[row(s + (a,))],
+                               accepting=mem)
 
         log.rounds += 1
         candidate = dollar_dfa_to_fdfa(hypothesis)
@@ -304,21 +297,20 @@ def learn_active(teacher: Teacher) -> tuple[Family, LearnLog]:
                 return candidate, log
             word = cex.u + (DOLLAR,) + cex.x
         else:
-            witness = verdict.witness
-            if witness.left_accepted:
-                acc, rej = witness.left, witness.right
-            else:
-                acc, rej = witness.right, witness.left
-            picked = acc if not teacher.membership(acc) else rej
+            w = verdict.witness
+            acc, rej = ((w.left, w.right) if w.left_accepted
+                        else (w.right, w.left))
+            picked = rej if teacher.membership(acc) else acc
             word = picked.u + (DOLLAR,) + picked.x
         if hypothesis.accepts(word) == mem(word):
             raise ProtocolError(
                 "counterexample %r agrees with the hypothesis; the teacher's"
                 " answers are inconsistent" % (format_word(word),))
         log.max_counterexample = max(log.max_counterexample, len(word))
-        for k in range(len(word) + 1):
-            if word[k:] not in suffixes:
-                suffixes.append(word[k:])
+        suffixes += [word[k:] for k in range(len(word) + 1)
+                     if word[k:] not in suffixes]
+        # new columns only split rows, so the representatives stay distinct
+        rep = {row(s): s for s in rep.values()}
 
 
 def default_fdfa(positives: Iterable[Representation],
@@ -520,15 +512,17 @@ def _infer_progress(evidence, leading, q, alphabet, order):
 def gen_char_sample(target: Family) -> Sample:
     """Characteristic sample for a saturated target family.
 
-    Emits, all labeled by the target: a separating word pair for every two
-    leading states and for every transition against every other state; loop
-    extensions separating every two progress states of each leading state,
-    and likewise for progress transitions; a normalized positive loop for
-    every accepting progress state; and one single-letter loop per leading
-    state and symbol, which also pins down the alphabet.  Raises when the
-    target is not saturated, when two leading states are equivalent (the
-    leading system must be minimal), or when two progress states admit no
-    separating extension.
+    Emits, all labeled by the target, the separation rule on every machine:
+    each access word and each one-letter extension of one, w reaching state
+    t, is followed by the separator of t against every other state j.  In
+    the leading system the separator is a pair (v, x), emitted as (w·v, x);
+    in the progress DFA of leading state q it is a loop extension z, emitted
+    as (access word of q, w·z) unless w·z is empty.  It also emits a
+    normalized positive loop for every accepting progress state, and one
+    single-letter loop per leading state and symbol, which also pins down
+    the alphabet.  Raises when the target is not saturated, when two
+    leading states are equivalent (the leading system must be minimal), or
+    when two progress states admit no separating extension.
     """
     if target.kind != FDFA:
         raise InputError("characteristic samples are defined for fdfa"
@@ -543,73 +537,44 @@ def gen_char_sample(target: Family) -> Sample:
 
     def emit(u, x):
         # Sample dedupes anyway; skipping repeats saves the membership call.
-        if (u, x) in emitted:
-            return
-        emitted.add((u, x))
-        r = Representation(u, x)
-        side = positive if up_membership(target, r) else negative
-        side.append(r)
+        if (u, x) not in emitted:
+            emitted.add((u, x))
+            r = Representation(u, x)
+            (positive if up_membership(target, r) else negative).append(r)
 
-    lead_sep = {}
-    for p in range(T.n):
-        for q in range(p):
-            lead_sep[(q, p)] = _leading_separator(target, q, p)
-
-    def sep_for(q, p):
-        return lead_sep[(q, p) if q < p else (p, q)]
-
-    for (q, p), (v, x) in lead_sep.items():
-        emit(T.access_word(q) + v, x)
-        emit(T.access_word(p) + v, x)
-    for q in range(T.n):
-        for a in T.alphabet:
-            t = T.after(q, (a,))
-            for j in range(T.n):
-                if j != t:
-                    v, x = sep_for(t, j)
-                    emit(T.access_word(q) + (a,) + v, x)
-                    emit(T.access_word(j) + v, x)
+    lead_sep = {(q, p): _leading_separator(target, q, p)
+                for p in range(T.n) for q in range(p)}
+    for w, t in _state_words(T):
+        for j in range(T.n):
+            if j != t:
+                v, x = lead_sep[(t, j) if t < j else (j, t)]
+                emit(w + v, x)
 
     for q in range(T.n):
         D = target.progress[q]
         u = T.access_word(q)
-        cap = D.n + 2
 
-        def verdict(w, u=u):
-            if not w:
-                return False
-            return up_membership(target, Representation(u, w))
-
-        def loop_sep(s1, s2, D=D, cap=cap, verdict=verdict):
-            x1, x2 = D.access_word(s1), D.access_word(s2)
-            for z in words_up_to(D.alphabet, cap):
-                if verdict(x1 + z) != verdict(x2 + z):
-                    return z
-            return None
+        def verdict(w):
+            return bool(w) and up_membership(target, Representation(u, w))
 
         seps = {}
         for s2 in range(D.n):
             for s1 in range(s2):
-                z = loop_sep(s1, s2)
-                if z is None:
+                x1, x2 = D.access_word(s1), D.access_word(s2)
+                for z in words_up_to(D.alphabet, D.n + 2):
+                    if verdict(x1 + z) != verdict(x2 + z):
+                        seps[(s1, s2)] = z
+                        break
+                else:
                     raise PreconditionError(
                         "progress states %d and %d of leading state %d admit"
                         " no separating extension" % (s1, s2, q))
-                seps[(s1, s2)] = z
-        for (s1, s2), z in seps.items():
-            for s in (s1, s2):
-                if D.access_word(s) + z:
-                    emit(u, D.access_word(s) + z)
-        for s in range(D.n):
-            for a in D.alphabet:
-                t = D.after(s, (a,))
-                for j in range(D.n):
-                    if j == t:
-                        continue
-                    z = seps[(t, j) if t < j else (j, t)]
-                    emit(u, D.access_word(s) + (a,) + z)
-                    if D.access_word(j) + z:
-                        emit(u, D.access_word(j) + z)
+        for w, t in _state_words(D):
+            for j in range(D.n):
+                if j != t:
+                    x = w + seps[(t, j) if t < j else (j, t)]
+                    if x:
+                        emit(u, x)
         # the llex-least nonempty loop word leading D to s and T back to q
         loops = {s: w for (s, t), w in loop_words(target, q) if t == q}
         for s in sorted(D.accepting):
@@ -622,6 +587,16 @@ def gen_char_sample(target: Family) -> Sample:
             emit(u, (a,))
 
     return Sample(positive, negative)
+
+
+def _state_words(M: TransitionSystem):
+    """(w, t) for the access word w of every state t of M, and for every
+    one-letter extension w of an access word, t the state w reaches."""
+    for s in range(M.n):
+        w = M.access_word(s)
+        yield w, s
+        for a in M.alphabet:
+            yield w + (a,), M.after(s, (a,))
 
 
 def _leading_separator(F: Family, q: int, p: int) -> tuple[Word, Word]:

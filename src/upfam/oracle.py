@@ -41,14 +41,19 @@ def _word_pool(alphabet: tuple[str, ...], max_len: int):
 
 
 @lru_cache(maxsize=None)
-def _canonical_table(alphabet: tuple[str, ...], max_len: int):
-    """(u_rank, x_rank) -> (canonical u rank, canonical x rank)."""
-    words, _, _, rank = _word_pool(alphabet, max_len)
+def _canonical_table(alphabet: tuple[str, ...], max_u: int, max_x: int):
+    """(u_rank, x_rank) -> (canonical u rank, canonical x rank) for every
+    |u| <= max_u and 1 <= |x| <= max_x, keyed in llex order of u, then of
+    x.  Canonical forms are never longer, so their ranks lie in the same
+    pool."""
+    words, _, _, rank = _word_pool(alphabet, max(max_u, max_x, 1))
     table = {}
     for ui, u in enumerate(words):
-        for xi, x in enumerate(words):
-            if not x:
-                continue
+        if len(u) > max_u:
+            break
+        for xi, x in enumerate(words[1:], 1):
+            if len(x) > max_x:
+                break
             cu, cx = canonical_pair(u, x)
             table[(ui, xi)] = (rank[cu], rank[cx])
     return table
@@ -142,33 +147,21 @@ def brute_saturation(F: Family, ref_set: ReferenceSet, max_u: int,
     depth = max(max_u, max_x, 1)
     pack = _word_pool(alphabet, depth)
     words = pack[0]
-    canon = _canonical_table(alphabet, depth)
+    canon = _canonical_table(alphabet, max_u, max_x)
     T = F.leading
     t_rows = _state_rows(T.n, T.delta, pack)
     accepted_of = _pair_acceptor(F, pack)
     normalized_only = ref_set is ReferenceSet.NORMALIZED
 
     groups: dict = {}
-    for ui, u in enumerate(words):
-        if len(u) > max_u:
-            break
+    for (ui, xi), key in canon.items():
         tu = t_rows[T.initial][ui]
-        row_tu = t_rows[tu]
-        for xi, x in enumerate(words):
-            if len(x) > max_x:
-                break
-            if not x:
-                continue
-            if normalized_only and row_tu[xi] != tu:
-                continue
-            side = 0 if accepted_of(tu, xi, x) else 1
-            key = canon[(ui, xi)]
-            slot = groups.get(key)
-            if slot is None:
-                slot = [None, None]
-                groups[key] = slot
-            if slot[side] is None:
-                slot[side] = (len(u) + len(x), ui, xi)
+        if normalized_only and t_rows[tu][xi] != tu:
+            continue
+        slot = groups.setdefault(key, [None, None])
+        side = 0 if accepted_of(tu, xi, words[xi]) else 1
+        if slot[side] is None:
+            slot[side] = (len(words[ui]) + len(words[xi]), ui, xi)
     best_key = None
     for (cui, cxi), (acc, rej) in groups.items():
         if acc is None or rej is None:

@@ -83,10 +83,8 @@ class GoodWitness:
     ``words`` is (stem, cycle, tail) for InfinitelyManyFirstVisitors -- every
     stem cycle^k tail first reaches the profile -- and (x, u) for
     DistinctRoots, where x first reaches the profile, u loops on it, and the
-    two have different primitive roots.  ``profile`` holds the masks of the
-    terminal profile."""
+    two have different primitive roots."""
 
-    profile: tuple
     case: str
     words: tuple
 
@@ -355,9 +353,8 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
             stem = _least_word(seeds, rho, succ, avoid=g)
             cycle = _least_word(after_rho, rho, succ, avoid=g)
             tail = _least_word(after_rho, g, succ)
-            return GoodWitness(profiles[g], CASE_FIRST_VISITORS,
-                               (to_word(stem), to_word(cycle),
-                                to_word(tail)))
+            return GoodWitness(CASE_FIRST_VISITORS,
+                               (to_word(stem), to_word(cycle), to_word(tail)))
 
         fvs = _least_words(seeds, g, succ, nsym, 2)
         rec_seeds = [(succ[g][si], (si,)) for si in range(nsym)]
@@ -375,7 +372,7 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
         for x, u in pairs:
             x, u = to_word(x), to_word(u)
             if root(x) != root(u):
-                return GoodWitness(profiles[g], CASE_DISTINCT_ROOTS, (x, u))
+                return GoodWitness(CASE_DISTINCT_ROOTS, (x, u))
     return None
 
 

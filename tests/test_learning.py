@@ -16,13 +16,14 @@ from helpers import (AB, canonical_family, fully_saturated_targets,
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
 from upfam import learning
 from upfam.errors import InputError, PreconditionError, ProtocolError
-from upfam.faf import serialize_faf
+from upfam.faf import serialize_faf, serialize_sample
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
                           up_membership)
-from upfam.learning import (DOLLAR, Sample, Teacher, _least_dollar_difference,
-                            default_fdfa, dollar_dfa_to_fdfa,
-                            fdfa_to_dollar_dfa, gen_char_sample, learn_active,
-                            learn_passive, make_teacher)
+from upfam.learning import (DOLLAR, LearnLog, Sample, Teacher,
+                            _least_dollar_difference, default_fdfa,
+                            dollar_dfa_to_fdfa, fdfa_to_dollar_dfa,
+                            gen_char_sample, learn_active, learn_passive,
+                            make_teacher)
 from upfam.saturation import check_saturated
 from upfam.words import Representation, llex_key, words_up_to
 
@@ -397,6 +398,10 @@ def letter_set_target(k, seed):
     return Family(FDFA, lead, [minimize_dfa(prog)])
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 # sha256 of serialize_faf(learn_passive(gen_char_sample(
 # letter_set_target(k, k)))), recorded when learn_passive still scanned
 # every example for each separation test.
@@ -411,8 +416,75 @@ PASSIVE_DIGESTS = {
 @pytest.mark.parametrize("k", sorted(PASSIVE_DIGESTS))
 def test_passive_learning_of_letter_sets_is_pinned(k):
     learned = learn_passive(gen_char_sample(letter_set_target(k, k)))
-    digest = hashlib.sha256(serialize_faf(learned).encode()).hexdigest()
-    assert digest == PASSIVE_DIGESTS[k]
+    assert sha256(serialize_faf(learned)) == PASSIVE_DIGESTS[k]
+
+
+def pinned_target(name):
+    if name.startswith("letters-"):
+        k = int(name[len("letters-"):])
+        return letter_set_target(k, k)
+    if name.startswith("default-"):
+        u, x = name[len("default-"):].split("-")
+        return default_fdfa([Representation(u.strip("_"), x)], AB)
+    return syntactic_targets()[name][0]
+
+
+# name -> (sha256 of serialize_sample(gen_char_sample(F)), and for a fully
+# saturated target the sha256 of serialize_faf of the family that
+# learn_active(make_teacher(F)) returns with the LearnLog of the run).
+# Recorded before the learners were rewritten to one separation loop per
+# machine and one table representative per row.  The letter-set families
+# learned actively are the ones PASSIVE_DIGESTS pins for learn_passive.
+# "default-u-x" is default_fdfa of the single word u·x^w over ab.  The
+# letter-set targets have one leading state; the other five have 2, 3, 2, 3
+# and 4, in the order listed.
+LEARNER_PINS = {
+    "letters-2": (
+        "d5b570e417e5074c9b71c432264ed9d9e5b1928b2d77f1a278b04cc8e019e78d",
+        PASSIVE_DIGESTS[2], LearnLog(33, 2, 3, 3, 3)),
+    "letters-3": (
+        "2665fe70d87693f9032b9d0c4bf8540ede5279d71901bb00cec0f5ea39ce1777",
+        PASSIVE_DIGESTS[3], LearnLog(58, 2, 3, 3, 4)),
+    "letters-4": (
+        "97f8687cb2672eb08f12c8073c7bd3239643c270744ce70c458204b5f92a7072",
+        PASSIVE_DIGESTS[4], LearnLog(404, 2, 5, 5, 4)),
+    "letters-5": (
+        "31b2fe92098cf6f5e5ac30f21b2298a062e3ff13cfa42bdb0e448b1bad383697",
+        PASSIVE_DIGESTS[5], LearnLog(1016, 2, 5, 5, 4)),
+    "only-a": (
+        "33472324c4eff42a3aa805315ac739802040eaccbdc215c3e1181c06d0075c3e",
+        "7026e332e414c51c3462e0ab79f2df185e1d1d09025684bb5d24e322979f95c5",
+        LearnLog(11, 2, 2, 2, 2)),
+    "starts-a": (
+        "643caa6f1b7d5c2619a807714e06843e6c7cde5eb91bd76723dc90e6433814f7",
+        None, None),
+    "default-b-b": (
+        "de8bbb789a3fe25be5f301c4e05061a37caa38c0d9df8a7b9420db759efa887b",
+        "2aee9b254958962c6d12e80218b83b7ba2abf251ae809646809e7fa2767bd5a9",
+        LearnLog(11, 2, 2, 2, 2)),
+    "default-_-ba": (
+        "aedb40599eddc5f4810e7407606ba40b3cf92c84037c25150504deaa15b20160",
+        "cd1e2220ca8188f86595549360cb31b3463ab73c9f081a876c68de15484f5d2d",
+        LearnLog(61, 2, 3, 3, 4)),
+    "default-a-baa": (
+        "ecb0598d88cd751df4b22269fdbbb0157ed76c66918cbe81283645da97afb57e",
+        "8e20aa29de4557f0103f6765f862b28a62305fb96acd2c5678ed195c452a2e2c",
+        LearnLog(243, 2, 5, 5, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNER_PINS))
+def test_learner_outputs_are_pinned(name):
+    F = pinned_target(name)
+    sample_digest, family_digest, log = LEARNER_PINS[name]
+    assert sha256(serialize_sample(gen_char_sample(F))) == sample_digest
+    if family_digest is None:
+        with pytest.raises(PreconditionError):
+            make_teacher(F)
+        return
+    learned, got = learn_active(make_teacher(F))
+    assert sha256(serialize_faf(learned)) == family_digest
+    assert got == log
 
 
 # Reference definitions of the class inference: a scan of every example

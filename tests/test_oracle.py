@@ -7,9 +7,10 @@ from helpers import random_family
 from upfam.automata import Nfa
 from upfam.errors import InputError
 from upfam.family import ReferenceSet, family_accepts, up_membership
-from upfam.oracle import (brute_almost_saturation, brute_saturation,
+from upfam.oracle import (_canonical_table, _word_pool,
+                          brute_almost_saturation, brute_saturation,
                           enumerate_normalized, nba_lasso_accepts)
-from upfam.words import Representation, up_equal
+from upfam.words import Representation, canonical_pair, up_equal
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, mod2_leading,
                       odd_a_fdfa, universal_fdfa)
@@ -86,6 +87,18 @@ def test_brute_saturation_all_supersedes_normalized():
         f = random_family(rng)
         if brute_saturation(f, NORM, 4, 4) is not None:
             assert brute_saturation(f, ALL, 4, 4) is not None
+
+
+def test_canonical_table_covers_only_the_bounds():
+    """The table holds |u| <= max_u and 1 <= |x| <= max_x, not every pair
+    of the pool up to the larger bound: 3 spokes by 14 loops here, where
+    the whole pool up to length 3 would give 15 by 14."""
+    table = _canonical_table(("a", "b"), 1, 3)
+    assert len(table) == 3 * 14
+    words = _word_pool(("a", "b"), 3)[0]
+    for (ui, xi), (cu, cx) in table.items():
+        assert len(words[ui]) <= 1 and 1 <= len(words[xi]) <= 3
+        assert (words[cu], words[cx]) == canonical_pair(words[ui], words[xi])
 
 
 def test_brute_almost_saturation_examples():

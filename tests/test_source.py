@@ -1,9 +1,10 @@
 """Source hygiene of the package: every module imports only what it uses,
 every function it defines is used somewhere, every public function and
 class is run by the package or the benchmark, not only by tests, every
-method of a package class is read as an attribute by the package or the
-benchmark, every defaulted parameter is passed by some call, and the
-runtime imports nothing outside the standard library.
+method of a package class, and every attribute one stores, is read as an
+attribute by the package or the benchmark, every defaulted parameter is
+passed by some call, and the runtime imports nothing outside the standard
+library.
 
 The import check covers the package and the test modules.  It skips
 `__init__.py`, because its imports are the public re-exports, and `from
@@ -151,9 +152,11 @@ def class_methods(source: str) -> dict[str, int]:
 
 
 def attributes_read(source: str) -> set[str]:
-    """The names read as an attribute, `obj.name`."""
+    """The names read as an attribute, `obj.name`; a store, `obj.name = v`
+    or `obj.name += v`, is not a read."""
     return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute)}
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def test_detects_an_unread_method():
@@ -163,6 +166,38 @@ def test_detects_an_unread_method():
            "def m(): pass\nm(); C.n\n")
     assert class_methods(src) == {"m": 3, "n": 4, "k": 5}
     assert attributes_read(src) == {"k", "n"}
+
+
+def class_attributes(source: str) -> dict[str, int]:
+    """Name and line of every attribute the module's classes store: a field
+    annotated in the class body, as a dataclass declares it, or a store
+    `self.name = ...` in a method."""
+    out = {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                out.setdefault(item.target.id, item.lineno)
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"):
+                out.setdefault(sub.attr, sub.lineno)
+    return out
+
+
+def test_detects_an_unread_attribute():
+    src = ("@dataclass\nclass P:\n    a: int\n    b: int = 0\n"
+           "class C:\n    k = 1\n"
+           "    def __init__(self):\n        self.c, self.d = 1, 2\n"
+           "        self.e = 0\n        self.e += 1\n        o.f = 3\n"
+           "def g(p, c): return p.a + c.d + self.c\n")
+    assert class_attributes(src) == {"a": 3, "b": 4, "c": 8, "d": 8,
+                                     "e": 9}
+    assert class_attributes(src).keys() - attributes_read(src) == {"b", "e"}
 
 
 def test_package_reads_every_method():
@@ -176,6 +211,21 @@ def test_package_reads_every_method():
     unread = ["%s (%s line %d)" % (name, path.name, line)
               for path in MODULES
               for name, line in class_methods(
+                  path.read_text(encoding="utf-8")).items()
+              if name not in read]
+    assert unread == []
+
+
+def test_package_reads_every_attribute():
+    """An attribute a package class stores is read as `obj.name` by the
+    package or the benchmark; a field that is only written, or read only by
+    tests, is state nobody needs."""
+    read = set().union(*(attributes_read(p.read_text(encoding="utf-8"))
+                         for d in ("src", "bench")
+                         for p in (ROOT / d).rglob("*.py")))
+    unread = ["%s (%s line %d)" % (name, path.name, line)
+              for path in MODULES
+              for name, line in class_attributes(
                   path.read_text(encoding="utf-8")).items()
               if name not in read]
     assert unread == []
