@@ -1,5 +1,11 @@
-"""Deciding whether the language of a family is expressible with a single
-deterministic weak automaton per leading state.
+"""Deciding whether the UP-language of a family is regular.
+
+The UP-language of a family F is the set of ultimately periodic words with
+an accepted normalized representation: the words that ``stabilize`` keeps
+and that ``oracle.normalized_word_accepts`` decides.  F is Regular when
+that set is the set of UP-words of an omega-regular language, that is, when
+it is expressible with a single deterministic weak automaton per leading
+state.
 
 The decision runs on transition profiles: the profile of a nonempty word maps
 each state of an NFA to the set of states reachable by reading the word.  A
@@ -48,6 +54,37 @@ Before the profile analysis, the family is normalised in two steps:
 states, and ``label_by_leading`` folds the leading structure into the
 alphabet, producing a single NFA whose properly labelled loops mirror the
 original family.
+
+An almost-saturated FDFA is Regular, and ``check_regular`` answers it with
+``almost.check_almost_saturated`` before any of the steps above.  Let A be
+the Buchi automaton that ``translate.fdwa_to_nba`` builds, run on the
+progress DFAs D_q of F (the construction reads only their transitions and
+accepting sets).  A reads a spoke to a leading state q, guesses an accepting
+state p of D_q, and then reads blocks that loop the leading system on q,
+lead D_q from its initial state to p and lead p to p.
+
+* A accepts only words with an accepted normalized representation: take
+  two block boundaries at the same phase of the period.  The blocks between
+  them merge into one loop on q; its first block leads the initial state of
+  D_q to p and every further block leads p to p, so the loop is accepted.
+* Conversely, let (u, x) be normalized and accepted, and let k be the
+  idempotent power of x on D_q, so x^k and x^2k move every state of D_q
+  alike.  Almost saturation keeps (u, x^k) accepted, so p = init.x^k is
+  accepting and p.x^k = init.x^2k = p: after u, A reads x^k, x^k, ... as
+  blocks.
+
+So the UP-words of A are exactly the UP-language of F, which is therefore
+omega-regular.  The profile criterion agrees without a cap.  A word w^i
+that the labelled NFA accepts spells a loop x1 x2 on a leading state q
+whose rotation x2 x1 F accepts on T(q, x1).  Almost saturation keeps every
+(x2 x1)^j accepted there, and their rotations by x1 spell the w^ij.  So
+every multiple of an accepted power of w is accepted; if w^e is the
+idempotent power, w^ie is one of them and has the profile of w^e, so w^e is
+accepted: no profile is terminal.  The short-cut only ever answers
+Regular, so a NotRegular witness, and the outcome of every input that is
+not almost saturated, are those of the profile analysis.  An
+almost-saturated input whose monoid walk fits the cap is decided even
+where its profile graph would exceed that cap.
 """
 
 from __future__ import annotations
@@ -56,11 +93,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .almost import HASH, next_prime, sigma_plus_dfa
+from .almost import (ALMOST_SATURATED, HASH, check_almost_saturated,
+                     next_prime, sigma_plus_dfa)
 from .automata import (Dfa, Nfa, llex_bfs, on_cycle, orbit, reachable,
                        strongly_connected_components)
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
-from .family import FDWA, FNFA, Family, trivial_leading
+from .family import FDFA, FDWA, FNFA, Family, trivial_leading
 from .words import Word, root
 
 REGULAR = "Regular"
@@ -378,11 +416,18 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
 
 def check_regular(F: Family, cap: int = DEFAULT_PROFILE_CAP) -> Verdict:
     """Decide whether the family's UP-language is expressible with weak
-    deterministic progress automata."""
+    deterministic progress automata.
+
+    An FDFA that `check_almost_saturated` finds almost saturated within
+    `cap` monoid nodes is Regular at once; any other FDFA or FNFA goes
+    through the profile graph, which `cap` bounds separately."""
     if cap < 1:
         raise InputError("cap must be positive")
     if F.kind == FDWA:
         F.require_weak()
+        return Verdict(REGULAR)
+    if F.kind == FDFA and \
+            check_almost_saturated(F, cap=cap).status == ALMOST_SATURATED:
         return Verdict(REGULAR)
     stable = stabilize(F)
     labeled = label_by_leading(stable)

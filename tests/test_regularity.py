@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upfam import regularity
+from upfam.almost import check_almost_saturated
 from upfam.automata import Dfa
 from upfam.errors import CapExceededError, InputError, Verdict
 from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
-                          family_accepts)
+                          family_accepts, trivial_leading)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               DEFAULT_PROFILE_CAP, TERMINAL, GoodWitness,
                               _profile_graph, check_regular,
@@ -447,7 +449,114 @@ def test_regularity_outcomes_are_pinned(name):
 @pytest.mark.parametrize("name, n", [("syntactic-gap", 3),
                                      ("zero-u-zero-fdfa", 6)])
 def test_large_ladders_are_regular(name, n):
+    F = gen_family(name, n)
+    assert check_regular(F) == Verdict("Regular")
+    # check_regular answers these almost-saturated ladders without the
+    # profile graph, so the profile analysis runs on them here.
+    assert find_good_witness(label_by_leading(stabilize(F)).progress[0]) \
+        is None
+
+
+# ------------------------------------------------ almost-saturation short-cut
+
+
+def profile_path(F, cap=DEFAULT_PROFILE_CAP):
+    """The verdict of the profile analysis alone, as check_regular gives it
+    when the almost-saturation short-cut does not answer."""
+    try:
+        w = find_good_witness(label_by_leading(stabilize(F)).progress[0], cap)
+    except CapExceededError:
+        return Verdict("CapExceeded")
+    return Verdict("Regular") if w is None else Verdict("NotRegular", w)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap regularity.<name> so that each call appends to the returned
+    list."""
+    calls = []
+    real = getattr(regularity, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, name, counted)
+    return calls
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
+def test_almost_saturated_families_have_no_witness():
+    # The short-cut is sound only if the profile analysis finds nothing on
+    # an almost-saturated FDFA.  It runs here on the stages themselves, not
+    # through check_regular, so the short-cut cannot hide a counterexample.
+    rng = random.Random("almost-saturated-gate")
+    almost = 0
+    for i in range(1000):
+        F = random_family(rng, FDFA, alphabet=("ab", "abc")[i % 2],
+                          max_leading=3, max_progress=3)
+        if check_almost_saturated(F).status != "AlmostSaturated":
+            continue
+        almost += 1
+        N = label_by_leading(stabilize(F)).progress[0]
+        assert find_good_witness(N) is None, i
+    assert almost >= 600
+
+
+@pytest.mark.parametrize("name, n", [("zero-u-zero-fdfa", 8),
+                                     ("syntactic-gap", 5)])
+def test_almost_saturated_fdfa_skips_the_profile_graph(monkeypatch, name, n):
+    monkeypatch.setattr(regularity, "stabilize", refuse)
     assert check_regular(gen_family(name, n)) == Verdict("Regular")
+
+
+@pytest.mark.parametrize("make, case, words", [
+    (ba_star_fdfa, CASE_DISTINCT_ROOTS, (("0:a", "0:b"), ("0:a",))),
+    (one_b_some_a_fdfa, CASE_FIRST_VISITORS,
+     (("0:a", "0:a"), ("0:a",), ("0:b",))),
+])
+def test_other_fdfas_take_the_profile_path(monkeypatch, make, case, words):
+    assert check_almost_saturated(make()).status == "NotAlmostSaturated"
+    calls = count_calls(monkeypatch, "find_good_witness")
+    expect_witness(make(), case, words)
+    assert calls == ["find_good_witness"]
+
+
+def test_fnfa_and_fdwa_skip_the_almost_saturation_check(monkeypatch):
+    F = ba_star_fdfa()
+    N = Family(FNFA, F.leading, [as_nfa(d) for d in F.progress])
+    with pytest.raises(InputError):
+        check_almost_saturated(N)
+    monkeypatch.setattr(regularity, "check_almost_saturated", refuse)
+    v = check_regular(N)
+    assert (v.status, v.witness.case, v.witness.words) == (
+        "NotRegular", CASE_DISTINCT_ROOTS, (("0:a", "0:b"), ("0:a",)))
+    assert check_regular(some_a_fdwa()) == Verdict("Regular")
+
+
+def test_capped_walk_gets_the_profile_verdict(monkeypatch):
+    # Accepts only the empty loop, so no pair at all: the walk meets two
+    # nodes, the two states of the minimal progress DFA, and both letters
+    # have one profile, which the cap of the profile graph does not count.
+    F = Family(FDFA, trivial_leading("ab"), [Dfa("ab", [[1, 1], [1, 1]],
+                                                 [0])])
+    assert check_almost_saturated(F, cap=1).status == "CapExceeded"
+    assert check_almost_saturated(F, cap=2).status == "AlmostSaturated"
+    calls = count_calls(monkeypatch, "stabilize")
+    assert check_regular(F, cap=1) == Verdict("Regular")
+    assert calls == ["stabilize"]
+    assert profile_path(F, cap=1) == Verdict("Regular")
+    # syntactic-gap n=3 is almost saturated: its walk meets 144 nodes, its
+    # profile graph holds 1,623 profiles.
+    G = gen_family("syntactic-gap", 3)
+    assert check_almost_saturated(G, cap=143).status == "CapExceeded"
+    assert check_regular(G, cap=143) == profile_path(G, cap=143) \
+        == Verdict("CapExceeded")
+    # A walk within the cap decides where the profile graph alone cannot.
+    assert check_regular(G, cap=144) == Verdict("Regular")
+    assert profile_path(G, cap=144) == Verdict("CapExceeded")
 
 
 # ------------------------------------------------------------- enumeration
