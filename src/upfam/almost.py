@@ -13,21 +13,28 @@ counts monoid nodes of the minimal automaton, and the monoid of a larger
 automaton for the same language maps onto that one, so it can only be
 larger and the CapExceeded boundary would move.
 
-A node of the walk is a pair (mapping, displacement).  When the minimized
-progress automaton has at most 256 states, the mapping is a byte string and
-appending a symbol is one `bytes.translate` through that symbol's column;
-larger automata use tuples composed by `operator.itemgetter`.  Both are
-plain values whose equality is equality of the state maps, so the walk
-meets the same nodes, in the same llex order, as a walk on any other exact
-encoding of the maps: the node count, and with it the CapExceeded boundary
-and the witness, do not depend on the encoding.
+A node of the walk is one sequence of n + 1 entries, n the state count
+of the minimized progress automaton D: entry s < n is the state the word
+leads s to, and the last entry is n plus the leading state it leads q to,
+so the start node is 0, 1, ..., n-1, n+q.  Each symbol has one column,
+mapping s < n to its D-successor and n+t to n plus the leading successor
+of t, and the child of a node is the node read through the column.  When
+n plus the leading state count is at most 256, the node is a byte string
+and a child is one `bytes.translate`; otherwise it is a tuple and a child
+is `operator.itemgetter(*node)` applied to the column.  Both are plain
+values whose equality is equality of the (mapping, displacement) pairs,
+so the walk meets the same nodes, in the same llex order, as a walk on
+any other exact encoding of the pairs: the node count, and with it the
+CapExceeded boundary and the witness, do not depend on the encoding.
+The search keeps parent links, not words; the word of a violation is
+rebuilt when it is found.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .automata import Dfa, llex_bfs, minimize_dfa, orbit
+from .automata import Dfa, llex_bfs, llex_word, minimize_dfa, orbit
 from .errors import CAP_EXCEEDED, InputError, Verdict
 from .family import FDFA, Family, trivial_leading
 
@@ -57,38 +64,40 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
         if capped:
             break
         D = minimize_dfa(F.progress[q])
-        cols = list(zip(*D.delta))  # per symbol, the map it induces
+        n = D.n
+        # per symbol, the map it induces on states and leading slots
+        cols = [col + tuple(n + t for t in lcol)
+                for col, lcol in zip(zip(*D.delta), zip(*T.delta))]
         acc = D.accepting
         s0 = D.initial
-        if D.n <= 256:
-            tables = [bytes(col) + bytes(256 - D.n) for col in cols]
-            identity = bytes(range(D.n))
+        goal = n + q
+        start = tuple(range(n)) + (goal,)
+        if n + T.n <= 256:
+            tables = [bytes(col) + bytes(256 - len(col)) for col in cols]
+            start = bytes(start)
 
             def successors(node):
-                return list(zip(map(node[0].translate, tables),
-                                T.delta[node[1]]))
+                return map(node.translate, tables)
         else:
-            identity = tuple(range(D.n))
-
             def successors(node):
-                return list(zip(map(itemgetter(*node[0]), cols),
-                                T.delta[node[1]]))
+                return map(itemgetter(*node), cols)
 
-        search = llex_bfs([((identity, q), ())], successors)
+        parent: dict = {}
+        search = llex_bfs([(start, ())], successors, parent)
         next(search)  # the start node counts without a cap check
         total += 1
-        for node, w in search:
+        for m in search:
             total += 1
             if total > cap:
                 capped = True
                 break
-            if node[1] == q and node[0][s0] in acc:
-                m = node[0]
+            if m[-1] == goal and m[s0] in acc:
                 # the states that m, m^2, m^3, ... send the initial state to
                 states, _ = orbit(m[s0], m.__getitem__)
                 i = next((i for i, s in enumerate(states, 1)
                           if s not in acc), None)
                 if i is not None:
+                    w = llex_word(parent, m)
                     key = (len(w), w, q, i)
                     if best is None or key < best:
                         best = key

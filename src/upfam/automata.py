@@ -13,9 +13,9 @@ integers (the quotient of `minimize_dfa`, the product of
 `family.refine_family`, the successor table of `from_table`, which
 `from_parts` and the FAF parser fill) pays one list per state and no call
 per edge.  Access words are not stored while building: `access_word`
-derives them on first use with `llex_bfs`, whose discovery order is the
-canonical numbering, so the word of each state is the
-length-lexicographically least word reaching it.
+derives them on first use from the parent links of `llex_bfs`, whose
+discovery order is the canonical numbering, so the word of each state is
+the length-lexicographically least word reaching it.
 
 The other walks the checkers share live here too: `reachable`, the plain
 reachability walk, and `strongly_connected_components` with `on_cycle`,
@@ -31,32 +31,43 @@ from .errors import InputError
 from .words import Word
 
 def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
-             successors: Callable[[Hashable], Iterable[Optional[Hashable]]]
-             ) -> Iterator[tuple[Hashable, tuple]]:
+             successors: Callable[[Hashable], Iterable[Optional[Hashable]]],
+             parent: dict) -> Iterator[Hashable]:
     """Breadth-first search of a deterministic graph in llex order.
 
     `starts` holds (node, word) pairs whose words have one length, listed
     in llex order.  `successors(node)` gives one successor per alphabet
     symbol, in alphabet order, with None marking a blocked edge.  Every
-    reachable node is yielded exactly once, as (node, word), when it is
-    first discovered; `word` is a tuple of symbol indices.  Discovery order
-    is the llex order of the least words, so the first goal yielded carries
-    the llex-least word reaching any goal, and a caller can stop there."""
-    words: dict = {}
+    reachable node is yielded exactly once, when it is first discovered,
+    and no word is built on the way: the empty dict `parent` receives,
+    for each node, (previous node, symbol index) on its least word, or
+    (None, word) for a start, and `llex_word` rebuilds a word from these
+    links.  Discovery order is the llex order of the least words, so the
+    first goal yielded has the llex-least word reaching any goal, and a
+    caller can stop there and rebuild that one word."""
     queue = []
     for node, word in starts:
-        if node not in words:
-            words[node] = word
+        if node not in parent:
+            parent[node] = (None, word)
             queue.append(node)
-            yield node, word
+            yield node
     for node in queue:  # the loop also visits nodes appended below
-        word = words[node]
         for si, nxt in enumerate(successors(node)):
-            if nxt is not None and nxt not in words:
-                nxt_word = word + (si,)
-                words[nxt] = nxt_word
+            if nxt is not None and nxt not in parent:
+                parent[nxt] = (node, si)
                 queue.append(nxt)
-                yield nxt, nxt_word
+                yield nxt
+
+
+def llex_word(parent: dict, node: Hashable) -> tuple:
+    """The llex-least word of a node that `llex_bfs` has yielded, as symbol
+    indices, rebuilt from its `parent` links."""
+    syms = []
+    node, si = parent[node]
+    while node is not None:
+        syms.append(si)
+        node, si = parent[node]
+    return si + tuple(reversed(syms))
 
 
 def reachable(seeds: Iterable[Hashable],
@@ -197,8 +208,12 @@ class TransitionSystem:
         """Llex-least word reaching the state."""
         if self._access is None:
             access = [None] * self.n
-            for q, w in llex_bfs([(self.initial, ())], self.delta.__getitem__):
-                access[q] = tuple(self.alphabet[i] for i in w)
+            parent: dict = {}
+            for q in llex_bfs([(self.initial, ())], self.delta.__getitem__,
+                              parent):
+                p, si = parent[q]
+                access[q] = () if p is None else access[p] + (
+                    self.alphabet[si],)
             self._access = tuple(access)
         word = self._access[state]
         if word is None:

@@ -52,18 +52,27 @@ def _fail(lineno, message):
 
 
 class _Reader:
-    """Token rows of a document, comments and blank lines removed."""
+    """Token rows of a document, one per line after an empty row 0, so a
+    row's index is its line number.  Blank and comment rows are kept and
+    skipped where rows are read.  `ints` resolves a state token to its
+    number once per document."""
 
     def __init__(self, text):
-        self.rows = [(no, tokens)
-                     for no, raw in enumerate(text.splitlines(), 1)
-                     if (tokens := raw.split()) and tokens[0][0] != "#"]
-        self.pos = 0
-        self.last_line = self.rows[-1][0] if self.rows else 0
+        self.rows = rows = [[]]
+        rows += map(str.split, text.splitlines())
+        self.pos = 1
+        last = len(rows) - 1
+        while last and not _is_directive(rows[last]):
+            last -= 1
+        self.last_line = last
+        self.ints = _Ints()
 
     def peek(self):
-        if self.pos < len(self.rows):
-            return self.rows[self.pos]
+        rows = self.rows
+        while self.pos < len(rows):
+            if _is_directive(rows[self.pos]):
+                return self.pos, rows[self.pos]
+            self.pos += 1
         return None
 
     def take(self):
@@ -72,6 +81,18 @@ class _Reader:
             _fail(self.last_line + 1, "unexpected end of file")
         self.pos += 1
         return row
+
+
+def _is_directive(tokens):
+    return tokens and tokens[0][0] != "#"
+
+
+class _Ints(dict):
+    """Token -> int(token), parsed when the token is first looked up."""
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
 
 
 def _fixed_args(no, tokens, arity):
@@ -186,20 +207,23 @@ def _parse_block(reader, alphabet, deterministic, header_line):
     else:
         moves = block.moves = {}
     rows = reader.rows
-    end = len(rows)
-    for i in range(reader.pos, end):
-        no, tokens = rows[i]
+    ints = reader.ints
+    start, reader.pos = reader.pos, len(rows)
+    for no in range(start, len(rows)):
+        tokens = rows[no]
+        if not tokens:
+            continue
         word = tokens[0]
         if word == "trans":
-            if len(tokens) == 4:  # no trailing comment to drop
+            try:
                 _, s, sym, t = tokens
-            else:
+            except ValueError:  # a trailing comment to drop, or a bad count
                 s, sym, t = _fixed_args(no, tokens, 3)
             si = sym_index.get(sym)
             if si is None:
                 _fail(no, "transition on undeclared symbol %r" % sym)
             try:
-                s, t = int(s), int(t)
+                s, t = ints[s], ints[t]
             except ValueError:
                 _fail(no, "transition states must be numbers")
             if not (0 <= s < n and 0 <= t < n):
@@ -212,7 +236,7 @@ def _parse_block(reader, alphabet, deterministic, header_line):
                 _fail(no, "duplicate transition for state %d on %r"
                       % (s, sym))
         elif word == "leading" or word == "progress":
-            end = i
+            reader.pos = no
             break
         elif word == "initial":
             (arg,) = _fixed_args(no, tokens, 1)
@@ -225,9 +249,8 @@ def _parse_block(reader, alphabet, deterministic, header_line):
             if block.accepting is not None:
                 _fail(no, "duplicate 'accepting' line")
             block.accepting = _int_args(no, tokens)
-        else:
+        elif word[0] != "#":
             _fail(no, "unknown directive '%s'" % word)
-    reader.pos = end
     return block
 
 

@@ -159,16 +159,17 @@ def up_membership(F: Family, r: Representation) -> bool:
     return family_accepts(F, normalize(F, r), ReferenceSet.NORMALIZED)
 
 
-def loop_words(F: Family, q: int):
+def loop_words(F: Family, q: int, parent: dict):
     """Each node (d, t) of D x T that a nonempty word leads to from
     (D.initial, q), where D is the progress automaton of q and T the
-    leading system, with the llex-least such word as symbol indices.  The
-    nodes are the states of the refined automaton of q (`refine_family`),
-    and they come in llex order of their words."""
+    leading system.  The nodes are the states of the refined automaton of
+    q (`refine_family`), and they come in llex order of their least words,
+    which `llex_word(parent, node)` rebuilds (see `llex_bfs`)."""
     D, T = F.progress[q], F.leading
     starts = [(n, (si,)) for si, n in enumerate(zip(D.delta[D.initial],
                                                     T.delta[q]))]
-    return llex_bfs(starts, lambda n: zip(D.delta[n[0]], T.delta[n[1]]))
+    return llex_bfs(starts, lambda n: zip(D.delta[n[0]], T.delta[n[1]]),
+                    parent)
 
 
 def refine_family(F: Family) -> Family:

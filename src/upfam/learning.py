@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .automata import Dfa, TransitionSystem, llex_bfs
+from .automata import Dfa, TransitionSystem, llex_bfs, llex_word
 from .errors import InputError, PreconditionError, ProtocolError
 from .family import (FDFA, Family, ReferenceSet, family_accepts, loop_words,
                      up_membership)
@@ -192,10 +192,12 @@ def _least_dollar_difference(A: Dfa, B: Dfa) -> Optional[tuple[Word, Word]]:
                 out.append((ta, tb, 2 if phase else 0))
         return out
 
-    for (sa, sb, phase), w in llex_bfs([((A.initial, B.initial, 0), ())],
-                                       successors):
+    parent: dict = {}
+    for node in llex_bfs([((A.initial, B.initial, 0), ())], successors,
+                         parent):
+        sa, sb, phase = node
         if phase == 2 and ((sa in A.accepting) != (sb in B.accepting)):
-            w = tuple(A.alphabet[i] for i in w)
+            w = tuple(A.alphabet[i] for i in llex_word(parent, node))
             cut = w.index(DOLLAR)
             return w[:cut], w[cut + 1:]
     return None
@@ -576,7 +578,9 @@ def gen_char_sample(target: Family) -> Sample:
                     if x:
                         emit(u, x)
         # the llex-least nonempty loop word leading D to s and T back to q
-        loops = {s: w for (s, t), w in loop_words(target, q) if t == q}
+        parent: dict = {}
+        loops = {s: llex_word(parent, (s, t))
+                 for s, t in loop_words(target, q, parent) if t == q}
         for s in sorted(D.accepting):
             if s not in loops:
                 raise PreconditionError(
@@ -604,11 +608,12 @@ def _leading_separator(F: Family, q: int, p: int) -> tuple[Word, Word]:
     on both v-successors and exactly one side accepts.  For a saturated
     family such a pair exists whenever the states are inequivalent."""
     T = F.leading
-    for (t1, t2), w in llex_bfs([((q, p), ())],
-                                lambda n: zip(T.delta[n[0]], T.delta[n[1]])):
-        x = _loop_separator(F, t1, t2)
+    parent: dict = {}
+    for node in llex_bfs([((q, p), ())],
+                         lambda n: zip(T.delta[n[0]], T.delta[n[1]]), parent):
+        x = _loop_separator(F, *node)
         if x is not None:
-            return tuple(T.alphabet[i] for i in w), x
+            return tuple(T.alphabet[i] for i in llex_word(parent, node)), x
     raise PreconditionError(
         "leading states %d and %d are equivalent; the leading system is"
         " not minimal" % (q, p))
@@ -626,8 +631,10 @@ def _loop_separator(F: Family, t1: int, t2: int) -> Optional[Word]:
 
     starts = [(cfg, (i,)) for i, cfg in enumerate(successors(
         (t1, t2, D1.initial, D2.initial)))]
-    for (a1, a2, d1, d2), w in llex_bfs(starts, successors):
+    parent: dict = {}
+    for node in llex_bfs(starts, successors, parent):
+        a1, a2, d1, d2 = node
         if a1 == t1 and a2 == t2 and ((d1 in D1.accepting)
                                       != (d2 in D2.accepting)):
-            return tuple(T.alphabet[i] for i in w)
+            return tuple(T.alphabet[i] for i in llex_word(parent, node))
     return None

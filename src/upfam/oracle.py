@@ -160,8 +160,9 @@ def brute_saturation(F: Family, ref_set: ReferenceSet, max_u: int,
             continue
         slot = groups.setdefault(key, [None, None])
         side = 0 if accepted_of(tu, xi, words[xi]) else 1
-        if slot[side] is None:
-            slot[side] = (len(words[ui]) + len(words[xi]), ui, xi)
+        member = (len(words[ui]) + len(words[xi]), ui, xi)
+        if slot[side] is None or member < slot[side]:
+            slot[side] = member
     best_key = None
     for (cui, cxi), (acc, rej) in groups.items():
         if acc is None or rej is None:

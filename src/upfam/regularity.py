@@ -95,8 +95,8 @@ from typing import Optional
 
 from .almost import (ALMOST_SATURATED, HASH, check_almost_saturated,
                      next_prime, sigma_plus_dfa)
-from .automata import (Dfa, Nfa, llex_bfs, on_cycle, orbit, reachable,
-                       strongly_connected_components)
+from .automata import (Dfa, Nfa, llex_bfs, llex_word, on_cycle, orbit,
+                       reachable, strongly_connected_components)
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import FDFA, FDWA, FNFA, Family, trivial_leading
 from .words import Word, root
@@ -303,9 +303,10 @@ def _least_word(starts, target: int, succ, avoid: Optional[int] = None):
     """The llex-least word from a (node, word) seed in starts to target that
     never enters avoid."""
     seeds = [(v, w) for v, w in starts if v != avoid]
+    parent: dict = {}
     found = llex_bfs(seeds, lambda v: [None if t == avoid else t
-                                       for t in succ[v]])
-    return next(w for v, w in found if v == target)
+                                       for t in succ[v]], parent)
+    return llex_word(parent, next(v for v in found if v == target))
 
 
 def _least_on_cycle(region: set, succ) -> Optional[int]:

@@ -86,7 +86,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from .automata import dfa_sccs, llex_bfs, on_cycle, orbit
+from .automata import dfa_sccs, llex_bfs, llex_word, on_cycle, orbit
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
                      loop_words, refine_family)
@@ -123,15 +123,21 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
             Dq2 = F.progress[q2]
             acc_q2 = Dq2.accepting
             start = (Dq.delta[Dq.initial][ai], Dq2.initial, q2)
+            parent: dict = {}
+            depth = {None: -1}  # a start links to None
             search = llex_bfs(
                 [(start, ())],
-                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]], T.delta[n[2]]))
-            for (d1, d2, t), w in search:
-                if len(w) > limit:
+                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]], T.delta[n[2]]),
+                parent)
+            for node in search:
+                k = depth[node] = depth[parent[node][0]] + 1
+                if k > limit:
                     break
+                d1, d2, t = node
                 if normalized and t != q:
                     continue
                 if (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2):
+                    w = llex_word(parent, node)
                     key = ((len(w), w), q, ai)
                     if best is None or key < best[0]:
                         best = (key, q, a, w, d1 in acc_q)
@@ -161,9 +167,11 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     for q in range(T.n):
         D = F.progress[q]
         acc = D.accepting
-        for (s, t), w in loop_words(F, q):
+        parent: dict = {}
+        for s, t in loop_words(F, q, parent):
             if normalized and t != q:
                 continue
+            w = llex_word(parent, (s, t))
             rep = tuple(T.alphabet[si] for si in w)
             base = s in acc
             # the states that rep, rep^2, rep^3, ... lead to

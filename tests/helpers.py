@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs,
-                            minimize_dfa)
+                            llex_word, minimize_dfa)
 from upfam.errors import (CAP_EXCEEDED, CapExceededError, InputError,
                           PreconditionError, Verdict)
 from upfam.family import (FDFA, FDWA, FNFA, Counterexample, Family,
@@ -331,11 +331,12 @@ def almost_by_transformations(F: Family, cap: int) -> Verdict:
             return [Transformation(tuple(sm[v] for v in m), row[si])
                     for si, sm in enumerate(sym_maps)]
 
+        parent = {}
         search = llex_bfs([(Transformation(tuple(range(D.n)), q), ())],
-                          successors)
+                          successors, parent)
         next(search)
         total += 1
-        for node, w in search:
+        for node in search:
             total += 1
             if total > cap:
                 capped = True
@@ -343,6 +344,7 @@ def almost_by_transformations(F: Family, cap: int) -> Verdict:
             if node.displacement == q:
                 i = bad_power(node.mapping)
                 if i is not None:
+                    w = llex_word(parent, node)
                     key = (len(w), w, q, i)
                     if best is None or key < best:
                         best = key
@@ -445,11 +447,13 @@ def loopshift_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
                 return (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2)
 
             start = (Dq.delta[Dq.initial][ai], Dq2.initial)
+            parent = {}
             search = llex_bfs(
                 [(start, ())],
-                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]]))
-            for (d1, d2), w in search:
+                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]]), parent)
+            for d1, d2 in search:
                 if violates(d1, d2):
+                    w = llex_word(parent, (d1, d2))
                     key = ((len(w), w), q, ai)
                     if best is None or key < best[0]:
                         best = (key, q, a, w, d1 in acc_q)
@@ -476,9 +480,10 @@ def power_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
     for q in range(T.n):
         D = F.progress[q]
         disp = disps[q]
-        reps = dict(llex_bfs(
+        parent = {}
+        reps = {d: llex_word(parent, d) for d in llex_bfs(
             [(t, (si,)) for si, t in enumerate(D.delta[D.initial])],
-            D.delta.__getitem__))
+            D.delta.__getitem__, parent)}
         for d, w in sorted(reps.items()):
             if normalized and disp[d] != q:
                 continue

@@ -7,14 +7,16 @@ import random
 
 import pytest
 
-from upfam.almost import (CAP_EXCEEDED, DEFAULT_CAP, NOT_ALMOST_SATURATED,
-                          check_almost_saturated, gen_intersection_fdfa)
-from upfam.automata import Dfa
+from upfam.almost import (ALMOST_SATURATED, CAP_EXCEEDED, DEFAULT_CAP,
+                          NOT_ALMOST_SATURATED, check_almost_saturated,
+                          gen_intersection_fdfa)
+from upfam.automata import Dfa, TransitionSystem
 from upfam.errors import InputError
 from upfam.family import (FDFA, Family, ReferenceSet, family_accepts,
                           is_normalized, trivial_leading)
 from upfam.oracle import brute_almost_saturation
 from upfam.saturation import check_saturated
+from upfam.translate import gen_family
 from upfam.words import Representation, words_up_to
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, exactly_one_a_fdfa,
@@ -113,6 +115,16 @@ def mod_counter(n, b_map, accepting):
                   [Dfa.from_parts("ab", n, trans, 0, accepting)])
 
 
+def counter_under_cycle(n, m, accepting):
+    """An n-state mod counter like `mod_counter` (b resets it) as the
+    progress DFA of leading state 0 of an m-state cycle on a; the other
+    leading states own a one-state DFA."""
+    T = TransitionSystem("ab", [[(t + 1) % m, t] for t in range(m)])
+    counter = mod_counter(n, lambda s: 0, accepting).progress[0]
+    one = Dfa.from_parts("ab", 1, {(0, "a"): 0, (0, "b"): 0}, 0, [0])
+    return Family(FDFA, T, [counter] + [one] * (m - 1))
+
+
 def outcome(v):
     return v.status, v.witness
 
@@ -135,8 +147,9 @@ def test_matches_transformation_search_at_every_cap():
 
 
 def test_large_progress_automata_take_the_tuple_path():
-    """A minimized progress automaton of more than 256 states cannot be a
-    byte string; the tuple walk matches the reference too."""
+    """A node holds the minimized progress states and one leading slot,
+    so it is a byte string only while D.n + T.n <= 256; the tuple walk
+    beyond matches the reference too."""
     saturated = mod_counter(300, lambda s: 0, [0])
     refuted = mod_counter(300, lambda s: 0, [299])
     squares = mod_counter(300, lambda s: s * s % 300, [7])
@@ -152,6 +165,28 @@ def test_large_progress_automata_take_the_tuple_path():
     # not a palindrome: composing the maps in the wrong order shows
     assert check_almost_saturated(squares).witness == (
         (), tuple("aabaaa"), 2)
+    # a 250-state counter under a 6-state leading cycle sits on the bound,
+    # under a 7-state one just past it; each decides at `count` nodes
+    for m, accepting, count in ((6, [0], 2280), (7, [0], 3542),
+                                (7, [249], 2500)):
+        F = counter_under_cycle(250, m, accepting)
+        assert F.progress[0].n + F.leading.n == 250 + m
+        for cap in (count - 1, count, count + 1):
+            v = check_almost_saturated(F, cap=cap)
+            assert outcome(v) == outcome(almost_by_transformations(F, cap))
+            assert (v.status == CAP_EXCEEDED) == (cap < count)
+
+
+@pytest.mark.parametrize("name,n,count", [
+    ("fixpoint-alsat", 3, 52), ("fixpoint-alsat", 4, 321),
+    ("fixpoint-alsat", 5, 3286), ("syntactic-gap", 4, 1264)])
+def test_least_deciding_caps_are_pinned(name, n, count):
+    """Absolute node counts, independent of the reference search: each
+    family is decided AlmostSaturated at `count` nodes and not one
+    fewer."""
+    F = gen_family(name, n)
+    assert check_almost_saturated(F, cap=count).status == ALMOST_SATURATED
+    assert check_almost_saturated(F, cap=count - 1).status == CAP_EXCEEDED
 
 
 def test_agrees_with_oracle_on_random_families():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_weak, minimize_by_signatures, random_dfa
 from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs, is_weak,
-                            llex_bfs, minimize_dfa, on_cycle, orbit,
+                            llex_bfs, llex_word, minimize_dfa, on_cycle, orbit,
                             reachable, strongly_connected_components,
                             weak_loop_accepts)
 from upfam.errors import InputError
@@ -187,7 +187,9 @@ def test_llex_bfs_matches_brute_force(seed, nonempty):
                   if t is not None]
     else:
         starts = [(root, ())]
-    found = list(llex_bfs(starts, successors))
+    parent = {}
+    found = [(n, llex_word(parent, n))
+             for n in llex_bfs(starts, successors, parent)]
     least = _least_words_by_brute_force(root, successors, nsym,
                                         int(nonempty), len(nodes))
     assert len({n for n, _ in found}) == len(found)

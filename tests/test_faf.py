@@ -212,6 +212,24 @@ class TestParseErrors:
             parse_faf(text)
         assert needle in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "label,old,new,needle",
+        [b for b in BROKEN if b[3].startswith("line ")],
+        ids=[b[0] for b in BROKEN if b[3].startswith("line ")])
+    def test_line_numbers_count_blank_and_comment_lines(self, label, old,
+                                                        new, needle):
+        """The same documents with a trailing comment on the line above
+        the failing one and three blank or comment lines before it: the
+        line number moves by three."""
+        lines = read_file("ba_star.faf").replace(old, new).splitlines()
+        no = int(needle.split(":")[0].split()[1])
+        lines[no - 2] += "  # trailing comment"
+        lines[no - 1:no - 1] = ["", "  # a comment line", "   "]
+        with pytest.raises(InputError) as exc:
+            parse_faf("\n".join(lines) + "\n")
+        assert str(exc.value) == "line %d:%s" % (no + 3,
+                                                 needle.split(":", 1)[1])
+
     def test_trailing_comment_on_transition(self):
         text = read_file("ba_star.faf")
         commented = text.replace("trans 1 a 1", "trans 1 a 1  # loop on 1")
@@ -245,6 +263,14 @@ class TestParseErrors:
     def test_truncated_file(self):
         with pytest.raises(InputError, match="unexpected end"):
             parse_faf("faf 1\nkind fdfa\nalphabet a\n")
+        # blank and comment lines at the end do not move the line number
+        with pytest.raises(InputError,
+                           match="^line 4: unexpected end of file$"):
+            parse_faf("faf 1\nkind fdfa\nalphabet a\n\n# end\n  \n")
+        with pytest.raises(InputError,
+                           match="^line 5: unexpected end of file$"):
+            parse_faf("faf 1\nkind fdfa\nalphabet a\nleading\n"
+                      "  # states follow\n\n")
         with pytest.raises(InputError):
             parse_faf("")
 

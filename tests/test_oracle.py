@@ -10,7 +10,8 @@ from upfam.family import ReferenceSet, family_accepts, up_membership
 from upfam.oracle import (_canonical_table, _word_pool,
                           brute_almost_saturation, brute_saturation,
                           enumerate_normalized, nba_lasso_accepts)
-from upfam.words import Representation, canonical_pair, up_equal
+from upfam.words import (Representation, canonical_pair, up_equal,
+                         words_up_to)
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, mod2_leading,
                       odd_a_fdfa, universal_fdfa)
@@ -163,3 +164,28 @@ def test_oracle_agrees_with_up_membership_on_saturated_family():
     assert brute_saturation(ev, ALL, 5, 5) is None
     for r in enumerate_normalized(ev, 3, 3):
         assert family_accepts(ev, r, NORM) == up_membership(ev, r)
+
+
+def _pair_key(r):
+    """Total length, then u and then x in llex order (alphabet ab)."""
+    return len(r.u) + len(r.x), (len(r.u), r.u), (len(r.x), r.x)
+
+
+@pytest.mark.parametrize("index", [213, 313])
+def test_brute_saturation_reports_the_least_members(index):
+    """Family `index` of a seeded sample has a mixed group whose first
+    member met in u-major order is not its least: (ε, aaa) comes before
+    (a, a) on one side.  Each side of the counterexample is the least member of
+    its group by the documented order."""
+    rng = random.Random(5)
+    for _ in range(index + 1):
+        F = random_family(rng, max_leading=2, max_progress=3)
+    cx = brute_saturation(F, ALL, 2, 3)
+    group = canonical_pair(cx.left.u, cx.left.x)
+    members = [Representation(u, x) for u in words_up_to("ab", 2)
+               for x in words_up_to("ab", 3, 1)
+               if canonical_pair(u, x) == group]
+    assert cx.left == min((r for r in members if family_accepts(F, r, ALL)),
+                          key=_pair_key)
+    assert cx.right == min((r for r in members
+                            if not family_accepts(F, r, ALL)), key=_pair_key)
