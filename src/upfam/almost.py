@@ -26,8 +26,20 @@ values whose equality is equality of the (mapping, displacement) pairs,
 so the walk meets the same nodes, in the same llex order, as a walk on
 any other exact encoding of the pairs: the node count, and with it the
 CapExceeded boundary and the witness, do not depend on the encoding.
-The search keeps parent links, not words; the word of a violation is
-rebuilt when it is found.
+The search keeps one parent link per node, not words; the word of a
+violation is rebuilt when it is found.
+
+The leading states are walked in order, and the witness is the least key
+(len w, w, q, i) over all of them.  Each walk stops at its first
+violation, the llex-least of its monoid.  Until one is found the walks
+run to their end, so the node count and the CapExceeded boundary of an
+almost-saturated family are those of the whole monoid.  Once one is
+found the verdict is NotAlmostSaturated at any cap, and a later walk
+breaks at its first node deeper than the best word so far: a longer word
+loses on the first component of the key, and one of equal length is
+still met and compared.  So the cap is not spent on words that cannot
+win; only when it cuts one of these short walks is the witness the least
+among the walks that ran.
 """
 
 from __future__ import annotations
@@ -51,7 +63,11 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
     distinct (transformation, displacement) nodes overall.  The search runs
     on the minimized progress automata; the witness (u, x, i) of a
     refutation is word-level, (u, x) accepted and (u, x^i) rejected, and
-    replays against the family as given."""
+    replays against the family as given.  It has the least key
+    (len x, x, q, i), q the leading state u reaches: after the first
+    violation, later walks stop past the best length (see the module
+    docstring), and a cap that cuts one of them short leaves the verdict
+    and the least witness of the walks that ran."""
     if cap <= 0:
         raise InputError("cap must be positive")
     if F.kind != FDFA:
@@ -86,7 +102,13 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
         search = llex_bfs([(start, ())], successors, parent)
         next(search)  # the start node counts without a cap check
         total += 1
+        # after a violation, a walk stops past the length of its word
+        depth = None if best is None else {start: 0}
         for m in search:
+            if depth is not None:
+                k = depth[m] = depth[parent[m]] + 1
+                if k > best[0]:
+                    break
             total += 1
             if total > cap:
                 capped = True

@@ -17,6 +17,12 @@ derives them on first use from the parent links of `llex_bfs`, whose
 discovery order is the canonical numbering, so the word of each state is
 the length-lexicographically least word reaching it.
 
+`llex_bfs`, the least-word search every checker shares, stores one link
+per node it discovers, the node it was reached from, and no symbol and
+no word.  The few words a caller reports are rebuilt by `llex_word`,
+which reads each symbol back as the first index of the child in its
+parent's successor row.
+
 The other walks the checkers share live here too: `reachable`, the plain
 reachability walk, and `strongly_connected_components` with `on_cycle`,
 the one rule for which states lie on a cycle.
@@ -30,6 +36,18 @@ from typing import (Callable, Hashable, Iterable, Iterator, Optional,
 from .errors import InputError
 from .words import Word
 
+
+class _Start:
+    """The link of a start node of `llex_bfs`: its word, and the search's
+    successor function, from which `llex_word` recovers the symbols."""
+
+    __slots__ = ("word", "successors")
+
+    def __init__(self, word: tuple, successors: Callable):
+        self.word = word
+        self.successors = successors
+
+
 def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
              successors: Callable[[Hashable], Iterable[Optional[Hashable]]],
              parent: dict) -> Iterator[Hashable]:
@@ -37,37 +55,45 @@ def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
 
     `starts` holds (node, word) pairs whose words have one length, listed
     in llex order.  `successors(node)` gives one successor per alphabet
-    symbol, in alphabet order, with None marking a blocked edge.  Every
-    reachable node is yielded exactly once, when it is first discovered,
-    and no word is built on the way: the empty dict `parent` receives,
-    for each node, (previous node, symbol index) on its least word, or
-    (None, word) for a start, and `llex_word` rebuilds a word from these
-    links.  Discovery order is the llex order of the least words, so the
-    first goal yielded has the llex-least word reaching any goal, and a
-    caller can stop there and rebuild that one word."""
+    symbol, in alphabet order, with None marking a blocked edge; it must
+    give the same row each time it is called on a node.  Every reachable
+    node is yielded exactly once, when it is first discovered, and no
+    word is built on the way: the empty dict `parent` receives one link
+    per node, the previous node on its least word, or for a start a
+    marker holding its word and `successors`, and `llex_word` rebuilds a
+    word from these links.  Discovery order is the llex order of the
+    least words, so the first goal yielded has the llex-least word
+    reaching any goal, and a caller can stop there and rebuild that one
+    word."""
     queue = []
     for node, word in starts:
         if node not in parent:
-            parent[node] = (None, word)
+            parent[node] = _Start(word, successors)
             queue.append(node)
             yield node
     for node in queue:  # the loop also visits nodes appended below
-        for si, nxt in enumerate(successors(node)):
-            if nxt is not None and nxt not in parent:
-                parent[nxt] = (node, si)
+        for nxt in successors(node):
+            if nxt not in parent and nxt is not None:
+                parent[nxt] = node
                 queue.append(nxt)
                 yield nxt
 
 
 def llex_word(parent: dict, node: Hashable) -> tuple:
     """The llex-least word of a node that `llex_bfs` has yielded, as symbol
-    indices, rebuilt from its `parent` links."""
-    syms = []
-    node, si = parent[node]
-    while node is not None:
-        syms.append(si)
-        node, si = parent[node]
-    return si + tuple(reversed(syms))
+    indices, rebuilt from its `parent` links.  The symbol of a link from
+    p to c is the first index of c in the row `successors(p)`: the search
+    expands a node's symbols in order, so the first symbol that reaches a
+    new node is the one that linked it."""
+    path = [node]
+    link = parent[node]
+    while not isinstance(link, _Start):
+        path.append(link)
+        link = parent[link]
+    path.reverse()
+    succ = link.successors
+    return link.word + tuple(list(succ(p)).index(c)
+                             for p, c in zip(path, path[1:]))
 
 
 def reachable(seeds: Iterable[Hashable],
@@ -209,11 +235,13 @@ class TransitionSystem:
         if self._access is None:
             access = [None] * self.n
             parent: dict = {}
-            for q in llex_bfs([(self.initial, ())], self.delta.__getitem__,
-                              parent):
-                p, si = parent[q]
-                access[q] = () if p is None else access[p] + (
-                    self.alphabet[si],)
+            search = llex_bfs([(self.initial, ())], self.delta.__getitem__,
+                              parent)
+            access[next(search)] = ()
+            for q in search:
+                p = parent[q]
+                access[q] = access[p] + (
+                    self.alphabet[self.delta[p].index(q)],)
             self._access = tuple(access)
         word = self._access[state]
         if word is None:

@@ -124,15 +124,19 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
             acc_q2 = Dq2.accepting
             start = (Dq.delta[Dq.initial][ai], Dq2.initial, q2)
             parent: dict = {}
-            depth = {None: -1}  # a start links to None
+            # the limit is fixed for the slot's whole search, so node
+            # depths are kept only when it is finite
+            depth = {} if limit < math.inf else None
             search = llex_bfs(
                 [(start, ())],
                 lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]], T.delta[n[2]]),
                 parent)
             for node in search:
-                k = depth[node] = depth[parent[node][0]] + 1
-                if k > limit:
-                    break
+                if depth is not None:
+                    # the start's link is a marker, never a key of depth
+                    k = depth[node] = depth.get(parent[node], -1) + 1
+                    if k > limit:
+                        break
                 d1, d2, t = node
                 if normalized and t != q:
                     continue

@@ -299,7 +299,9 @@ class Transformation:
 def almost_by_transformations(F: Family, cap: int) -> Verdict:
     """Reference for almost.check_almost_saturated: the same capped monoid
     walk with Transformation nodes, each composed one state at a time, on
-    progress automata minimized by minimize_by_signatures."""
+    progress automata minimized by minimize_by_signatures.  After the
+    first violation a walk stops at its first word longer than the best
+    one, measured on the rebuilt word, not on a depth map."""
     T = F.leading
     total = 0
     capped = False
@@ -337,6 +339,9 @@ def almost_by_transformations(F: Family, cap: int) -> Verdict:
         next(search)
         total += 1
         for node in search:
+            # once a violation is known, a longer word cannot win
+            if best is not None and len(llex_word(parent, node)) > best[0]:
+                break
             total += 1
             if total > cap:
                 capped = True

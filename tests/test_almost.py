@@ -189,6 +189,40 @@ def test_least_deciding_caps_are_pinned(name, n, count):
     assert check_almost_saturated(F, cap=count - 1).status == CAP_EXCEEDED
 
 
+def exact_length(k):
+    """Progress over ab accepting exactly the words of length k."""
+    return Dfa.from_table(
+        "ab", [[s + 1, s + 1] for s in range(k + 1)] + [[k + 1, k + 1]],
+        accepting=[k])
+
+
+def test_walks_after_a_violation_stop_past_its_length():
+    """Leading state 0 is refuted by aaa after a few nodes; the 7-state
+    group automaton of state 1 (a a 7-cycle, b swapping 0 and 1) has no
+    violation, as every power of a permutation fixing 0 fixes 0, but a
+    monoid of thousands of nodes; state 2, reached by bb, is refuted by
+    aa.  The walk of state 1 stops past length 3, so from cap 25 on the
+    witness is the least one, (bb, aa, 2), where an unlimited walk spent
+    every cap below 100,000 on state 1 and answered (ε, aaa, 2)."""
+    T = TransitionSystem("ab", [[0, 1], [1, 2], [2, 0]])
+    group = Dfa.from_table(
+        "ab", [[(s + 1) % 7, {0: 1, 1: 0}.get(s, s)] for s in range(7)],
+        accepting=[0])
+    F = Family(FDFA, T, [exact_length(3), group, exact_length(2)])
+    least = (("b", "b"), ("a", "a"), 2)
+    expected = {6: None, 7: ((), ("a",) * 3, 2), 24: ((), ("a",) * 3, 2)}
+    for cap in (25, 1_000, 10_000, 100_000, 1_000_000, DEFAULT_CAP):
+        expected[cap] = least
+    for cap, witness in expected.items():
+        v = check_almost_saturated(F, cap=cap)
+        assert v.witness == witness
+        assert v.status == (CAP_EXCEEDED if witness is None
+                            else NOT_ALMOST_SATURATED)
+        assert outcome(v) == outcome(almost_by_transformations(F, cap))
+        if witness is not None:
+            assert_replays(F, witness)
+
+
 def test_agrees_with_oracle_on_random_families():
     rng = random.Random(5)
     positive = 0
