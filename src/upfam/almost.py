@@ -133,24 +133,31 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
     return Verdict(ALMOST_SATURATED)
 
 
-def next_prime(k: int) -> int:
-    """Least prime p >= max(k, 2)."""
-    p = max(k, 2)
-    while True:
-        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            return p
+def padded_chain(dfas) -> list:
+    """The input DFAs of a hardness reduction, checked and padded to prime
+    length with DFAs universal on nonempty words, which leave the
+    intersection unchanged.  There must be at least one input; they share
+    one alphabet without '#', and none accepts the empty word."""
+    chain = list(dfas)
+    if not chain:
+        raise InputError("need at least one input DFA")
+    alphabet = chain[0].alphabet
+    if HASH in alphabet:
+        raise InputError(f"input alphabet may not contain {HASH!r}")
+    for d in chain:
+        if d.alphabet != alphabet:
+            raise InputError("input DFAs must share one alphabet")
+        if d.initial in d.accepting:
+            raise InputError("input DFA accepts the empty word")
+    p = max(len(chain), 2)
+    while any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
         p += 1
+    sigma_plus = Dfa.from_table(alphabet, [[1] * len(alphabet)] * 2,
+                                accepting=(1,))
+    return chain + [sigma_plus] * (p - len(chain))
 
 
-def sigma_plus_dfa(alphabet) -> Dfa:
-    """Universal on nonempty words: pads a hardness instance to prime
-    length without changing the intersection."""
-    return Dfa.from_parts(alphabet, 2,
-                          {(s, a): 1 for s in (0, 1) for a in alphabet},
-                          accepting=(1,))
-
-
-def gen_intersection_fdfa(dfas: list) -> Family:
+def gen_intersection_fdfa(dfas) -> Family:
     """Hardness instance: an FDFA over the input alphabet plus '#' that is
     almost saturated exactly when the input DFAs have empty intersection.
 
@@ -161,20 +168,9 @@ def gen_intersection_fdfa(dfas: list) -> Family:
     and primality of p rules out any other way a power can fall into the
     chain shape.
     """
-    if not dfas:
-        raise InputError("need at least one DFA")
-    alphabet = dfas[0].alphabet
-    for d in dfas:
-        if d.alphabet != alphabet:
-            raise InputError("intersection inputs must share an alphabet")
-        if d.initial in d.accepting:
-            raise InputError("input DFA accepts the empty word")
-    if HASH in alphabet:
-        raise InputError(f"alphabet already contains {HASH!r}")
-    p = next_prime(len(dfas))
-    chain = list(dfas) + [sigma_plus_dfa(alphabet)] * (p - len(dfas))
-
-    full = tuple(alphabet) + (HASH,)
+    chain = padded_chain(dfas)
+    p = len(chain)
+    full = tuple(chain[0].alphabet) + (HASH,)
     offsets = []
     n = 1  # 0 is the fresh initial state
     for d in chain:

@@ -12,10 +12,12 @@ row of successor keys of a key at once, so a caller whose keys are plain
 integers (the quotient of `minimize_dfa`, the product of
 `family.refine_family`, the successor table of `from_table`, which
 `from_parts` and the FAF parser fill) pays one list per state and no call
-per edge.  Access words are not stored while building: `access_word`
-derives them on first use from the parent links of `llex_bfs`, whose
-discovery order is the canonical numbering, so the word of each state is
-the length-lexicographically least word reaching it.
+per edge.  It also numbers the regularity profile graph, from the
+one-letter profiles and under a cap.  Access words are not stored while
+building: `access_word` derives them on first use from the parent links
+of `llex_bfs`, whose discovery order is the canonical numbering, so the
+word of each state is the length-lexicographically least word reaching
+it.
 
 `llex_bfs`, the least-word search every checker shares, stores one link
 per node it discovers, the node it was reached from, and no symbol and
@@ -30,10 +32,11 @@ the one rule for which states lie on a cycle.
 
 from __future__ import annotations
 
+import math
 from typing import (Callable, Hashable, Iterable, Iterator, Optional,
                     Sequence)
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .words import Word
 
 
@@ -125,18 +128,23 @@ def orbit(start: Hashable, step: Callable[[Hashable], Hashable]
     return list(index), index[v]
 
 
-def canonical_bfs(start: Hashable,
-                  succ: Callable[[Hashable], Sequence[Optional[Hashable]]]
-                  ) -> tuple[list[list[int]], list]:
-    """Canonical numbering of the keys reachable from `start`.
+def canonical_bfs(starts: Iterable[Hashable],
+                  succ: Callable[[Hashable], Sequence[Optional[Hashable]]],
+                  cap: float = math.inf) -> tuple[list[list[int]], list]:
+    """Canonical numbering of the keys reachable from `starts`.
 
     `succ(key)` gives the row of successor keys, one per alphabet symbol in
-    alphabet order, with None for the implicit rejecting sink.  Keys are
-    numbered in breadth-first discovery order, so `start` is 0.  Returns
+    alphabet order, with None for the implicit rejecting sink.  The starts
+    are numbered first, in order (a repeated start keeps its first
+    number), then every other key in breadth-first discovery order.  The
+    starts are numbered whatever `cap` is; discovering any other key while
+    `cap` keys are already numbered raises CapExceededError.  Returns
     (rows, keys): rows[i] holds the successor numbers of state i, and
     keys[i] its key, None for the sink, whose row loops on itself."""
-    index: dict = {start: 0}
-    keys = [start]
+    index: dict = {}
+    for key in starts:
+        index.setdefault(key, len(index))
+    keys = list(index)
     rows: list[list[int]] = []
     get = index.get
     for key in keys:  # the loop also visits keys appended below
@@ -147,6 +155,8 @@ def canonical_bfs(start: Hashable,
         for t in succ(key):
             j = get(t)
             if j is None:
+                if len(keys) >= cap:
+                    raise CapExceededError(f"numbering exceeded cap {cap}")
                 j = index[t] = len(keys)
                 keys.append(t)
             row.append(j)
@@ -180,7 +190,7 @@ class TransitionSystem:
         key, or None for the implicit rejecting sink."""
         alphabet = tuple(alphabet)
         rows, keys = canonical_bfs(
-            start, lambda key: [step(key, sym) for sym in alphabet])
+            [start], lambda key: [step(key, sym) for sym in alphabet])
         return cls._finish(alphabet, rows, keys, **kw)
 
     @classmethod
@@ -196,7 +206,7 @@ class TransitionSystem:
         the initial state must lie in range.  Unreachable states are
         dropped and missing transitions are completed to a rejecting
         sink."""
-        rows, keys = canonical_bfs(initial, table.__getitem__)
+        rows, keys = canonical_bfs([initial], table.__getitem__)
         return cls._finish(tuple(alphabet), rows, keys, **kw)
 
     @classmethod
@@ -328,7 +338,7 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
     for q, b in enumerate(blocks):
         rep.setdefault(b, q)
     rows, keys = canonical_bfs(
-        blocks[dfa.initial],
+        [blocks[dfa.initial]],
         lambda b: list(map(blocks.__getitem__, dfa.delta[rep[b]])))
     return Dfa(dfa.alphabet, rows,
                [i for i, b in enumerate(keys) if rep[b] in acc])

@@ -280,11 +280,15 @@ def _parser() -> argparse.ArgumentParser:
                    choices=tuple(_CHECKS))
     c.add_argument("file", help="family file, or - for stdin")
     c.add_argument("--cap", type=int, default=None,
-                   help="search budget of almost-saturation, FDWA "
-                        "saturation and regularity (for an FDFA, it bounds "
-                        "the almost-saturation monoid walk first and then, "
-                        "separately, the profile graph); the saturation "
-                        "and full-saturation checks of FDFAs ignore it")
+                   help="search budget: almost-saturation counts monoid "
+                        "nodes of the minimized progress automata, FDWA "
+                        "saturation the witness-search nodes stored over "
+                        "the whole check, regularity the profiles, the "
+                        "one-letter ones always admitted (for an FDFA, it "
+                        "bounds the almost-saturation monoid walk first "
+                        "and then, separately, the profile graph); the "
+                        "saturation and full-saturation checks of FDFAs "
+                        "ignore it")
     c.add_argument("--json", action="store_true",
                    help="machine-readable verdict on stdout")
     c.set_defaults(handler=_cmd_check)

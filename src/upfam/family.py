@@ -192,7 +192,7 @@ def refine_family(F: Family) -> Family:
             d, t = divmod(key, m)
             return list(map(add, scaled[d], T.delta[t]))
 
-        rows, keys = canonical_bfs(D.initial * m + q, succ)
+        rows, keys = canonical_bfs([D.initial * m + q], succ)
         new.append(Dfa(D.alphabet, rows,
                        [i for i, key in enumerate(keys)
                         if key // m in D.accepting],

@@ -26,14 +26,16 @@ primitive ("root") words.  The search for that situation works on the profile
 graph, looking per terminal profile at the words that first reach it and the
 words that loop on it.
 
-The profile graph is explored row by row: row s of the profile of xa is
-the image under a of row s of the profile of x, the set of states that a
-leads to from the states x reaches from s.  That image depends only on the
-row mask, not on x or s, so each symbol keeps a cache from row mask to
-image, and a successor costs one dictionary lookup per row.  Rows repeat
-heavily across profiles (the 7,726 profiles of `zero-u-zero-fdfa` n=5, 91
-rows each, hold 568 distinct rows), so each image is computed once per
-symbol and distinct row, and equal rows share one stored image.
+The profile graph is numbered by `automata.canonical_bfs`, with the
+one-letter profiles as its starts.  A successor is composed row by row:
+row s of the profile of xa is the image under a of row s of the profile
+of x, the set of states that a leads to from the states x reaches from s.
+That image depends only on the row mask, not on x or s, so each symbol
+keeps a cache from row mask to image, and a successor costs one
+dictionary lookup per row.  Rows repeat heavily across profiles (the
+7,726 profiles of `zero-u-zero-fdfa` n=5, 91 rows each, hold 568
+distinct rows), so each image is computed once per symbol and distinct
+row, and equal rows share one stored image.
 
 A profile is classified by its orbit: tau^e is accepted exactly when the
 image of the initial set under tau^e meets the accepting set, so it is
@@ -94,9 +96,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .almost import (ALMOST_SATURATED, HASH, check_almost_saturated,
-                     next_prime, sigma_plus_dfa)
-from .automata import (Dfa, Nfa, llex_bfs, llex_word, on_cycle, orbit,
-                       reachable, strongly_connected_components)
+                     padded_chain)
+from .automata import (Dfa, Nfa, canonical_bfs, llex_bfs, llex_word,
+                       on_cycle, orbit, reachable,
+                       strongly_connected_components)
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import FDFA, FDWA, FNFA, Family, trivial_leading
 from .words import Word, root
@@ -324,37 +327,17 @@ def _profile_graph(N: Nfa, cap: int):
     """(profiles, succ, letters) of N: the masks of every profile in
     discovery order, the one-letter profiles first; succ[i][si], the id of
     the profile of x followed by symbol si for any word x with profile i;
-    and letters[si], the id of the profile of symbol si.  More than `cap`
-    profiles raise CapExceededError.
-
-    A successor is composed row by row through a per-symbol _RowImages
-    cache, so each distinct row is applied to each symbol once."""
-    nsym = len(N.alphabet)
+    and letters[si], the id of the profile of symbol si.  The one-letter
+    profiles are the starts of `canonical_bfs`, so they are admitted
+    whatever `cap` is; discovering any other profile while `cap` profiles
+    are numbered raises CapExceededError.  A successor is composed row by
+    row through the per-symbol _RowImages caches."""
     sym = [tuple(_mask(N.delta[s][i]) for s in range(N.n))
-           for i in range(nsym)]
+           for i in range(len(N.alphabet))]
     images = [_RowImages(m).__getitem__ for m in sym]
-    profiles = []
-    index = {}
-    succ = []
-    for m in sym:
-        if m not in index:
-            index[m] = len(profiles)
-            profiles.append(m)
-            succ.append([None] * nsym)
-    letters = [index[m] for m in sym]
-    for i, mi in enumerate(profiles):  # also visits profiles added below
-        for si in range(nsym):
-            m = tuple(map(images[si], mi))
-            j = index.get(m)
-            if j is None:
-                if len(profiles) >= cap:
-                    raise CapExceededError(
-                        f"profile graph exceeded cap {cap}")
-                j = index[m] = len(profiles)
-                profiles.append(m)
-                succ.append([None] * nsym)
-            succ[i][si] = j
-    return profiles, succ, letters
+    succ, profiles = canonical_bfs(
+        sym, lambda mi: [tuple(map(image, mi)) for image in images], cap)
+    return profiles, succ, [profiles.index(m) for m in sym]
 
 
 def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
@@ -367,8 +350,6 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
     generating word; the first one whose first-visitor/recurrence structure
     is rich enough yields the witness."""
     nsym = len(N.alphabet)
-    if nsym == 0:
-        return None
     profiles, succ, letters = _profile_graph(N, cap)
 
     def to_word(idxs) -> Word:
@@ -445,28 +426,16 @@ def gen_ter_hardness(dfas) -> Dfa:
     """Reduce DFA intersection emptiness to terminal-root scarcity.
 
     The result reads #-separated blocks; block i is matched against
-    D_{(i-1 mod p)+1}, where the input list is padded with all-accepting
-    automata to the next prime length p.  A word is accepted when some block
+    D_{(i-1 mod p)+1}, where `padded_chain` pads the input list to prime
+    length p.  A word is accepted when some block
     fails its automaton, or when every block is in L(D_1) and the block
     count is not divisible by p.  Terminal primitive words are then exactly
     the aperiodic block sequences drawn from the intersection, so roots
     exist (and, for infinite intersections, grow) precisely when the
     intersection is nonempty."""
-    dfas = list(dfas)
-    if not dfas:
-        raise InputError("need at least one input automaton")
-    alphabet = dfas[0].alphabet
-    if HASH in alphabet:
-        raise InputError(f"input alphabet may not contain {HASH!r}")
-    for d in dfas:
-        if d.alphabet != alphabet:
-            raise InputError("input automata must share one alphabet")
-        if d.initial in d.accepting:
-            raise InputError("input automata must not accept the empty word")
-    p = next_prime(len(dfas))
-    while len(dfas) < p:
-        dfas.append(sigma_plus_dfa(alphabet))
-    full = tuple(alphabet) + (HASH,)
+    dfas = padded_chain(dfas)
+    p = len(dfas)
+    full = tuple(dfas[0].alphabet) + (HASH,)
     d1 = dfas[0]
 
     def step(key, a):

@@ -271,9 +271,9 @@ class _SuccessorLists(dict):
 def _fdwa_witness_word(lists, p, q, r, limit, budget):
     """(z, nodes): z is the llex-least nonempty word x*y, as symbol
     indices, satisfying the five structural conditions for (p, q, r), or
-    None when no such word is at most `limit` long; nodes is the number of
-    search nodes stored, those reached by nonempty words shorter than the
-    limit.  More than `budget` of them raises CapExceededError.
+    None when no such word is at most `limit` >= 1 long; nodes is the
+    number of search nodes stored, those reached by nonempty words shorter
+    than the limit.  More than `budget` of them raises CapExceededError.
 
     An x-node (a, b, c) runs Bu from its initial state and from q and Bv
     from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
@@ -304,9 +304,7 @@ def _fdwa_witness_word(lists, p, q, r, limit, budget):
                     else [start])])
     while queue:
         w, group = queue.popleft()
-        depth = len(w) + 1  # length of the children
-        if depth > limit:
-            break
+        depth = len(w) + 1  # length of the children, at most the limit
         if depth == limit:
             # Children at the limit are never expanded: only the target
             # matters, so they are tested and not stored.

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_weak, minimize_by_signatures, random_dfa
-from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs, is_weak,
-                            llex_bfs, llex_word, minimize_dfa, on_cycle, orbit,
-                            reachable, strongly_connected_components,
+from upfam.automata import (Dfa, Nfa, TransitionSystem, canonical_bfs,
+                            dfa_sccs, is_weak, llex_bfs, llex_word,
+                            minimize_dfa, on_cycle, orbit, reachable,
+                            strongly_connected_components,
                             weak_loop_accepts)
-from upfam.errors import InputError
+from upfam.errors import CapExceededError, InputError
 from upfam.faf import parse_sample
 from upfam.learning import learn_passive
 from upfam.words import as_word, words_up_to
@@ -44,6 +45,21 @@ def test_canonical_numbering_and_access_words():
     assert d.access_word(1) == ("a",)
     assert d.access_word(2) == ("b",)
     assert d.accepting == {2}
+
+
+def test_canonical_bfs_numbers_starts_first_and_caps_the_rest():
+    # 3 -> 1 -> 0 -> 2 -> 2 on one symbol; starts 1 and 3, 1 repeated.
+    table = [[2], [0], [2], [1]]
+    rows, keys = canonical_bfs([1, 3, 1], table.__getitem__)
+    assert keys == [1, 3, 0, 2]
+    assert rows == [[2], [0], [3], [3]]
+    assert canonical_bfs([1, 3, 1], table.__getitem__, cap=4) == (rows, keys)
+    for cap in (1, 2, 3):
+        with pytest.raises(CapExceededError):
+            canonical_bfs([1, 3], table.__getitem__, cap=cap)
+    # Two starts and no other key: the starts alone never exceed a cap.
+    assert canonical_bfs([2, 0], table.__getitem__, cap=1) == \
+        ([[0], [0]], [2, 0])
 
 
 def test_completion_adds_sink():

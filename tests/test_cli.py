@@ -18,13 +18,13 @@ import pytest
 from upfam import cli
 from upfam.cli import main, run_subcommand
 from upfam.faf import parse_faf, serialize_faf, serialize_sample
-from upfam.family import FDFA, FDWA, FNFA, family_accepts
+from upfam.family import FDFA, FDWA, FNFA, Family, family_accepts
 from upfam.learning import gen_char_sample
 from upfam.translate import GEN_FAMILY_NAMES, gen_family
 from upfam.words import Representation
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, first_a_fdwa,
-                      odd_a_fdfa, some_a_fdwa, universal_fdfa)
+                      mod2_leading, odd_a_fdfa, some_a_fdwa, universal_fdfa)
 from helpers import random_family
 
 FILES = os.path.join(os.path.dirname(__file__), "files")
@@ -145,6 +145,40 @@ class TestCheck:
         assert built == []
 
 
+# The saturation witness of ba_star.faf, without its acceptance bits.
+BA_STAR_LOOPSHIFT = {"variant": "loopshift", "left": {"u": "", "x": "ba"},
+                     "right": {"u": "b", "x": "ab"}}
+
+# (mod2, witness, exit code, reason) for each way a replay can reject its
+# input.  mod2 replays against a family accepting every loop under a
+# leading system that counts length mod 2, so an odd loop is not
+# normalized; the others replay against ba_star.faf.
+BROKEN_WITNESSES = [
+    (False, dict(BA_STAR_LOOPSHIFT, left_accepted=False,
+                 right_accepted=True),
+     1, "left acceptance does not match the family"),
+    (False, dict(BA_STAR_LOOPSHIFT, left_accepted=True,
+                 right_accepted=True),
+     1, "recorded acceptance bits do not disagree"),
+    (False, dict(BA_STAR_LOOPSHIFT, variant="power", left_accepted=True,
+                 right_accepted=False),
+     1, "right side is not a loop power of the left"),
+    (False, {"u": "", "x": "b", "power": 1},
+     1, "power witness needs a nonempty loop and power >= 2"),
+    (False, {"u": "", "x": "a", "power": 2}, 1, "loop is not accepted"),
+    (False, {"check": "regularity", "status": "NotRegular",
+             "witness": {"case": "DistinctRoots",
+                         "words": ["0:a 0:b", "0:a"]}},
+     2, "unrecognized witness schema in replay input"),
+    (False, [BA_STAR_LOOPSHIFT],
+     2, "replay input is not a witness object"),
+    (True, {"u": "", "x": "a", "power": 2},
+     1, "witness pair is not normalized"),
+    (True, {"u": "", "x": "aa", "power": 2},
+     1, "loop power is not rejected"),
+]
+
+
 class TestJsonAndReplay:
     def test_counterexample_schema(self):
         code, out = run(["check", "saturation", BA_STAR, "--json"])
@@ -195,6 +229,23 @@ class TestJsonAndReplay:
         path = write_family(tmp_path, universal_fdfa())
         code, _ = run(["oracle", "replay", path], stdin_text=out)
         assert code == 1
+
+    @pytest.mark.parametrize("mod2,witness,code,reason", BROKEN_WITNESSES,
+                             ids=[case[-1] for case in BROKEN_WITNESSES])
+    def test_replay_rejects_each_broken_witness(self, tmp_path, capsys, mod2,
+                                                witness, code, reason):
+        path = BA_STAR
+        if mod2:
+            universal = universal_fdfa("a").progress[0]
+            path = write_family(tmp_path, Family(
+                FDFA, mod2_leading("a"), [universal, universal]))
+        got, out = run(["oracle", "replay", path],
+                       stdin_text=json.dumps(witness))
+        assert got == code
+        if code == 1:
+            assert out == "WITNESS-FAILED: %s\n" % reason
+        else:
+            assert capsys.readouterr().err == "error: %s\n" % reason
 
 
 class TestOracle:

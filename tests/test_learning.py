@@ -18,7 +18,7 @@ from upfam import learning
 from upfam.errors import InputError, PreconditionError, ProtocolError
 from upfam.faf import serialize_faf, serialize_sample
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
-                          up_membership)
+                          trivial_leading, up_membership)
 from upfam.learning import (DOLLAR, LearnLog, Sample, Teacher,
                             _least_dollar_difference, default_fdfa,
                             dollar_dfa_to_fdfa, fdfa_to_dollar_dfa,
@@ -28,7 +28,7 @@ from upfam.saturation import check_saturated
 from upfam.words import Representation, llex_key, words_up_to
 
 from fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
-                      some_a_fdwa, universal_fdfa)
+                      mod2_leading, some_a_fdwa, universal_fdfa)
 
 GAMMA = AB + (DOLLAR,)
 
@@ -348,6 +348,22 @@ class TestPassiveLearning:
         with pytest.raises(PreconditionError,
                            match="accepting progress state 0 of leading"
                                  " state 0 has no normalized loop"):
+            gen_char_sample(F)
+
+    def test_char_sample_needs_a_minimal_leading_system(self):
+        universal = Dfa("a", [[0]], [0])
+        F = Family(FDFA, mod2_leading("a"), [universal, universal])
+        with pytest.raises(PreconditionError,
+                           match="leading states 0 and 1 are equivalent"):
+            gen_char_sample(F)
+
+    def test_char_sample_needs_separable_progress_states(self):
+        # States 1 and 2 both accept every extension: a^+ on three states.
+        F = Family(FDFA, trivial_leading("a"),
+                   [Dfa("a", [[1], [2], [2]], [1, 2])])
+        with pytest.raises(PreconditionError,
+                           match="progress states 1 and 2 of leading state"
+                                 " 0 admit no separating extension"):
             gen_char_sample(F)
 
     def test_single_positive_example(self):

@@ -350,6 +350,13 @@ def test_cap_counts_profiles_not_orbit_steps():
     assert classify_profile(N, profile_of(N, "a")) == "Accepting"
 
 
+def test_no_symbols_no_profiles():
+    # The empty word has no profile, so there is nothing to search.
+    N = as_nfa(Dfa((), [()], [0]))
+    assert _profile_graph(N, 1) == ([], [], [])
+    assert find_good_witness(N, cap=1) is None
+
+
 def _graph_or_capped(explore, N, cap):
     try:
         return explore(N, cap)
