@@ -58,17 +58,32 @@ acceptance, and conversely.  `refine_family` keeps the displacement of
 each state as its key, so it is never walked again.
 
 The reported witness is the least key (len z, z, u, p, q, r) over all
-admissible tuples, z = x*y.  Each tuple's search stops at the length of
-the best witness so far: a longer word loses on the first component of the
-key, and a word of equal length is still found and compared; saturated
-families have no witness, so every search still runs to its end.  The
-switch from the x-phase to the y-phase reads no symbol, so one word can
-first reach an x-node and a y-node together.  A node-by-node queue would
-put all children of the x-node first and leave llex order; the search
-therefore queues the group of nodes first reached by one word and expands
-it whole.
+admissible tuples, z = x*y.  The tuples are not searched one by one.  The
+p of one u fall into classes by component, acceptance and displacement v,
+and every p of a class admits the same q (its component and acceptance)
+and the same r (on a cycle of Bv, displaced back to u, of the other
+acceptance).  One search per class and (q, r) walks the x-graph from
+(u0, q, r) and may switch at any x-node (p, p, c), p in the class, to the
+y-node (p, v0, c).  A word reaches the target (q, r, r) exactly when it
+splits as a witness for some p of the class, so the search's language is
+the union of the tuples' languages and its least word z is the least
+witness word of the class.  The key takes the least p of the class for
+which z splits (`_fdwa_split`, the test that also rebuilds x and y for the
+counterexample): z is then the least word of that p's own language, and
+no smaller p's language holds it.  The x-graph is walked once for the
+class instead of once per p, and where the runs of two p meet in the
+y-graph the node is stored once.
 
-All tuples (p, q, r) of one pair (u, v), v the displacement of p, walk
+Each search stops at the length of the best witness so far: a longer word
+loses on the first component of the key, and a word of equal length is
+still found and compared; saturated families have no witness, so every
+search still runs to its end.  The switch from the x-phase to the y-phase
+reads no symbol, so one word can first reach an x-node and a y-node
+together.  A node-by-node queue would put all children of the x-node
+first and leave llex order; the search therefore queues the group of
+nodes first reached by one word and expands it whole.
+
+All searches of one pair (u, v), v the displacement of the class, walk
 the same two product graphs, Bu x Bu x Bv over x and Bu x Bv x Bv over y,
 so the pair keeps one distinct-successor list per product node
 (`_SuccessorLists`): its distinct children, each with the least symbol
@@ -234,12 +249,12 @@ class _SuccessorLists(dict):
     (a * nu + b) * nv + c; a y-node (a, b, c) of Bu x Bv x Bv has the code
     y_base + (a * nv + b) * nv + c, so the two graphs share one code space.
     A list is built from the zipped `delta` rows when its node is first
-    looked up, and every tuple (p, q, r) on the pair reads the same list."""
+    looked up, and every search on the pair reads the same list."""
 
     def __init__(self, Bu, Bv):
         super().__init__()
         self.nu, self.nv = Bu.n, Bv.n
-        self.u0, self.v0 = Bu.initial, Bv.initial
+        self.u0 = Bu.initial
         self.y_base = Bu.n * Bu.n * Bv.n
         self.du, self.dv = Bu.delta, Bv.delta
 
@@ -268,39 +283,51 @@ class _SuccessorLists(dict):
         return row
 
 
-def _fdwa_witness_word(lists, p, q, r, limit, budget):
+def _fdwa_witness_word(lists, switch, q, r, limit, budget):
     """(z, nodes): z is the llex-least nonempty word x*y, as symbol
-    indices, satisfying the five structural conditions for (p, q, r), or
-    None when no such word is at most `limit` >= 1 long; nodes is the
-    number of search nodes stored, those reached by nonempty words shorter
-    than the limit.  More than `budget` of them raises CapExceededError.
+    indices, satisfying the five structural conditions for (p, q, r) for
+    some p of one class, or None when no such word is at most `limit` >= 1
+    long; nodes is the number of search nodes stored, those reached by
+    nonempty words shorter than the limit.  More than `budget` of them
+    raises CapExceededError.
 
     An x-node (a, b, c) runs Bu from its initial state and from q and Bv
     from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
-    state and Bv on from the x-node's c over y.  `lists` holds the
-    distinct-successor lists of the pair (u, v), shared with its other
-    tuples.  Each queue entry is the group of node codes first reached by
-    one word, and groups leave the queue in llex order of their words.  A
-    group's lists are merged, and its new children are stored symbol by
+    state and Bv on from the x-node's c over y.  `switch` maps the code of
+    each x-node (p, p, c), p in the class, to that of the y-node
+    (p, v0, c) it switches to; it is built once per class.  `lists` holds
+    the distinct-successor lists of the pair (u, v), shared with its other
+    searches.  Each queue entry is the group of node codes first reached
+    by one word, and groups leave the queue in llex order of their words.
+    A group's lists are merged, and its new children are stored symbol by
     symbol in ascending order; a symbol that stored any is then settled,
     the node count tested against the budget before the target is looked
     for, exactly as a pass over the whole alphabet would (see the module
-    docstring for why the lists store the same nodes)."""
-    nu, nv, v0, y_base = lists.nu, lists.nv, lists.v0, lists.y_base
-    pp = (p * nu + p) * nv  # x-nodes (p, p, c) have the codes pp + c
-    pp_end = pp + nv
-    shift = y_base + (p * nv + v0) * nv - pp  # x (p, p, c) -> y (p, v0, c)
-    # No x-node switches to the target.  The switch of (p, p, r) is the
-    # target only if p = q and r = v0; v0 is displaced to v and r to u, so
-    # v = u, and x leads the initial state of Bu to p and to r: p = r,
+    docstring for why the lists store the same nodes).
+
+    Testing the target first would give the same verdicts, so no input can
+    pin that order.  It differs only when a batch that crosses the cap
+    holds the target, and the check goes on with a spent budget; the next
+    search that stores a node then raises.  One does: a witness
+    (u, p, q, r, x, y) has a sibling (v, r, c, p, y, x), c = r*x in Bv, of
+    the same length, searched in another class, since r and p differ in
+    acceptance.  If the sibling's search came first, this search runs with
+    a limit of at most |z|, so no stored batch holds its target; if it
+    comes later, it stores its depth-1 children, because |z| >= 2 (a
+    one-letter witness would make p = r)."""
+    nu, nv, y_base = lists.nu, lists.nv, lists.y_base
+    # No x-node switches to the target.  The switch of (p, p, c) is the
+    # target only if p = q and c = r = v0; v0 is displaced to v and r to u,
+    # so v = u, and x leads the initial state of Bu to p and to r: p = r,
     # which the caller's parity filter rules out.  So only the target
     # itself ends the search.
     target = y_base + (q * nv + r) * nv + r
+    switch_to = switch.get
     seen = set()
     # The empty word never counts as a witness, so length-0 nodes stay out
     # of `seen` and do not shadow a later nonempty arrival.
     start = (lists.u0 * nu + q) * nv + r
-    queue = deque([((), [start, start + shift] if pp <= start < pp_end
+    queue = deque([((), [start, switch[start]] if start in switch
                     else [start])])
     while queue:
         w, group = queue.popleft()
@@ -334,9 +361,10 @@ def _fdwa_witness_word(lists, p, q, r, limit, budget):
                 new = []
                 batches.append((si, new))
             new.append(code)
-            if pp <= code < pp_end and code + shift not in seen:
-                seen.add(code + shift)
-                new.append(code + shift)
+            y = switch_to(code)
+            if y is not None and y not in seen:
+                seen.add(y)
+                new.append(y)
         for si, new in batches:
             stored += len(new)
             if stored > budget:
@@ -347,17 +375,37 @@ def _fdwa_witness_word(lists, p, q, r, limit, budget):
     return None, len(seen)
 
 
+def _fdwa_split(Bu, Bv, p, q, r, z):
+    """The first split (x, y) of the word z = x*y meeting the five
+    conditions for (p, q, r), or None: x leads the initial state of Bu and
+    q to p, y leads p to q and the initial state of Bv to r, and z loops on
+    r in Bv."""
+    if Bv.after(r, z) != r:
+        return None
+    for k in range(len(z) + 1):
+        x, y = z[:k], z[k:]
+        if (Bu.after(Bu.initial, x) == Bu.after(q, x) == p
+                and Bu.after(p, y) == q and Bv.after(Bv.initial, y) == r):
+            return x, y
+    return None
+
+
 def _least_fdwa_witness(work, cap):
     """The least key ((len z, z), u, p, q, r) over all admissible tuples,
-    as (key, v), or None.  Each tuple's search is bounded by the length of
-    the best witness so far: a longer word cannot win.  `work` is refined,
-    so the key of each progress state is its displacement.  The tuples are
-    visited in ascending (u, p, q, r), from candidate lists made once per u:
-    the q of each component and acceptance, and the r of each (v, parity)
-    that can close a witness.  The tuples of one pair (u, v) share its
+    as (key, v), or None.  Each search is bounded by the length of the best
+    witness so far: a longer word cannot win.  `work` is refined, so the
+    key of each progress state is its displacement.  The p of each u fall
+    into classes by component, acceptance and displacement v; a class
+    shares its q (same component and acceptance) and its r (displaced back
+    to u, on a cycle, of the other acceptance), and one search per (q, r)
+    switches at every p of the class.  Its least word z is the least over
+    the class's tuples, and the least p for which `_fdwa_split` finds a
+    split of z completes the key.  Classes are visited in ascending order
+    of their least p, then (q, r).  The searches of one pair (u, v) share its
     successor lists; a pair only recurs within its u, so the lists of u are
     dropped when u is done."""
     progress = work.progress
+    alphabet = work.leading.alphabet
     disps = [B.keys for B in progress]
     comps = [_components(B) for B in progress]
     budget = math.inf if cap is None else cap
@@ -366,18 +414,16 @@ def _least_fdwa_witness(work, cap):
     for u, Bu in enumerate(progress):
         acc_u = Bu.accepting
         comp_u = comps[u][0]
-        # q shares the component and the acceptance of p
-        classes = {}
-        for q in range(Bu.n):
-            classes.setdefault((comp_u[q], q in acc_u), []).append(q)
-        # r is displaced back to u, has the other acceptance than p and lies
-        # on a cycle (every state of a refined family is reachable)
-        ends = {}
-        pair_lists = {}
+        parts = {}  # (component, acceptance) -> its states, the q
+        classes = {}  # (component, acceptance, displacement) -> the p
         for p in range(Bu.n):
-            v = disps[u][p]
+            k = (comp_u[p], p in acc_u)
+            parts.setdefault(k, []).append(p)
+            classes.setdefault(k + (disps[u][p],), []).append(p)
+        ends = {}  # (v, acceptance of p) -> the r
+        pair_lists = {}
+        for (comp, p_acc, v), ps in classes.items():
             Bv = progress[v]
-            p_acc = p in acc_u
             if (v, p_acc) not in ends:
                 ends[v, p_acc] = sorted(
                     r for r in comps[v][1]
@@ -388,13 +434,21 @@ def _least_fdwa_witness(work, cap):
             if v not in pair_lists:
                 pair_lists[v] = _SuccessorLists(Bu, Bv)
             lists = pair_lists[v]
-            for q in classes[comp_u[p], p_acc]:
+            nu, nv, v0 = Bu.n, Bv.n, Bv.initial
+            # x-node (p, p, c) -> y-node (p, v0, c)
+            switch = {(p * nu + p) * nv + c:
+                      lists.y_base + (p * nv + v0) * nv + c
+                      for p in ps for c in range(nv)}
+            for q in parts[comp, p_acc]:
                 for r in rs:
-                    z, nodes = _fdwa_witness_word(lists, p, q, r, limit,
+                    z, nodes = _fdwa_witness_word(lists, switch, q, r, limit,
                                                   budget)
                     budget -= nodes
                     if z is None:
                         continue
+                    word = tuple(alphabet[si] for si in z)
+                    p = next(p for p in ps if _fdwa_split(
+                        Bu, Bv, p, q, r, word) is not None)
                     key = ((len(z), z), u, p, q, r)
                     if best is None or key < best[0]:
                         best = (key, v)
@@ -422,11 +476,7 @@ def check_fdwa_saturated(W: Family, cap: Optional[int] = None) -> Verdict:
     T = work.leading
     z = tuple(T.alphabet[si] for si in z)
     Bu, Bv = work.progress[u], work.progress[v]
-    splits = ((z[:k], z[k:]) for k in range(len(z) + 1))
-    x, y = next((x, y) for x, y in splits
-                if Bu.after(Bu.initial, x) == Bu.after(q, x) == p
-                and Bu.after(p, y) == q and Bv.after(Bv.initial, y) == r
-                and Bv.after(r, z) == r)
+    x, y = _fdwa_split(Bu, Bv, p, q, r, z)
     U = T.access_word(u)
     cx = Counterexample("pair", Representation(U, z),
                         Representation(U + x, y + x),

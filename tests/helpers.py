@@ -555,36 +555,38 @@ def _components(D):
     return comp, cyclic
 
 
-def fdwa_witness_word_by_symbol(Bu, Bv, p, q, r, limit, budget):
+def fdwa_witness_word_by_symbol(Bu, Bv, ps, q, r, limit, budget):
     """(z, nodes): z is the llex-least nonempty word x*y, as symbol
-    indices, satisfying the five structural conditions for (p, q, r), or
-    None when no such word is at most `limit` long; nodes is the number of
-    search nodes stored, those reached by nonempty words shorter than the
-    limit.  More than `budget` of them raises CapExceededError.
+    indices, satisfying the five structural conditions for (p, q, r) for
+    some p in `ps`, or None when no such word is at most `limit` long;
+    nodes is the number of search nodes stored, those reached by nonempty
+    words shorter than the limit.  More than `budget` of them raises
+    CapExceededError.
 
     Reference for saturation._fdwa_witness_word: the same search with one
     pass over the whole alphabet for each expanded group, every symbol
     applied to every node of the group.  It counts the nodes it stores
     independently, so the two agree on the --cap boundary only if they
-    store the same nodes.
+    store the same nodes.  With one p it is the search of one tuple.
 
     An x-node (a, b, c) runs Bu from its initial state and from q and Bv
     from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
-    state and Bv on from the x-node's c over y.  Each queue entry is the
-    group of nodes first reached by one word (see the saturation module
+    state and Bv on from the x-node's c over y, and x-nodes (p, p, c) with
+    p in `ps` switch to (p, v0, c).  Each queue entry is the group of
+    nodes first reached by one word (see the saturation module
     docstring), and groups leave the queue in llex order of their words."""
     du, dv = Bu.delta, Bv.delta
     nu, nv, v0 = Bu.n, Bv.n, Bv.initial
     nsym = len(Bu.alphabet)
     y_base = nu * nu * nv  # x-node codes lie below, y-node codes from here
-    switch = y_base + (p * nv + v0) * nv
     target = y_base + (q * nv + r) * nv + r
-    switch_hits = p == q and v0 == r  # a switch to (p, v0, r) is the target
+    switch_hits = q in ps and v0 == r  # a switch to (q, v0, r) is the target
     seen = set()
     # The empty word never counts as a witness, so length-0 nodes stay out
     # of `seen` and do not shadow a later nonempty arrival.
     start = (Bu.initial, q, r)
-    queue = deque([((), [start], [(p, v0, r)] if start[:2] == (p, p) else [])])
+    queue = deque([((), [start], [(q, v0, r)]
+                    if Bu.initial == q and q in ps else [])])
     while queue:
         w, xs, ys = queue.popleft()
         depth = len(w) + 1  # length of the children
@@ -597,7 +599,7 @@ def fdwa_witness_word_by_symbol(Bu, Bv, p, q, r, limit, budget):
                 if (any(du[a][si] == q and dv[b][si] == r == dv[c][si]
                         for a, b, c in ys)
                         or switch_hits and any(
-                            du[a][si] == p == du[b][si] and dv[c][si] == r
+                            du[a][si] == q == du[b][si] and dv[c][si] == r
                             for a, b, c in xs)):
                     return w + (si,), len(seen)
             continue
@@ -610,9 +612,10 @@ def fdwa_witness_word_by_symbol(Bu, Bv, p, q, r, limit, budget):
                     continue
                 seen.add(code)
                 new_xs.append((a, b, c))
-                if a == p and b == p and switch + c not in seen:
-                    seen.add(switch + c)
-                    new_ys.append((p, v0, c))
+                y = y_base + (a * nv + v0) * nv + c
+                if a == b and a in ps and y not in seen:
+                    seen.add(y)
+                    new_ys.append((a, v0, c))
             for a, b, c in ys:
                 a, b, c = du[a][si], dv[b][si], dv[c][si]
                 code = y_base + (a * nv + b) * nv + c
@@ -628,13 +631,29 @@ def fdwa_witness_word_by_symbol(Bu, Bv, p, q, r, limit, budget):
     return None, len(seen)
 
 
-def least_fdwa_witness_by_symbol(work, cap):
-    """Reference for saturation._least_fdwa_witness, each tuple searched by
+def fdwa_split_exists(Bu, Bv, p, q, r, z):
+    """Whether some split z = x*y meets the five conditions for (p, q, r),
+    z given as symbol indices, found with Dfa.after calls alone."""
+    z = tuple(Bu.alphabet[si] for si in z)
+    return Bv.after(r, z) == r and any(
+        Bu.after(Bu.initial, z[:k]) == Bu.after(q, z[:k]) == p
+        and Bu.after(p, z[k:]) == q and Bv.after(Bv.initial, z[k:]) == r
+        for k in range(len(z) + 1))
+
+
+def least_fdwa_witness_by_symbol(work, cap, by_class=False):
+    """Reference for saturation._least_fdwa_witness, each search run by
     fdwa_witness_word_by_symbol: the least key ((len z, z), u, p, q, r)
-    over all admissible tuples, as (key, v), or None.  Each tuple's search
-    is bounded by the length of the best witness so far, and the tuples
+    over all admissible tuples, as (key, v), or None.  Each search is
+    bounded by the length of the best witness so far, and the searches
     share one node budget of `cap`.  `work` is refined, so the key of each
-    progress state is its displacement."""
+    progress state is its displacement.
+
+    Without `by_class`, every tuple (u, p, q, r) is searched on its own.
+    With it, the p of one u that share component, acceptance and
+    displacement are searched together for each (q, r), the class at its
+    least p, and the least p of the class for which the word found splits
+    completes the key."""
     progress = work.progress
     disps = [B.keys for B in progress]
     comps = [_components(B) for B in progress]
@@ -649,6 +668,13 @@ def least_fdwa_witness_by_symbol(work, cap):
             Bv = progress[v]
             acc_v = Bv.accepting
             cyc_v = comps[v][1]
+            ps = [p]
+            if by_class:
+                ps = [s for s in range(Bu.n)
+                      if comp_u[s] == comp_u[p] and disps[u][s] == v
+                      and (s in acc_u) == (p in acc_u)]
+                if ps[0] != p:
+                    continue
             for q in range(Bu.n):
                 if (p in acc_u) != (q in acc_u):
                     continue
@@ -664,11 +690,13 @@ def least_fdwa_witness_by_symbol(work, cap):
                     if r not in cyc_v:
                         continue
                     z, nodes = fdwa_witness_word_by_symbol(
-                        Bu, Bv, p, q, r, limit, budget)
+                        Bu, Bv, ps, q, r, limit, budget)
                     budget -= nodes
                     if z is None:
                         continue
-                    key = ((len(z), z), u, p, q, r)
+                    found = next(s for s in ps
+                                 if fdwa_split_exists(Bu, Bv, s, q, r, z))
+                    key = ((len(z), z), u, found, q, r)
                     if best is None or key < best[0]:
                         best = (key, v)
                         limit = len(z)

@@ -7,6 +7,7 @@ by hand-simulating the progress automata, then frozen here.
 import hashlib
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from test_cli import run
 from upfam import saturation
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
 from upfam.errors import InputError
-from upfam.faf import serialize_faf
+from upfam.faf import parse_faf, serialize_faf
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
                           refine_family)
 from upfam.oracle import brute_saturation
@@ -423,11 +424,12 @@ def test_fdwa_group_is_expanded_in_symbol_order():
 
 
 def test_fdwa_search_matches_the_per_symbol_reference(monkeypatch):
-    """Status, stage and witness agree with the check whose tuples are
-    searched by the reference of helpers, which tries every symbol on every
-    node and counts its own nodes.  The caps fall on both sides of the node
-    counts: the distinct-successor lists must store the same nodes, so
-    that --cap is exceeded at the same point."""
+    """Status, stage and witness agree with the check whose searches are
+    run by the reference of helpers, which tries every symbol on every
+    node, switches at every p of a class and counts its own nodes.  The
+    caps fall on both sides of the node counts: the distinct-successor
+    lists must store the same nodes, so that --cap is exceeded at the same
+    point."""
     rng = random.Random(13)
     families = [gen_family("subset-occurrence", n) for n in (2, 3, 4)]
     families += [random_family(rng, kind=FDWA, alphabet=alphabet,
@@ -439,12 +441,43 @@ def test_fdwa_search_matches_the_per_symbol_reference(monkeypatch):
             v = check_fdwa_saturated(W, cap)
             with monkeypatch.context() as m:
                 m.setattr(saturation, "_least_fdwa_witness",
-                          least_fdwa_witness_by_symbol)
+                          lambda work, cap: least_fdwa_witness_by_symbol(
+                              work, cap, by_class=True))
                 ref = check_fdwa_saturated(W, cap)
             assert (v.status, v.stage, v.witness) == (
                 ref.status, ref.stage, ref.witness), cap
             statuses[v.status] += 1
     assert min(statuses.values()) > 50, statuses
+
+
+def test_fdwa_witness_matches_the_per_tuple_reference(monkeypatch):
+    """Searching the p of a class together finds the witness that one
+    search per tuple (u, p, q, r) finds: without a cap, status, stage and
+    witness agree with the per-symbol reference run tuple by tuple, on
+    1,000 seeded weak families in the <=4/<=10 and <=6/<=16 bands over ab
+    and a <=3/<=6 band over abc, and on the ladders."""
+    rng = random.Random(14)
+    families = [random_family(rng, kind=FDWA, max_leading=4,
+                              max_progress=10) for _ in range(500)]
+    families += [random_family(rng, kind=FDWA, max_leading=6,
+                               max_progress=16) for _ in range(40)]
+    families += [random_family(rng, kind=FDWA, alphabet="abc",
+                               max_leading=3, max_progress=6)
+                 for _ in range(460)]
+    families += [gen_family(name, n) for name in ("fixpoint-fdwa",
+                                                  "zero-u-zero-fdwa")
+                 for n in (2, 3, 4)]
+    unsat = 0
+    for W in families:
+        v = check_fdwa_saturated(W)
+        with monkeypatch.context() as m:
+            m.setattr(saturation, "_least_fdwa_witness",
+                      least_fdwa_witness_by_symbol)
+            ref = check_fdwa_saturated(W)
+        assert (v.status, v.stage, v.witness) == (
+            ref.status, ref.stage, ref.witness)
+        unsat += not v.ok
+    assert unsat > 300, unsat
 
 
 # The least cap at which the check decides, from counts of the search
@@ -454,8 +487,8 @@ CAP_BOUNDARY = [
     ("subset-occurrence 3", gen_family("subset-occurrence", 3), 378),
     ("subset-occurrence 4", gen_family("subset-occurrence", 4), 792),
     ("subset-occurrence 5", gen_family("subset-occurrence", 5), 1430),
-    ("fixpoint-fdwa 3", gen_family("fixpoint-fdwa", 3), 245),
-    ("fixpoint-fdwa 6", gen_family("fixpoint-fdwa", 6), 1562),
+    ("fixpoint-fdwa 3", gen_family("fixpoint-fdwa", 3), 125),
+    ("fixpoint-fdwa 6", gen_family("fixpoint-fdwa", 6), 422),
     ("zero-u-zero-fdwa 4", gen_family("zero-u-zero-fdwa", 4), 75),
     ("zero-u-zero-fdwa 6", gen_family("zero-u-zero-fdwa", 6), 131),
 ]
@@ -470,11 +503,31 @@ def test_fdwa_cap_boundary_is_pinned(label, W, k):
     assert check_fdwa_saturated(W, k - 1).status == "CapExceeded"
 
 
+BAND_FILE = Path(__file__).parent / "files" / "band_6_16_40_29.faf"
+
+
+def test_band_family_fits_its_pinned_cap():
+    """The weak family drawn by bench.corpus.random_fdwa from the seed
+    band:6:16:40:29 (six leading states, progress automata of 4 to 11
+    states).  Searching the p of a class together, the check stores 70,466
+    nodes, so --cap 100000 decides it; one search per tuple (p, q, r)
+    stores 406,614 before its witness of length 4 is settled.  The witness
+    is the one that search reports."""
+    W = parse_faf(BAND_FILE.read_text())
+    v = check_fdwa_saturated(W, 70466)
+    assert v == check_fdwa_saturated(W)
+    assert v.stage == STAGE_FDWA
+    assert rep_pair(v.witness) == ((("a", "b"), ("b",) * 4),
+                                   (("a", "b", "b"), ("b",) * 4))
+    assert_replays(W, v.witness, NORM)
+    assert check_fdwa_saturated(W, 70465).status == "CapExceeded"
+
+
 def test_fdwa_successor_lists_are_built_once_per_pair_and_node(
         monkeypatch):
-    """On subset-occurrence n=4 (255 symbols, 16 tuples on one pair, 792
+    """On subset-occurrence n=4 (255 symbols, 16 searches on one pair, 792
     stored nodes) every (pair, node) list is built at most once in the
-    whole check, so no tuple and no symbol repeats the work of another."""
+    whole check, so no search and no symbol repeats the work of another."""
     built = Counter()
     build = saturation._SuccessorLists.__missing__
 
