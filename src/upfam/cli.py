@@ -16,7 +16,8 @@ import re
 import sys
 
 from .almost import check_almost_saturated
-from .errors import CAP_EXCEEDED, CapExceededError, UpfamError, Verdict
+from .errors import (CAP_EXCEEDED, CapExceededError, InputError, UpfamError,
+                     Verdict)
 from .faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                   parse_faf, parse_sample, serialize_dfa_doc, serialize_faf,
                   serialize_nba)
@@ -125,6 +126,8 @@ _CHECKS = {
 
 
 def _cmd_check(args) -> int:
+    if args.cap is not None and args.cap < 1:  # every check, capped or not
+        raise InputError("cap must be positive")
     F = parse_faf(_read(args.file))
     cap_kw = {} if args.cap is None else {"cap": args.cap}
     return _emit(args.which, _CHECKS[args.which](F, **cap_kw), args.json)

@@ -74,14 +74,23 @@ no smaller p's language holds it.  The x-graph is walked once for the
 class instead of once per p, and where the runs of two p meet in the
 y-graph the node is stored once.
 
-Each search stops at the length of the best witness so far: a longer word
-loses on the first component of the key, and a word of equal length is
-still found and compared; saturated families have no witness, so every
-search still runs to its end.  The switch from the x-phase to the y-phase
-reads no symbol, so one word can first reach an x-node and a y-node
-together.  A node-by-node queue would put all children of the x-node
-first and leave llex order; the search therefore queues the group of
-nodes first reached by one word and expands it whole.
+The searches of all u, classes and pairs (q, r) run as one search over
+their disjoint union, in llex order of words, which stops at the first
+word that reaches any target.  That word is the least witness word z of
+all tuples, and the key is the least among the searches whose target z
+reaches.  The switch from the x-phase to the y-phase reads no symbol, so
+one word can first reach an x-node and a y-node together.  A node-by-node
+queue would put all children of the x-node first and leave llex order; a
+queue entry is therefore one word with, for each search, the group of
+nodes it first reaches there, and each group is expanded whole.  Each
+search keeps its own set of stored nodes and meets its groups in the
+order its own search would, so it stores the same nodes up to z.  The
+nodes that one symbol stores over all searches form one batch, and
+batches are settled in symbol order: the node count `--cap` bounds,
+summed over all searches, is tested before the batch is searched for a
+target, so a cap that the witness's batch crosses gives CapExceeded.
+Saturated families have no witness, so every search runs to its end, and
+the stored node sets of all searches are alive at once.
 
 All searches of one pair (u, v), v the displacement of the class, walk
 the same two product graphs, Bu x Bu x Bv over x and Bu x Bv x Bv over y,
@@ -283,98 +292,6 @@ class _SuccessorLists(dict):
         return row
 
 
-def _fdwa_witness_word(lists, switch, q, r, limit, budget):
-    """(z, nodes): z is the llex-least nonempty word x*y, as symbol
-    indices, satisfying the five structural conditions for (p, q, r) for
-    some p of one class, or None when no such word is at most `limit` >= 1
-    long; nodes is the number of search nodes stored, those reached by
-    nonempty words shorter than the limit.  More than `budget` of them
-    raises CapExceededError.
-
-    An x-node (a, b, c) runs Bu from its initial state and from q and Bv
-    from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
-    state and Bv on from the x-node's c over y.  `switch` maps the code of
-    each x-node (p, p, c), p in the class, to that of the y-node
-    (p, v0, c) it switches to; it is built once per class.  `lists` holds
-    the distinct-successor lists of the pair (u, v), shared with its other
-    searches.  Each queue entry is the group of node codes first reached
-    by one word, and groups leave the queue in llex order of their words.
-    A group's lists are merged, and its new children are stored symbol by
-    symbol in ascending order; a symbol that stored any is then settled,
-    the node count tested against the budget before the target is looked
-    for, exactly as a pass over the whole alphabet would (see the module
-    docstring for why the lists store the same nodes).
-
-    Testing the target first would give the same verdicts, so no input can
-    pin that order.  It differs only when a batch that crosses the cap
-    holds the target, and the check goes on with a spent budget; the next
-    search that stores a node then raises.  One does: a witness
-    (u, p, q, r, x, y) has a sibling (v, r, c, p, y, x), c = r*x in Bv, of
-    the same length, searched in another class, since r and p differ in
-    acceptance.  If the sibling's search came first, this search runs with
-    a limit of at most |z|, so no stored batch holds its target; if it
-    comes later, it stores its depth-1 children, because |z| >= 2 (a
-    one-letter witness would make p = r)."""
-    nu, nv, y_base = lists.nu, lists.nv, lists.y_base
-    # No x-node switches to the target.  The switch of (p, p, c) is the
-    # target only if p = q and c = r = v0; v0 is displaced to v and r to u,
-    # so v = u, and x leads the initial state of Bu to p and to r: p = r,
-    # which the caller's parity filter rules out.  So only the target
-    # itself ends the search.
-    target = y_base + (q * nv + r) * nv + r
-    switch_to = switch.get
-    seen = set()
-    # The empty word never counts as a witness, so length-0 nodes stay out
-    # of `seen` and do not shadow a later nonempty arrival.
-    start = (lists.u0 * nu + q) * nv + r
-    queue = deque([((), [start, switch[start]] if start in switch
-                    else [start])])
-    while queue:
-        w, group = queue.popleft()
-        depth = len(w) + 1  # length of the children, at most the limit
-        if depth == limit:
-            # Children at the limit are never expanded: only the target
-            # matters, so they are tested and not stored.
-            found = [si for code in group for si, child in lists[code]
-                     if child == target]
-            if found:
-                return w + (min(found),), len(seen)
-            continue
-        if len(group) == 1:
-            steps = lists[group[0]]
-        else:
-            steps = []
-            for code in group:
-                steps += lists[code]
-            steps.sort()
-        # Store the children symbol by symbol, then settle each symbol's
-        # batch in order: the node count after it, then the target.
-        stored = len(seen)
-        batches = []
-        sym = None
-        for si, code in steps:
-            if code in seen:
-                continue
-            seen.add(code)
-            if si != sym:
-                sym = si
-                new = []
-                batches.append((si, new))
-            new.append(code)
-            y = switch_to(code)
-            if y is not None and y not in seen:
-                seen.add(y)
-                new.append(y)
-        for si, new in batches:
-            stored += len(new)
-            if stored > budget:
-                raise CapExceededError("FDWA witness search exceeded cap")
-            if target in new:
-                return w + (si,), stored
-            queue.append((w + (si,), new))
-    return None, len(seen)
-
-
 def _fdwa_split(Bu, Bv, p, q, r, z):
     """The first split (x, y) of the word z = x*y meeting the five
     conditions for (p, q, r), or None: x leads the initial state of Bu and
@@ -392,25 +309,37 @@ def _fdwa_split(Bu, Bv, p, q, r, z):
 
 def _least_fdwa_witness(work, cap):
     """The least key ((len z, z), u, p, q, r) over all admissible tuples,
-    as (key, v), or None.  Each search is bounded by the length of the best
-    witness so far: a longer word cannot win.  `work` is refined, so the
-    key of each progress state is its displacement.  The p of each u fall
-    into classes by component, acceptance and displacement v; a class
-    shares its q (same component and acceptance) and its r (displaced back
-    to u, on a cycle, of the other acceptance), and one search per (q, r)
-    switches at every p of the class.  Its least word z is the least over
-    the class's tuples, and the least p for which `_fdwa_split` finds a
-    split of z completes the key.  Classes are visited in ascending order
-    of their least p, then (q, r).  The searches of one pair (u, v) share its
-    successor lists; a pair only recurs within its u, so the lists of u are
-    dropped when u is done."""
+    as (key, v), or None.  `work` is refined, so the key of each progress
+    state is its displacement.  The p of each u fall into classes by
+    component, acceptance and displacement v; a class shares its q (same
+    component and acceptance) and its r (displaced back to u, on a cycle,
+    of the other acceptance), and the search of (u, class, q, r) switches
+    at every p of the class.  All of these searches run as one llex-order
+    search over their disjoint union, which stops at the first word z that
+    reaches any target: the least witness word of all tuples.  The key
+    takes, among the searches whose target z reaches, the least
+    (u, p, q, r), p the least of its class for which `_fdwa_split` finds a
+    split of z.  More than `cap` stored nodes in all raise
+    CapExceededError.
+
+    A search's x-node (a, b, c) runs Bu from its initial state and from q
+    and Bv from r over x; a y-node (a, b, c) runs Bu from p, Bv from its
+    initial state and Bv on from the x-node's c over y.  Its `switch` maps
+    the code of each x-node (p, p, c), p in the class, to that of the
+    y-node (p, v0, c); it is built once per class.  The searches of one
+    pair (u, v) share its successor lists, and each keeps its own `seen`
+    set; all of them stay live until the search ends.
+
+    A queue entry is a word w and, for each search that w reaches, the
+    group of node codes that w first reaches in it.  Each group's lists
+    are merged, and its new children are stored in ascending symbol order
+    into one bucket per symbol, shared by the searches; the buckets are
+    settled in symbol order, the budget tested before the targets."""
     progress = work.progress
     alphabet = work.leading.alphabet
     disps = [B.keys for B in progress]
     comps = [_components(B) for B in progress]
-    budget = math.inf if cap is None else cap
-    best = None
-    limit = math.inf
+    starts = []  # (search, start group)
     for u, Bu in enumerate(progress):
         acc_u = Bu.accepting
         comp_u = comps[u][0]
@@ -434,25 +363,86 @@ def _least_fdwa_witness(work, cap):
             if v not in pair_lists:
                 pair_lists[v] = _SuccessorLists(Bu, Bv)
             lists = pair_lists[v]
-            nu, nv, v0 = Bu.n, Bv.n, Bv.initial
+            nu, nv, v0, y_base = Bu.n, Bv.n, Bv.initial, lists.y_base
             # x-node (p, p, c) -> y-node (p, v0, c)
-            switch = {(p * nu + p) * nv + c:
-                      lists.y_base + (p * nv + v0) * nv + c
+            switch = {(p * nu + p) * nv + c: y_base + (p * nv + v0) * nv + c
                       for p in ps for c in range(nv)}
             for q in parts[comp, p_acc]:
                 for r in rs:
-                    z, nodes = _fdwa_witness_word(lists, switch, q, r, limit,
-                                                  budget)
-                    budget -= nodes
-                    if z is None:
-                        continue
-                    word = tuple(alphabet[si] for si in z)
-                    p = next(p for p in ps if _fdwa_split(
-                        Bu, Bv, p, q, r, word) is not None)
-                    key = ((len(z), z), u, p, q, r)
-                    if best is None or key < best[0]:
-                        best = (key, v)
-                        limit = len(z)
+                    # No x-node switches to the target (q, r, r): that
+                    # needs p = q and c = r = v0, so v = u and x leads the
+                    # initial state of Bu to p and to r, p = r, which the
+                    # parity of r rules out.  The start is reached by the
+                    # empty word, which is no witness, so it stays out of
+                    # `seen` and does not shadow a later nonempty arrival.
+                    start = (lists.u0 * nu + q) * nv + r
+                    search = (lists, switch.get, set(),
+                              y_base + (q * nv + r) * nv + r,
+                              (u, v, ps, q, r))
+                    starts.append((search, [start, switch[start]]
+                                   if start in switch else [start]))
+    budget = math.inf if cap is None else cap
+    stored = 0
+    queue = deque([((), starts)])
+    while queue:
+        w, groups = queue.popleft()
+        buckets = {}  # symbol -> [(search, its new codes), ...]
+        hits = False
+        added = 0
+        for search, group in groups:
+            lists, switch_to, seen, target, _ = search
+            before = len(seen)
+            if len(group) == 1:
+                steps = lists[group[0]]
+            else:
+                steps = []
+                for code in group:
+                    steps += lists[code]
+                steps.sort()
+            sym = None
+            for si, code in steps:
+                if code in seen:
+                    continue
+                seen.add(code)
+                if si != sym:
+                    sym = si
+                    new = []
+                    buckets.setdefault(si, []).append((search, new))
+                new.append(code)
+                y = switch_to(code)
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    new.append(y)
+            added += len(seen) - before
+            hits = hits or target in seen
+        stored += added
+        if hits or stored > budget:
+            # settle the buckets one by one: this entry ends the search
+            stored -= added
+            for si in sorted(buckets):
+                batch = buckets[si]
+                stored += sum(len(new) for _, new in batch)
+                if stored > budget:
+                    raise CapExceededError("FDWA witness search exceeded cap")
+                found = [s[4] for s, new in batch if s[3] in new]
+                if found:
+                    return _fdwa_key(progress, alphabet, w + (si,), found)
+        for si in sorted(buckets):
+            queue.append((w + (si,), buckets[si]))
+    return None
+
+
+def _fdwa_key(progress, alphabet, z, found):
+    """The least key ((len z, z), u, p, q, r), as (key, v), over the
+    searches `found`, (u, v, class, q, r) each, whose target z reaches."""
+    word = tuple(alphabet[si] for si in z)
+    best = None
+    for u, v, ps, q, r in found:
+        p = next(p for p in ps if _fdwa_split(
+            progress[u], progress[v], p, q, r, word) is not None)
+        key = ((len(z), z), u, p, q, r)
+        if best is None or key < best[0]:
+            best = (key, v)
     return best
 
 

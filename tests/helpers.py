@@ -555,80 +555,86 @@ def _components(D):
     return comp, cyclic
 
 
-def fdwa_witness_word_by_symbol(Bu, Bv, ps, q, r, limit, budget):
-    """(z, nodes): z is the llex-least nonempty word x*y, as symbol
-    indices, satisfying the five structural conditions for (p, q, r) for
-    some p in `ps`, or None when no such word is at most `limit` long;
-    nodes is the number of search nodes stored, those reached by nonempty
-    words shorter than the limit.  More than `budget` of them raises
-    CapExceededError.
+def fdwa_witness_by_symbol(searches, limit, budget):
+    """(z, hits): z is the llex-least nonempty word x*y, as symbol indices,
+    satisfying the five structural conditions for (p, q, r), for some
+    search (Bu, Bv, ps, q, r) of `searches` and some p in its ps, and hits
+    lists the indices of the searches whose conditions z satisfies; (None,
+    []) when no word of at most `limit` letters does.  More than `budget`
+    search nodes stored over all searches raise CapExceededError.
 
-    Reference for saturation._fdwa_witness_word: the same search with one
-    pass over the whole alphabet for each expanded group, every symbol
-    applied to every node of the group.  It counts the nodes it stores
-    independently, so the two agree on the --cap boundary only if they
-    store the same nodes.  With one p it is the search of one tuple.
+    Reference for the one search of saturation._least_fdwa_witness: each
+    queue entry is a word w with, for each search that w reaches, the group
+    of nodes that w first reaches in it (see the saturation module
+    docstring), entries leave the queue in llex order of their words, and
+    one pass over the whole alphabet applies every symbol to every node of
+    every group.  It counts the nodes it stores independently, so the two
+    agree on the --cap boundary only if they store the same nodes.
 
     An x-node (a, b, c) runs Bu from its initial state and from q and Bv
     from r over x; a y-node (a, b, c) runs Bu from p, Bv from its initial
     state and Bv on from the x-node's c over y, and x-nodes (p, p, c) with
-    p in `ps` switch to (p, v0, c).  Each queue entry is the group of
-    nodes first reached by one word (see the saturation module
-    docstring), and groups leave the queue in llex order of their words."""
-    du, dv = Bu.delta, Bv.delta
-    nu, nv, v0 = Bu.n, Bv.n, Bv.initial
-    nsym = len(Bu.alphabet)
-    y_base = nu * nu * nv  # x-node codes lie below, y-node codes from here
-    target = y_base + (q * nv + r) * nv + r
-    switch_hits = q in ps and v0 == r  # a switch to (q, v0, r) is the target
-    seen = set()
-    # The empty word never counts as a witness, so length-0 nodes stay out
-    # of `seen` and do not shadow a later nonempty arrival.
-    start = (Bu.initial, q, r)
-    queue = deque([((), [start], [(q, v0, r)]
-                    if Bu.initial == q and q in ps else [])])
+    p in ps switch to (p, v0, c).  Each search keeps its own nodes."""
+    # per search: the two delta tables, v0, ps, the x-nodes and y-nodes
+    # stored, and the target
+    state = [(Bu.delta, Bv.delta, Bv.initial, ps, set(), set(), (q, r, r))
+             for Bu, Bv, ps, q, r in searches]
+    first = [(i, [(Bu.initial, q, r)],
+              [(q, Bv.initial, r)] if Bu.initial == q and q in ps else [])
+             for i, (Bu, Bv, ps, q, r) in enumerate(searches)]
+    nsym = len(searches[0][0].alphabet) if searches else 0
+    nodes = 0
+    queue = deque([((), first)])
     while queue:
-        w, xs, ys = queue.popleft()
-        depth = len(w) + 1  # length of the children
-        if depth > limit:
-            break
-        if depth == limit:
-            # Children at the limit are never expanded: only the target
-            # matters, so they are tested and not stored.
+        w, groups = queue.popleft()
+        if len(w) + 1 == limit:
+            # Children at the limit are never expanded: only the targets
+            # matter, so they are tested and not stored.
             for si in range(nsym):
-                if (any(du[a][si] == q and dv[b][si] == r == dv[c][si]
-                        for a, b, c in ys)
-                        or switch_hits and any(
-                            du[a][si] == q == du[b][si] and dv[c][si] == r
-                            for a, b, c in xs)):
-                    return w + (si,), len(seen)
+                hits = []
+                for i, xs, ys in groups:
+                    du, dv, v0, ps, _, _, (q, r, _) = state[i]
+                    if (any(du[a][si] == q and dv[b][si] == r == dv[c][si]
+                            for a, b, c in ys)
+                            or q in ps and v0 == r and any(
+                                du[a][si] == q == du[b][si]
+                                and dv[c][si] == r for a, b, c in xs)):
+                        hits.append(i)
+                if hits:
+                    return w + (si,), hits
             continue
         for si in range(nsym):
-            new_xs, new_ys = [], []
-            for a, b, c in xs:
-                a, b, c = du[a][si], du[b][si], dv[c][si]
-                code = (a * nu + b) * nv + c
-                if code in seen:
-                    continue
-                seen.add(code)
-                new_xs.append((a, b, c))
-                y = y_base + (a * nv + v0) * nv + c
-                if a == b and a in ps and y not in seen:
-                    seen.add(y)
-                    new_ys.append((a, v0, c))
-            for a, b, c in ys:
-                a, b, c = du[a][si], dv[b][si], dv[c][si]
-                code = y_base + (a * nv + b) * nv + c
-                if code not in seen:
-                    seen.add(code)
-                    new_ys.append((a, b, c))
-            if new_xs or new_ys:
-                if len(seen) > budget:
+            batch = []
+            hits = []
+            for i, xs, ys in groups:
+                du, dv, v0, ps, seen_x, seen_y, target = state[i]
+                new_xs, new_ys = [], []
+                for a, b, c in xs:
+                    a, b, c = du[a][si], du[b][si], dv[c][si]
+                    if (a, b, c) in seen_x:
+                        continue
+                    seen_x.add((a, b, c))
+                    new_xs.append((a, b, c))
+                    if a == b and a in ps and (a, v0, c) not in seen_y:
+                        seen_y.add((a, v0, c))
+                        new_ys.append((a, v0, c))
+                for a, b, c in ys:
+                    node = (du[a][si], dv[b][si], dv[c][si])
+                    if node not in seen_y:
+                        seen_y.add(node)
+                        new_ys.append(node)
+                if new_xs or new_ys:
+                    nodes += len(new_xs) + len(new_ys)
+                    batch.append((i, new_xs, new_ys))
+                    if target in seen_y:  # stored by this symbol
+                        hits.append(i)
+            if batch:
+                if nodes > budget:
                     raise CapExceededError("FDWA witness search exceeded cap")
-                if target in seen:
-                    return w + (si,), len(seen)
-                queue.append((w + (si,), new_xs, new_ys))
-    return None, len(seen)
+                if hits:
+                    return w + (si,), hits
+                queue.append((w + (si,), batch))
+    return None, []
 
 
 def fdwa_split_exists(Bu, Bv, p, q, r, z):
@@ -642,24 +648,22 @@ def fdwa_split_exists(Bu, Bv, p, q, r, z):
 
 
 def least_fdwa_witness_by_symbol(work, cap, by_class=False):
-    """Reference for saturation._least_fdwa_witness, each search run by
-    fdwa_witness_word_by_symbol: the least key ((len z, z), u, p, q, r)
-    over all admissible tuples, as (key, v), or None.  Each search is
-    bounded by the length of the best witness so far, and the searches
-    share one node budget of `cap`.  `work` is refined, so the key of each
-    progress state is its displacement.
+    """Reference for saturation._least_fdwa_witness, its searches run by
+    fdwa_witness_by_symbol: the least key ((len z, z), u, p, q, r) over
+    all admissible tuples, as (key, v), or None.  `work` is refined, so
+    the key of each progress state is its displacement.
 
-    Without `by_class`, every tuple (u, p, q, r) is searched on its own.
-    With it, the p of one u that share component, acceptance and
-    displacement are searched together for each (q, r), the class at its
-    least p, and the least p of the class for which the word found splits
-    completes the key."""
+    Without `by_class`, every tuple (u, p, q, r) is searched on its own,
+    one after another, each search bounded by the length of the best
+    witness so far, and without a cap.  With it, the p of one u that share
+    component, acceptance and displacement are searched together for each
+    (q, r), the class at its least p; all these searches run as one, under
+    one node budget of `cap`, and the least p of the class for which the
+    word found splits completes the key."""
     progress = work.progress
     disps = [B.keys for B in progress]
     comps = [_components(B) for B in progress]
-    budget = math.inf if cap is None else cap
-    best = None
-    limit = math.inf
+    tuples = []  # (u, v, ps, q, r)
     for u, Bu in enumerate(progress):
         acc_u = Bu.accepting
         comp_u = comps[u][0]
@@ -689,15 +693,28 @@ def least_fdwa_witness_by_symbol(work, cap, by_class=False):
                     # only has to lie on a cycle.
                     if r not in cyc_v:
                         continue
-                    z, nodes = fdwa_witness_word_by_symbol(
-                        Bu, Bv, ps, q, r, limit, budget)
-                    budget -= nodes
-                    if z is None:
-                        continue
-                    found = next(s for s in ps
-                                 if fdwa_split_exists(Bu, Bv, s, q, r, z))
-                    key = ((len(z), z), u, found, q, r)
-                    if best is None or key < best[0]:
-                        best = (key, v)
-                        limit = len(z)
+                    tuples.append((u, v, ps, q, r))
+    searches = [(progress[u], progress[v], ps, q, r)
+                for u, v, ps, q, r in tuples]
+    if by_class:
+        budget = math.inf if cap is None else cap
+        z, hits = fdwa_witness_by_symbol(searches, math.inf, budget)
+    else:
+        assert cap is None, "the per-tuple reference takes no cap"
+        z, hits, limit = None, [], math.inf
+        for i, search in enumerate(searches):
+            w, _ = fdwa_witness_by_symbol([search], limit, math.inf)
+            if w is None or z is not None and (len(w), w) > (len(z), z):
+                continue
+            if w != z:
+                z, hits, limit = w, [], len(w)
+            hits.append(i)
+    best = None
+    for i in hits:
+        u, v, ps, q, r = tuples[i]
+        found = next(s for s in ps if fdwa_split_exists(
+            progress[u], progress[v], s, q, r, z))
+        key = ((len(z), z), u, found, q, r)
+        if best is None or key < best[0]:
+            best = (key, v)
     return best

@@ -372,6 +372,10 @@ class TestUsageErrors:
         ["check", "regularity", BA_STAR, "--cap", "0"],
         ["check", "regularity", BA_STAR, "--cap", "-3"],
         ["check", "almost-saturation", BA_STAR, "--cap", "0"],
+        ["check", "saturation", BA_STAR, "--cap", "0"],
+        ["check", "saturation", BA_STAR, "--cap", "-1"],
+        ["check", "full-saturation", BA_STAR, "--cap", "0"],
+        ["check", "full-saturation", BA_STAR, "--cap", "-1"],
     ], ids=lambda v: " ".join(v) or "(empty)")
     def test_exit_2(self, argv, capsys):
         assert run(argv)[0] == 2

@@ -489,8 +489,8 @@ CAP_BOUNDARY = [
     ("subset-occurrence 5", gen_family("subset-occurrence", 5), 1430),
     ("fixpoint-fdwa 3", gen_family("fixpoint-fdwa", 3), 125),
     ("fixpoint-fdwa 6", gen_family("fixpoint-fdwa", 6), 422),
-    ("zero-u-zero-fdwa 4", gen_family("zero-u-zero-fdwa", 4), 75),
-    ("zero-u-zero-fdwa 6", gen_family("zero-u-zero-fdwa", 6), 131),
+    ("zero-u-zero-fdwa 4", gen_family("zero-u-zero-fdwa", 4), 76),
+    ("zero-u-zero-fdwa 6", gen_family("zero-u-zero-fdwa", 6), 132),
 ]
 
 
@@ -503,24 +503,48 @@ def test_fdwa_cap_boundary_is_pinned(label, W, k):
     assert check_fdwa_saturated(W, k - 1).status == "CapExceeded"
 
 
-BAND_FILE = Path(__file__).parent / "files" / "band_6_16_40_29.faf"
+def test_fdwa_budget_is_tested_before_the_target():
+    """The search settles the batch of nodes that one symbol stores by
+    testing the node count against the budget before it looks for a
+    target.  On first_a_fdwa the batch that holds the target is the
+    twelfth node alone, so at cap 11 the nodes before it fit and the
+    target's batch crosses the cap: CapExceeded, where looking for the
+    target first would give the witness.  One more node gives it."""
+    W = first_a_fdwa()
+    assert check_fdwa_saturated(W, 11).status == "CapExceeded"
+    v = check_fdwa_saturated(W, 12)
+    assert v == check_fdwa_saturated(W)
+    assert rep_pair(v.witness) == (((), ("a", "b")), (("a",), ("b", "a")))
+
+
+FILES = Path(__file__).parent / "files"
+# file, least deciding cap, nodes stored before the witness's batch, and
+# the witness pair
+BAND_PINS = [
+    ("band_6_16_40_29.faf", 60172, 58133,
+     ((("a", "b"), ("b",) * 4), (("a", "b", "b"), ("b",) * 4))),
+    ("band_8_24_20_2.faf", 39757, 33181,
+     ((("a",) * 3, ("b", "b")), (("a",) * 3 + ("b",), ("b", "b")))),
+]
 
 
 def test_band_family_fits_its_pinned_cap():
-    """The weak family drawn by bench.corpus.random_fdwa from the seed
+    """Weak families drawn by bench.corpus.random_fdwa from the seeds
     band:6:16:40:29 (six leading states, progress automata of 4 to 11
-    states).  Searching the p of a class together, the check stores 70,466
-    nodes, so --cap 100000 decides it; one search per tuple (p, q, r)
-    stores 406,614 before its witness of length 4 is settled.  The witness
-    is the one that search reports."""
-    W = parse_faf(BAND_FILE.read_text())
-    v = check_fdwa_saturated(W, 70466)
-    assert v == check_fdwa_saturated(W)
-    assert v.stage == STAGE_FDWA
-    assert rep_pair(v.witness) == ((("a", "b"), ("b",) * 4),
-                                   (("a", "b", "b"), ("b",) * 4))
-    assert_replays(W, v.witness, NORM)
-    assert check_fdwa_saturated(W, 70465).status == "CapExceeded"
+    states) and band:8:24:20:2 (eight leading states, 3 to 21).  The one
+    search over all tuples stores `cap` nodes up to the batch that holds
+    the least witness, which is the one that one search per tuple
+    (p, q, r) reports; that batch starts after `before` nodes, so every
+    cap from there to one below `cap` ends in CapExceeded."""
+    for name, cap, before, pair in BAND_PINS:
+        W = parse_faf((FILES / name).read_text())
+        v = check_fdwa_saturated(W, cap)
+        assert v == check_fdwa_saturated(W)
+        assert v.stage == STAGE_FDWA
+        assert rep_pair(v.witness) == pair
+        assert_replays(W, v.witness, NORM)
+        for below in (before, cap - 1):
+            assert check_fdwa_saturated(W, below).status == "CapExceeded"
 
 
 def test_fdwa_successor_lists_are_built_once_per_pair_and_node(
