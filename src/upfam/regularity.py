@@ -30,12 +30,20 @@ The profile graph is numbered by `automata.canonical_bfs`, with the
 one-letter profiles as its starts.  A successor is composed row by row:
 row s of the profile of xa is the image under a of row s of the profile
 of x, the set of states that a leads to from the states x reaches from s.
-That image depends only on the row mask, not on x or s, so each symbol
-keeps a cache from row mask to image, and a successor costs one
-dictionary lookup per row.  Rows repeat heavily across profiles (the
-7,726 profiles of `zero-u-zero-fdfa` n=5, 91 rows each, hold 568
-distinct rows), so each image is computed once per symbol and distinct
-row, and equal rows share one stored image.
+That image depends only on the row mask, not on x or s.  Rows repeat
+heavily across profiles (the 7,726 profiles of `zero-u-zero-fdfa` n=5,
+91 rows each, hold 568 distinct rows), so each distinct row mask gets a
+small row id, and the graph numbers profiles by the tuples of their row
+ids: two profiles are equal exactly when these tuples are.  Each symbol
+keeps a column from row id to the id of the row's image, so a successor
+is one itemgetter of the profile's row ids applied to the column; a
+big-int mask is hashed only when a row's image is first computed.  The
+columns are filled lazily: when a profile is expanded, its rows that
+have no image yet get theirs under every symbol.  So every row whose
+image is computed is a row of a profile the cap admitted.  Closing the
+set of rows under the symbols instead would compute the rows of
+profiles the cap never admits, and that closure can be exponential
+where the cap stops the graph.
 
 A profile is classified by its orbit: tau^e is accepted exactly when the
 image of the initial set under tau^e meets the accepting set, so it is
@@ -93,6 +101,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .almost import (ALMOST_SATURATED, HASH, check_almost_saturated,
@@ -137,21 +146,6 @@ def _apply(masks, source: int) -> int:
         out |= masks[low.bit_length() - 1]
         source ^= low
     return out
-
-
-class _RowImages(dict):
-    """Row mask -> its image under one profile, computed on first lookup.
-
-    The image of a row depends only on the row mask, so every row of every
-    profile that equals a stored key shares the stored image."""
-
-    def __init__(self, masks):
-        super().__init__()
-        self.masks = masks
-
-    def __missing__(self, row: int) -> int:
-        image = self[row] = _apply(self.masks, row)
-        return image
 
 
 def _mask(states) -> int:
@@ -330,13 +324,52 @@ def _profile_graph(N: Nfa, cap: int):
     and letters[si], the id of the profile of symbol si.  The one-letter
     profiles are the starts of `canonical_bfs`, so they are admitted
     whatever `cap` is; discovering any other profile while `cap` profiles
-    are numbered raises CapExceededError.  A successor is composed row by
-    row through the per-symbol _RowImages caches."""
+    are numbered raises CapExceededError.
+
+    Each distinct row mask gets a row id on first sight, and the graph
+    numbers keys, the tuples of their profiles' row ids.  cols[si][r] is
+    the id of the image of row r under symbol si, so a successor is one
+    itemgetter of the key's ids applied to each column.  itemgetter of a
+    single index returns the item, not a tuple, so an NFA of at most one
+    state takes its own getter.  A column entry is filled when a key
+    holding its row is expanded, so only rows of numbered profiles have
+    their images computed.  The keys become mask tuples once, at the
+    end."""
     sym = [tuple(_mask(N.delta[s][i]) for s in range(N.n))
            for i in range(len(N.alphabet))]
-    images = [_RowImages(m).__getitem__ for m in sym]
-    succ, profiles = canonical_bfs(
-        sym, lambda mi: [tuple(map(image, mi)) for image in images], cap)
+    masks: list = []  # row id -> row mask
+    ids: dict = {}  # row mask -> row id
+    cols: list = [[] for _ in sym]  # None marks a row not yet filled
+    filled = 0  # the number of rows whose images are in the columns
+    getter = itemgetter if N.n > 1 else \
+        lambda *rows: lambda seq: tuple(map(seq.__getitem__, rows))
+
+    def row_id(mask: int) -> int:
+        r = ids.get(mask)
+        if r is None:
+            r = ids[mask] = len(masks)
+            masks.append(mask)
+            for col in cols:
+                col.append(None)
+        return r
+
+    def successors(key):
+        nonlocal filled
+        get = getter(*key)
+        out = [get(col) for col in cols]
+        if filled < len(masks) and None in out[0]:
+            for r in key:
+                if cols[0][r] is None:
+                    filled += 1
+                    for m, col in zip(sym, cols):
+                        col[r] = row_id(_apply(m, masks[r]))
+            out = [get(col) for col in cols]
+        return out
+
+    starts = [tuple(map(row_id, m)) for m in sym]
+    succ, profiles = canonical_bfs(starts, successors, cap)
+    for i, key in enumerate(profiles):  # in place, so keys are freed as we go
+        profiles[i] = getter(*key)(masks)
     return profiles, succ, [profiles.index(m) for m in sym]
 
 

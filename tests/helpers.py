@@ -391,6 +391,23 @@ def profile_graph_by_composition(N: Nfa, cap: int):
     return profiles, succ
 
 
+def first_profiles(N: Nfa, k: int) -> list:
+    """The first k profiles of N in the order of profile_graph_by_composition
+    (all of them when there are fewer), for graphs too large to build."""
+    sym = _symbol_masks(N)
+    profiles = list(dict.fromkeys(sym))
+    known = set(profiles)
+    for mi in profiles:
+        for m in sym:
+            if len(profiles) >= k:
+                return profiles[:k]
+            m = tuple(_image(m, r) for r in mi)
+            if m not in known:
+                known.add(m)
+                profiles.append(m)
+    return profiles[:k]
+
+
 def intersect_dfa(d1: Dfa, d2: Dfa) -> Dfa:
     """Product DFA of L(d1) and L(d2) over their shared alphabet."""
     return Dfa.build(

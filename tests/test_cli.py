@@ -30,6 +30,7 @@ from helpers import random_family
 FILES = os.path.join(os.path.dirname(__file__), "files")
 BA_STAR = os.path.join(FILES, "ba_star.faf")
 ODD = os.path.join(FILES, "odd_a.faf")
+CAPPED_284 = os.path.join(FILES, "capped_3x7_284.faf")
 
 
 def run(argv, stdin_text=None, capsys=None):
@@ -95,6 +96,17 @@ class TestCheck:
                          "--cap", "1"])
         assert code == 3 and out.startswith("CAP-EXCEEDED")
         assert run(["check", "regularity", BA_STAR, "--cap", "1"])[0] == 3
+
+    def test_capped_3x7_member_exceeds_the_bench_cap(self):
+        # bench.corpus.pool_member of the regularity/capped-3x7 group, #284,
+        # at that workload's cap.  Its profile graph exceeds 8,000 profiles.
+        # The short-loop NotRegular search planned in ROADMAP.md (item 11)
+        # decides this family NotRegular and will flip this pin.
+        code, out = run(["check", "regularity", CAPPED_284, "--cap", "8000",
+                         "--json"])
+        assert code == 3
+        assert json.loads(out) == {"check": "regularity",
+                                   "status": "CapExceeded"}
 
     def test_fdwa_saturation_honours_cap(self):
         text = serialize_faf(first_a_fdwa())

@@ -6,7 +6,9 @@ enumeration before being frozen.
 """
 
 import hashlib
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 
 from upfam import regularity
 from upfam.almost import check_almost_saturated
-from upfam.automata import Dfa
+from upfam.automata import Dfa, Nfa
 from upfam.errors import CapExceededError, InputError, Verdict
+from upfam.faf import parse_faf
 from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts, trivial_leading)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
@@ -30,8 +33,9 @@ from fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                       exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
                       one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
 from helpers import (as_nfa, brute_ter_roots, classify_by_powers, compose,
-                     intersect_dfa, profile_graph_by_composition, profile_of,
-                     random_dfa, random_family, random_nfa)
+                     first_profiles, intersect_dfa,
+                     profile_graph_by_composition, profile_of, random_dfa,
+                     random_family, random_nfa)
 
 NORM = ReferenceSet.NORMALIZED
 
@@ -391,6 +395,67 @@ def test_profile_graph_matches_plain_composition():
         assert [profiles[v] for v in letters] == [profile_of(N, (a,))
                                                   for a in N.alphabet]
     assert capped >= 300
+
+
+def test_nfas_of_at_most_one_state_match_plain_composition():
+    # A profile of one state is a key of one row id, and itemgetter of a
+    # single index returns the item, not a tuple, so these take their own
+    # getter.  Every choice of transitions, initial and accepting states.
+    nfas = [Nfa("ab", 0, {}, [], [])]
+    for ta, tb, init, acc in itertools.product(([], [0]), repeat=4):
+        nfas.append(Nfa("ab", 1, {(0, "a"): ta, (0, "b"): tb}, init, acc))
+    for N in nfas:
+        size = len(profile_graph_by_composition(N, DEFAULT_PROFILE_CAP)[0])
+        for cap in range(1, size + 2):
+            assert (_graph_or_capped(_profiles_and_successors, N, cap)
+                    == _graph_or_capped(profile_graph_by_composition, N,
+                                        cap))
+        profiles, _, letters = _profile_graph(N, size)
+        assert [profiles[v] for v in letters] == [profile_of(N, (a,))
+                                                  for a in "ab"]
+        assert all(type(m) is tuple and len(m) == N.n for m in profiles)
+
+
+def test_zero_u_zero_profile_graph_is_pinned():
+    # The numbers the module docstring quotes: the labelled NFA of
+    # zero-u-zero-fdfa n=5 has 91 states, and its 7,726 profiles hold 568
+    # distinct rows.
+    N = label_by_leading(stabilize(gen_family("zero-u-zero-fdfa",
+                                              5))).progress[0]
+    profiles = _profile_graph(N, 7726)[0]
+    assert (N.n, len(profiles)) == (91, 7726)
+    assert len({row for m in profiles for row in m}) == 568
+    with pytest.raises(CapExceededError):
+        _profile_graph(N, 7725)
+
+
+CAPPED_284 = Path(__file__).parent / "files" / "capped_3x7_284.faf"
+
+
+def test_row_images_stay_inside_the_cap(monkeypatch):
+    # capped_3x7_284.faf labels to a 50-state NFA whose profile graph
+    # exceeds every cap here; its rows close to 465 distinct rows.  The
+    # graph computes the image of a row once per symbol, and only for rows
+    # of profiles it numbered before the cap fired, so the row work stays
+    # within what the cap admits.  Closing the row set under the symbols
+    # would compute images of rows that no numbered profile holds.
+    N = label_by_leading(stabilize(parse_faf(
+        CAPPED_284.read_text()))).progress[0]
+    sources = []
+    apply = regularity._apply
+
+    def counting(masks, source):
+        sources.append(source)
+        return apply(masks, source)
+
+    monkeypatch.setattr(regularity, "_apply", counting)
+    for cap in (50, 200, 1000):
+        sources.clear()
+        with pytest.raises(CapExceededError):
+            _profile_graph(N, cap)
+        rows = {row for m in first_profiles(N, cap) for row in m}
+        assert set(sources) <= rows
+        assert len(sources) == len(N.alphabet) * len(set(sources))
 
 
 def test_random_verdicts_match_terminal_root_growth():
