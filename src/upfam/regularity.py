@@ -56,8 +56,28 @@ profiles that a first-visit path to g can pass form a region (reachable
 from the one-letter profiles and co-reachable to g, with g avoided).  The
 least region profile on a cycle inside the region, found through the
 strongly connected components of the subgraph the region induces, gives
-infinitely many first visitors stem cycle^k tail; the least words are found
-with the shared llex-order search.
+infinitely many first visitors stem cycle^k tail.
+
+The words of a witness come from one search for the k least words that
+reach a profile, the unit-weight case of k shortest walks.  It is a FIFO
+of entries (profile, parent entry, symbol), seeded with the one-letter
+words in symbol order, and each profile gets at most k entries, counted
+when an entry is made.  Entries are made in llex order of their words,
+by induction: the seeds are, and entries leave the FIFO in the order they
+were made, so the children of an entry, made in symbol order as it
+leaves, come after those of every smaller entry and before those of every
+larger one.  A prefix of
+one of the k least words to a profile is one of the k least words to its
+own profile (k smaller words there would give k smaller words with the
+same suffix), so the count drops none of them, and a profile's first k
+entries are its k least words: the order in which a heap of words would
+pop them, without the heap.  Only the words that reach the target are
+rebuilt from the parent links.  The first visitors and the recurrences of
+a terminal profile take k = 2, and the stem, cycle and tail take k = 1.
+
+Classification is lazy: profiles are classified one at a time in
+discovery order, and the search stops at the first terminal profile that
+yields a witness.  A Regular input still classifies every profile once.
 
 Before the profile analysis, the family is normalised in two steps:
 ``stabilize`` closes acceptance under rotating loop words between leading
@@ -99,15 +119,13 @@ where its profile graph would exceed that cap.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
 from .almost import (ALMOST_SATURATED, HASH, check_almost_saturated,
                      padded_chain)
-from .automata import (Dfa, Nfa, canonical_bfs, llex_bfs, llex_word,
-                       on_cycle, orbit, reachable,
+from .automata import (Dfa, Nfa, canonical_bfs, on_cycle, orbit, reachable,
                        strongly_connected_components)
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import FDFA, FDWA, FNFA, Family, trivial_leading
@@ -275,35 +293,38 @@ def label_by_leading(F: Family) -> Family:
     return Family(FNFA, trivial_leading(tokens), [union])
 
 
-def _least_words(starts, target: int, succ, nsym: int, k: int):
-    """Up to k llex-least words reaching target; starts is a list of (node,
-    word-as-index-tuple) seeds.  Reaching the target ends a word, so it is
-    never crossed."""
-    heap = [(len(w), w, v) for v, w in starts]
-    heapq.heapify(heap)
-    pops = {}
-    out = []
-    while heap and len(out) < k:
-        l, w, v = heapq.heappop(heap)
-        if pops.get(v, 0) >= k:
-            continue
-        pops[v] = pops.get(v, 0) + 1
-        if v == target:
-            out.append(w)
-            continue
-        for si in range(nsym):
-            heapq.heappush(heap, (l + 1, w + (si,), succ[v][si]))
-    return out
-
-
-def _least_word(starts, target: int, succ, avoid: Optional[int] = None):
-    """The llex-least word from a (node, word) seed in starts to target that
-    never enters avoid."""
-    seeds = [(v, w) for v, w in starts if v != avoid]
-    parent: dict = {}
-    found = llex_bfs(seeds, lambda v: [None if t == avoid else t
-                                       for t in succ[v]], parent)
-    return llex_word(parent, next(v for v in found if v == target))
+def _least_words(starts, target: int, succ, k: int,
+                 avoid: Optional[int] = None) -> list:
+    """Up to k llex-least nonempty words that reach target and never enter
+    avoid, as tuples of symbol indices: symbol si leads to starts[si] and
+    from v to succ[v][si].  Reaching target ends a word, so it is never
+    crossed.  A FIFO holds entries (node, parent entry, symbol), and each
+    node gets at most k entries, counted when one is made."""
+    entries: list = []  # (node, index of the parent entry or -1, symbol)
+    hits: list = []  # (parent, symbol) of the entries made for target
+    made: dict = {}
+    parent, row = -1, starts
+    while len(hits) < k:
+        for si, v in enumerate(row):
+            n = made.get(v, 0)
+            if n < k and v != avoid:
+                made[v] = n + 1
+                if v == target:
+                    hits.append((parent, si))
+                else:
+                    entries.append((v, parent, si))
+        parent += 1
+        if parent == len(entries):
+            break
+        row = succ[entries[parent][0]]
+    words = []
+    for e, si in hits:
+        word = [si]
+        while e >= 0:
+            _, e, si = entries[e]
+            word.append(si)
+        words.append(tuple(reversed(word)))
+    return words
 
 
 def _least_on_cycle(region: set, succ) -> Optional[int]:
@@ -382,36 +403,32 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
     leading state.  Terminal profiles are tried in order of their least
     generating word; the first one whose first-visitor/recurrence structure
     is rich enough yields the witness."""
-    nsym = len(N.alphabet)
     profiles, succ, letters = _profile_graph(N, cap)
 
     def to_word(idxs) -> Word:
         return tuple(N.alphabet[si] for si in idxs)
 
-    terminals = [i for i, m in enumerate(profiles)
-                 if classify_profile(N, m) == TERMINAL]
     preds = [[] for _ in profiles]
     for i, row in enumerate(succ):
         for j in row:
             preds[j].append(i)
-    seeds = [(v, (si,)) for si, v in enumerate(letters)]
-    for g in terminals:
+    for g, m in enumerate(profiles):
+        if classify_profile(N, m) != TERMINAL:
+            continue
         # Profiles on a first-visit path to g, and the least one of them
         # that such a path can pass twice.
         region = (reachable(letters, succ.__getitem__, g)
                   & reachable(preds[g], preds.__getitem__, g))
         rho = _least_on_cycle(region, succ)
         if rho is not None:
-            after_rho = [(t, (si,)) for si, t in enumerate(succ[rho])]
-            stem = _least_word(seeds, rho, succ, avoid=g)
-            cycle = _least_word(after_rho, rho, succ, avoid=g)
-            tail = _least_word(after_rho, g, succ)
+            stem, = _least_words(letters, rho, succ, 1, avoid=g)
+            cycle, = _least_words(succ[rho], rho, succ, 1, avoid=g)
+            tail, = _least_words(succ[rho], g, succ, 1)
             return GoodWitness(CASE_FIRST_VISITORS,
                                (to_word(stem), to_word(cycle), to_word(tail)))
 
-        fvs = _least_words(seeds, g, succ, nsym, 2)
-        rec_seeds = [(succ[g][si], (si,)) for si in range(nsym)]
-        recs = _least_words(rec_seeds, g, succ, nsym, 2)
+        fvs = _least_words(letters, g, succ, 2)
+        recs = _least_words(succ[g], g, succ, 2)
         if not recs:
             continue
         # With two first visitors, pair each with the least recurrence;

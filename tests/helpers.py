@@ -1,5 +1,6 @@
 """Shared builders for randomized tests."""
 
+import itertools
 import math
 import random
 from collections import deque
@@ -389,6 +390,25 @@ def profile_graph_by_composition(N: Nfa, cap: int):
                 succ.append([None] * nsym)
             succ[i][si] = j
     return profiles, succ
+
+
+def least_words_by_enumeration(starts, target, succ, k, avoid, max_len):
+    """Reference for regularity._least_words: the first k words of length at
+    most max_len, in llex order, as tuples of symbol indices.  Symbol si
+    leads to starts[si] and from v to succ[v][si]; a word is kept when its
+    run enters target only at its last letter and never enters avoid."""
+    out = []
+    for n in range(1, max_len + 1):
+        for w in itertools.product(range(len(starts)), repeat=n):
+            run = [starts[w[0]]]
+            for si in w[1:]:
+                run.append(succ[run[-1]][si])
+            if target in run and run.index(target) == n - 1 \
+                    and avoid not in run:
+                out.append(w)
+                if len(out) == k:
+                    return out
+    return out
 
 
 def first_profiles(N: Nfa, k: int) -> list:

@@ -31,6 +31,8 @@ FILES = os.path.join(os.path.dirname(__file__), "files")
 BA_STAR = os.path.join(FILES, "ba_star.faf")
 ODD = os.path.join(FILES, "odd_a.faf")
 CAPPED_284 = os.path.join(FILES, "capped_3x7_284.faf")
+RAND_755 = os.path.join(FILES, "rand_2x5_0755.faf")
+RAND_686 = os.path.join(FILES, "rand_2x5_0686.faf")
 
 
 def run(argv, stdin_text=None, capsys=None):
@@ -107,6 +109,24 @@ class TestCheck:
         assert code == 3
         assert json.loads(out) == {"check": "regularity",
                                    "status": "CapExceeded"}
+
+    @pytest.mark.parametrize("path, line", [
+        (RAND_755, '{"check": "regularity", "status": "NotRegular", '
+         '"witness": {"case": "DistinctRoots", '
+         '"words": ["0:a 0:a 0:b 0:b", "0:b"]}}'),
+        (RAND_686, '{"check": "regularity", "status": "NotRegular", '
+         '"witness": {"case": "InfinitelyManyFirstVisitors", '
+         '"words": ["0:a 0:a 0:a", "0:a", "0:b"]}}'),
+    ])
+    def test_rand_2x5_regularity_witnesses_are_pinned(self, path, line):
+        # bench.corpus.pool_member of the regularity/rand-2x5 group, #755
+        # and #686.  Their witnesses come from the 7th of 248 and the 10th
+        # of 41 terminal profiles, so the search stops well before the
+        # last profile.  Regularity witnesses do not replay, so the bytes
+        # are pinned.
+        code, out = run(["check", "regularity", path, "--cap", "8000",
+                         "--json"])
+        assert (code, out) == (1, line + "\n")
 
     def test_fdwa_saturation_honours_cap(self):
         text = serialize_faf(first_a_fdwa())

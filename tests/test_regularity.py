@@ -23,7 +23,7 @@ from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts, trivial_leading)
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               DEFAULT_PROFILE_CAP, TERMINAL, GoodWitness,
-                              _profile_graph, check_regular,
+                              _least_words, _profile_graph, check_regular,
                               classify_profile, find_good_witness,
                               gen_ter_hardness, label_by_leading, stabilize)
 from upfam.translate import gen_family
@@ -33,7 +33,7 @@ from fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                       exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
                       one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
 from helpers import (as_nfa, brute_ter_roots, classify_by_powers, compose,
-                     first_profiles, intersect_dfa,
+                     first_profiles, intersect_dfa, least_words_by_enumeration,
                      profile_graph_by_composition, profile_of, random_dfa,
                      random_family, random_nfa)
 
@@ -456,6 +456,71 @@ def test_row_images_stay_inside_the_cap(monkeypatch):
         rows = {row for m in first_profiles(N, cap) for row in m}
         assert set(sources) <= rows
         assert len(sources) == len(N.alphabet) * len(set(sources))
+
+
+def test_least_words_match_enumeration():
+    # The search gives each node at most k entries, so if k admissible
+    # words exist, the k least are at most k * n letters long.  Where the
+    # enumeration reaches that length the comparison is complete; below
+    # it, the words the search returns up to the bound must still be the
+    # enumeration's.
+    rng = random.Random("least-words")
+    complete = found = 0
+    for i in range(600):
+        n, nsym, k = rng.randint(1, 8), rng.randint(1, 3), 1 + i % 3
+        succ = [[rng.randrange(n) for _ in range(nsym)] for _ in range(n)]
+        starts = [rng.randrange(n) for _ in range(nsym)]
+        target = rng.randrange(n)
+        avoid = None if i % 2 else rng.randrange(n)
+        max_len = min(k * n, {1: 24, 2: 11, 3: 7}[nsym])
+        got = _least_words(starts, target, succ, k, avoid)
+        want = least_words_by_enumeration(starts, target, succ, k, avoid,
+                                          max_len)
+        assert [w for w in got if len(w) <= max_len] == want, i
+        assert got == sorted(got, key=lambda w: (len(w), w)) and \
+            len(got) <= k, i
+        complete += max_len == k * n
+        found += len(got) == k
+    assert complete >= 400 and found >= 250
+
+
+FILES = Path(__file__).parent / "files"
+
+
+def labelled(name):
+    return label_by_leading(stabilize(parse_faf(
+        (FILES / name).read_text()))).progress[0]
+
+
+@pytest.mark.parametrize("name, case, terminals, nth", [
+    ("rand_2x5_0755.faf", CASE_DISTINCT_ROOTS, 248, 7),
+    ("rand_2x5_0686.faf", CASE_FIRST_VISITORS, 41, 10),
+])
+def test_classification_stops_at_the_witness(monkeypatch, name, case,
+                                             terminals, nth):
+    # The witness comes from the nth terminal profile g in discovery
+    # order, and g is the last profile classified.  g is the profile of
+    # x for DistinctRoots and of stem tail for InfinitelyManyFirstVisitors.
+    N = labelled(name)
+    profiles, succ, letters = _profile_graph(N, DEFAULT_PROFILE_CAP)
+    terminal = [i for i, m in enumerate(profiles)
+                if classify_by_powers(N, m)[0] == TERMINAL]
+    calls = count_calls(monkeypatch, "classify_profile")
+    w = find_good_witness(N)
+    assert w.case == case and len(terminal) == terminals
+    word = w.words[0] + (w.words[2] if case == CASE_FIRST_VISITORS else ())
+    g = letters[N.alphabet.index(word[0])]
+    for a in word[1:]:
+        g = succ[g][N.alphabet.index(a)]
+    assert g == terminal[nth - 1]
+    assert len(calls) == g + 1 < len(profiles)
+
+
+def test_regular_input_classifies_every_profile_once(monkeypatch):
+    N = labelled("odd_a.faf")
+    calls = count_calls(monkeypatch, "classify_profile")
+    assert find_good_witness(N) is None
+    assert len(calls) == len(_profile_graph(N, DEFAULT_PROFILE_CAP)[0])
 
 
 def test_random_verdicts_match_terminal_root_growth():
