@@ -19,6 +19,15 @@ of `llex_bfs`, whose discovery order is the canonical numbering, so the
 word of each state is the length-lexicographically least word reaching
 it.
 
+`from_table` skips the search for a table already in canonical order
+(`_as_written`): the initial state is 0, no transition is missing, and
+reading the rows in order meets the states in increasing order, each
+before its own row.  The search would expand the rows in that same
+order and number each state where the reading meets it, so the table
+kept as written is the machine the search builds, keys included.  Every
+family file `serialize_faf` writes from a loaded or generated family is
+in this order.
+
 `llex_bfs`, the least-word search every checker shares, stores one link
 per node it discovers, the node it was reached from, and no symbol and
 no word.  The few words a caller reports are rebuilt by `llex_word`,
@@ -164,6 +173,39 @@ def canonical_bfs(starts: Iterable[Hashable],
     return rows, keys
 
 
+def _as_written(table: Sequence[Sequence[Optional[int]]], initial: int
+                ) -> Optional[list]:
+    """The rows of `table`, as a list, when `canonical_bfs` from `initial`
+    would give every state its own number and add no sink; else None.
+
+    That is when the initial state is 0, no entry is None, and, reading
+    row 0, row 1, ... in turn, every entry is a state met before or the
+    next new number, and every state is met before its own row is read.
+    The breadth-first search then expands the rows in this same order and
+    numbers each state where this reading meets it.  The last condition
+    turns away unreachable states that still come in order, like state 1
+    in [[0], [1]].  Rows are looked up one at a time and the reading
+    stops at the first None, so a table that makes a row when it is first
+    looked up makes at most one row here."""
+    if initial != 0:
+        return None
+    rows = []
+    new = 1  # the number of the next state not met yet
+    try:
+        for row in map(table.__getitem__, range(len(table))):
+            if len(rows) >= new:  # the state of this row was never met
+                return None
+            for t in row:
+                if t >= new:
+                    if t != new:
+                        return None
+                    new += 1
+            rows.append(row)
+    except TypeError:  # a None entry, a missing transition
+        return None
+    return rows
+
+
 class TransitionSystem:
     """A complete deterministic transition system over a fixed alphabet."""
 
@@ -205,8 +247,13 @@ class TransitionSystem:
         entry per symbol, None for a missing transition; every entry and
         the initial state must lie in range.  Unreachable states are
         dropped and missing transitions are completed to a rejecting
-        sink."""
-        rows, keys = canonical_bfs([initial], table.__getitem__)
+        sink.  A table already in canonical order is kept as written
+        (see `_as_written`)."""
+        rows = _as_written(table, initial)
+        if rows is None:
+            rows, keys = canonical_bfs([initial], table.__getitem__)
+        else:
+            keys = range(len(rows))
         return cls._finish(tuple(alphabet), rows, keys, **kw)
 
     @classmethod
@@ -297,7 +344,7 @@ class Dfa(TransitionSystem):
     @classmethod
     def from_table(cls, alphabet, table, initial=0, accepting=()):
         acc = frozenset(accepting)
-        if any(not 0 <= q < len(table) for q in acc):
+        if acc and not (0 <= min(acc) and max(acc) < len(table)):
             raise InputError("accepting state out of range")
         return super().from_table(alphabet, table, initial,
                                   pred=acc.__contains__)

@@ -24,11 +24,13 @@ reject duplicate (state, symbol) transitions; ``fnfa`` blocks may repeat
 them and may declare several start states with ``initials``.  Unreachable
 states are dropped on load.  Deterministic machines are renumbered in
 canonical breadth-first order, and their missing transitions fall into an
-implicit rejecting sink; ``fnfa`` blocks keep their reachable states in
-declared order, and a missing transition there leads nowhere.  Lines
-starting with ``#`` are comments, as is anything after a directive's
-arguments.  ``#`` and ``$`` are legal alphabet symbols; since ``#`` also
-opens comments, declare it as the last token of the ``alphabet`` line.
+implicit rejecting sink; a complete table already in that order, as
+`serialize_faf` writes a loaded or generated family, is kept as written.
+``fnfa`` blocks keep their reachable states in declared order, and a
+missing transition there leads nowhere.  Lines starting with ``#`` are
+comments, as is anything after a directive's arguments.  ``#`` and ``$``
+are legal alphabet symbols; since ``#`` also opens comments, declare it as
+the last token of the ``alphabet`` line.
 
 Dollar machines (plain DFAs) use the same directives under a ``dfa 1``
 header; serialized Buchi automata use ``nba 1`` with ``initials``.  Sample
@@ -37,6 +39,10 @@ files carry one labeled pair per line, ``+<TAB>u<TAB>x`` or
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from functools import partial
+from operator import mul
 
 from .automata import Dfa, Nfa, TransitionSystem, reachable
 from .errors import InputError
@@ -52,26 +58,28 @@ def _fail(lineno, message):
 
 
 class _Reader:
-    """Token rows of a document, one per line after an empty row 0, so a
-    row's index is its line number.  Blank and comment rows are kept and
-    skipped where rows are read.  `ints` resolves a state token to its
+    """The lines of a document after an empty line 0, so a line's index is
+    its line number.  A line is split into tokens when it is read, and its
+    tokens are dropped after use.  Blank and comment lines are kept and
+    skipped where lines are read.  `ints` resolves a state token to its
     number once per document."""
 
     def __init__(self, text):
-        self.rows = rows = [[]]
-        rows += map(str.split, text.splitlines())
+        self.lines = lines = [""]
+        lines += text.splitlines()
         self.pos = 1
-        last = len(rows) - 1
-        while last and not _is_directive(rows[last]):
+        last = len(lines) - 1
+        while last and not _is_directive(lines[last].split()):
             last -= 1
         self.last_line = last
         self.ints = _Ints()
 
     def peek(self):
-        rows = self.rows
-        while self.pos < len(rows):
-            if _is_directive(rows[self.pos]):
-                return self.pos, rows[self.pos]
+        lines = self.lines
+        while self.pos < len(lines):
+            tokens = lines[self.pos].split()
+            if _is_directive(tokens):
+                return self.pos, tokens
             self.pos += 1
         return None
 
@@ -153,21 +161,17 @@ def _parse_alphabet(reader):
     return tuple(symbols)
 
 
-class _Rows(dict):
+class _Rows(defaultdict):
     """Successor table of a deterministic block: state -> row of successor
     states, one per symbol, None where no line gives one.  A row is made
     when its state is first looked up, so memory follows the transition
-    lines, not the declared state count.  The length is that count, as
-    for a table with one row per declared state."""
+    lines, not the declared state count; the dict's default factory makes
+    it, so no Python code runs per row.  The length is that count, as for
+    a table with one row per declared state."""
 
     def __init__(self, n, nsym):
-        super().__init__()
+        super().__init__(partial(mul, [None], nsym))
         self.n = n
-        self.nsym = nsym
-
-    def __missing__(self, state):
-        row = self[state] = [None] * self.nsym
-        return row
 
     def __len__(self):
         return self.n
@@ -206,11 +210,11 @@ def _parse_block(reader, alphabet, deterministic, header_line):
         table = block.table = _Rows(n, len(alphabet))
     else:
         moves = block.moves = {}
-    rows = reader.rows
+    lines = reader.lines
     ints = reader.ints
-    start, reader.pos = reader.pos, len(rows)
-    for no in range(start, len(rows)):
-        tokens = rows[no]
+    start, reader.pos = reader.pos, len(lines)
+    for no in range(start, len(lines)):
+        tokens = lines[no].split()
         if not tokens:
             continue
         word = tokens[0]

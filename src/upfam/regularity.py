@@ -74,6 +74,10 @@ entries are its k least words: the order in which a heap of words would
 pop them, without the heap.  Only the words that reach the target are
 rebuilt from the parent links.  The first visitors and the recurrences of
 a terminal profile take k = 2, and the stem, cycle and tail take k = 1.
+Entries are made only at profiles that can reach the target (without
+entering g, for the stem and the cycle): the profiles below an entry
+that cannot reach it cannot either, so no hit is lost and the other
+entries keep their order and counts.
 
 Classification is lazy: profiles are classified one at a time in
 discovery order, and the search stops at the first terminal profile that
@@ -293,13 +297,15 @@ def label_by_leading(F: Family) -> Family:
     return Family(FNFA, trivial_leading(tokens), [union])
 
 
-def _least_words(starts, target: int, succ, k: int,
-                 avoid: Optional[int] = None) -> list:
-    """Up to k llex-least nonempty words that reach target and never enter
-    avoid, as tuples of symbol indices: symbol si leads to starts[si] and
+def _least_words(starts, target: int, succ, k: int, live) -> list:
+    """Up to k llex-least nonempty words that reach target and stay in
+    live, as tuples of symbol indices: symbol si leads to starts[si] and
     from v to succ[v][si].  Reaching target ends a word, so it is never
-    crossed.  A FIFO holds entries (node, parent entry, symbol), and each
-    node gets at most k entries, counted when one is made."""
+    crossed.  A FIFO holds entries (node, parent entry, symbol), made only
+    at nodes of live, which must hold target, and each node gets at most
+    k entries, counted when one is made.  Callers pass as live the nodes
+    that can reach target; the words are then those a search on every
+    node would give (see the module docstring)."""
     entries: list = []  # (node, index of the parent entry or -1, symbol)
     hits: list = []  # (parent, symbol) of the entries made for target
     made: dict = {}
@@ -307,7 +313,7 @@ def _least_words(starts, target: int, succ, k: int,
     while len(hits) < k:
         for si, v in enumerate(row):
             n = made.get(v, 0)
-            if n < k and v != avoid:
+            if n < k and v in live:
                 made[v] = n + 1
                 if v == target:
                     hits.append((parent, si))
@@ -417,18 +423,21 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
             continue
         # Profiles on a first-visit path to g, and the least one of them
         # that such a path can pass twice.
-        region = (reachable(letters, succ.__getitem__, g)
-                  & reachable(preds[g], preds.__getitem__, g))
+        to_g = reachable(preds[g], preds.__getitem__, g)
+        region = reachable(letters, succ.__getitem__, g) & to_g
+        to_g.add(g)
         rho = _least_on_cycle(region, succ)
         if rho is not None:
-            stem, = _least_words(letters, rho, succ, 1, avoid=g)
-            cycle, = _least_words(succ[rho], rho, succ, 1, avoid=g)
-            tail, = _least_words(succ[rho], g, succ, 1)
+            to_rho = reachable(preds[rho], preds.__getitem__, g)
+            to_rho.add(rho)
+            stem, = _least_words(letters, rho, succ, 1, to_rho)
+            cycle, = _least_words(succ[rho], rho, succ, 1, to_rho)
+            tail, = _least_words(succ[rho], g, succ, 1, to_g)
             return GoodWitness(CASE_FIRST_VISITORS,
                                (to_word(stem), to_word(cycle), to_word(tail)))
 
-        fvs = _least_words(letters, g, succ, 2)
-        recs = _least_words(succ[g], g, succ, 2)
+        fvs = _least_words(letters, g, succ, 2, to_g)
+        recs = _least_words(succ[g], g, succ, 2, to_g)
         if not recs:
             continue
         # With two first visitors, pair each with the least recurrence;

@@ -194,30 +194,37 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     normalized = ref_set is ReferenceSet.NORMALIZED
     for q in range(T.n):
         D = F.progress[q]
-        acc = D.accepting
+        acc, delta = D.accepting, D.delta
         parent: dict = {}
         for s, t in loop_words(F, q, parent):
             if normalized and t != q:
                 continue
             w = llex_word(parent, (s, t))
-            rep = tuple(T.alphabet[si] for si in w)
             base = s in acc
-            # the states that rep, rep^2, rep^3, ... lead to
-            states, _ = orbit(s, lambda t: D.after(t, rep))
+            # the states that w, w^2, w^3, ... lead to
+            states, _ = orbit(s, lambda t: _after(delta, t, w))
             flip = next((i for i, t in enumerate(states, 1)
                          if (t in acc) != base), None)
             if flip is None:
                 continue
             key = ((len(w), w), q, flip)
             if best is None or key < best[0]:
-                best = (key, q, rep, flip, base)
+                best = (key, q, w, flip, base)
     if best is None:
         return Verdict(SATURATED, stage=STAGE_POWER)
-    _, q, rep, flip, base = best
+    _, q, w, flip, base = best
+    rep = tuple(T.alphabet[si] for si in w)
     u = T.access_word(q)
     cx = Counterexample("power", Representation(u, rep),
                         Representation(u, rep * flip), base, not base)
     return Verdict(NOT_SATURATED, cx, STAGE_POWER)
+
+
+def _after(delta, state: int, w: tuple) -> int:
+    """The state a word of symbol indices leads to from state."""
+    for si in w:
+        state = delta[state][si]
+    return state
 
 
 def check_saturated(F: Family, ref: ReferenceSet = ReferenceSet.NORMALIZED

@@ -411,6 +411,18 @@ def least_words_by_enumeration(starts, target, succ, k, avoid, max_len):
     return out
 
 
+def co_reachable(succ, target, avoid):
+    """The nodes with a path to target that never enters avoid, target
+    itself included unless it is avoid, as a fixpoint over all nodes."""
+    live = {target} - {avoid}
+    while True:
+        more = {v for v, row in enumerate(succ)
+                if v != avoid and v not in live and live.intersection(row)}
+        if not more:
+            return live
+        live |= more
+
+
 def first_profiles(N: Nfa, k: int) -> list:
     """The first k profiles of N in the order of profile_graph_by_composition
     (all of them when there are fewer), for graphs too large to build."""

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_weak, minimize_by_signatures, random_dfa
-from upfam.automata import (Dfa, Nfa, TransitionSystem, canonical_bfs,
-                            dfa_sccs, is_weak, llex_bfs, llex_word,
-                            minimize_dfa, on_cycle, orbit, reachable,
-                            strongly_connected_components,
+from upfam.automata import (Dfa, Nfa, TransitionSystem, _as_written,
+                            canonical_bfs, dfa_sccs, is_weak, llex_bfs,
+                            llex_word, minimize_dfa, on_cycle, orbit,
+                            reachable, strongly_connected_components,
                             weak_loop_accepts)
 from upfam.errors import CapExceededError, InputError
 from upfam.faf import parse_sample
@@ -60,6 +60,65 @@ def test_canonical_bfs_numbers_starts_first_and_caps_the_rest():
     # Two starts and no other key: the starts alone never exceed a cap.
     assert canonical_bfs([2, 0], table.__getitem__, cap=1) == \
         ([[0], [0]], [2, 0])
+
+
+def _random_table(rng, i):
+    """(table, initial) of one of six shapes, by i: a canonical complete
+    table; the same with its states permuted (initial 0 kept, or moved);
+    with unreachable states added; with missing transitions; with several
+    rejecting sinks."""
+    nsym = rng.randint(1, 3)
+    n = rng.randint(1, 8)
+    table = [[rng.randrange(n) for _ in range(nsym)] for _ in range(n)]
+    if i % 6 == 5:  # rejecting sinks: rows that loop on themselves
+        for q in rng.sample(range(n), rng.randint(1, n)):
+            table[q] = [q] * nsym
+    rows, _ = canonical_bfs([0], table.__getitem__)
+    n = len(rows)
+    shape = i % 6
+    if shape in (1, 2):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        if shape == 1:
+            perm.remove(0)
+            perm.insert(0, 0)
+        new = [None] * n
+        for q, row in enumerate(rows):
+            new[perm[q]] = [perm[t] for t in row]
+        return new, perm[0]
+    if shape == 3:
+        extra = rng.randint(1, 3)
+        rows += [[rng.randrange(n + extra) for _ in range(nsym)]
+                 for _ in range(extra)]
+    if shape == 4:
+        for _ in range(rng.randint(1, n * nsym)):
+            rows[rng.randrange(n)][rng.randrange(nsym)] = None
+    return rows, 0
+
+
+def test_table_kept_as_written_exactly_when_canonical():
+    # The shortcut of from_table keeps a table exactly when the canonical
+    # numbering would renumber nothing and add no sink, and then gives
+    # the machine that numbering gives.  Appended unreachable states can
+    # come in first-visit order ([[0], [1]]) and must still be dropped.
+    rng = random.Random("as-written")
+    kept = 0
+    for i in range(1800):
+        table, initial = _random_table(rng, i)
+        n, nsym = len(table), len(table[0])
+        rows, keys = canonical_bfs([initial], table.__getitem__)
+        canonical = keys == list(range(n))
+        assert (_as_written(table, initial) == rows) == canonical, i
+        assert (_as_written(table, initial) is None) != canonical, i
+        accepting = rng.sample(range(n), rng.randint(0, n))
+        D = Dfa.from_table("abc"[:nsym], table, initial, accepting)
+        assert D.delta == tuple(map(tuple, rows)), i
+        assert D.keys == tuple(keys), i
+        assert D.accepting == {j for j, key in enumerate(keys)
+                               if key in accepting}, i
+        kept += canonical
+    assert 450 <= kept <= 900, kept
+    assert _as_written([[0], [1]], 0) is None
 
 
 def test_completion_adds_sink():

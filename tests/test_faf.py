@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_family
+from upfam import automata
 from upfam.errors import InputError
 from upfam.faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                        parse_faf, parse_sample, serialize_dfa_doc,
@@ -158,6 +159,75 @@ class TestFamilyFormat:
         assert time.perf_counter() - start < 5
         assert F == parse_faf(text)
         assert F.progress[0].n == {"fdfa": 3, "fnfa": 2}[kind]
+
+    def test_canonical_documents_load_without_renumbering(self,
+                                                         monkeypatch):
+        # serialize_faf writes a loaded family in canonical order, so the
+        # text comes back byte for byte and no table is renumbered.
+        rng = random.Random("as-written")
+        families = [gen_family(name, n) for name in GEN_FAMILY_NAMES
+                    for n in (1, 2, 3)]
+        families += [parse_faf(serialize_faf(random_family(rng, kind=kind)))
+                     for kind in (FDFA, FNFA) for _ in range(40)]
+        texts = [serialize_faf(F) for F in families]
+
+        def renumber(*args):
+            raise AssertionError("canonical_bfs called")
+
+        monkeypatch.setattr(automata, "canonical_bfs", renumber)
+        for text in texts:
+            assert serialize_faf(parse_faf(text)) == text
+
+    def test_crlf_line_endings(self):
+        text = read_file("ba_star.faf")
+        assert parse_faf(text.replace("\n", "\r\n")) == parse_faf(text)
+        broken = text.replace("trans 1 a 1", "trans 1 a 7")
+        with pytest.raises(InputError,
+                           match="^line 14: transition 1-a->7 out of range$"):
+            parse_faf(broken.replace("\n", "\r\n"))
+
+    def test_comments_inside_a_run_of_transitions(self):
+        # The comment lines come after transitions whose state tokens are
+        # already resolved.
+        text = read_file("ba_star.faf")
+        commented = (text.replace("  trans 2 a 2\n",
+                                  "  # a comment line\n  trans 2 a 2\n")
+                     .replace("trans 2 b 2", "trans 2 b 2 # sink"))
+        assert commented.count("#") == text.count("#") + 2
+        assert parse_faf(commented) == parse_faf(text)
+        with pytest.raises(InputError, match="^line 20: duplicate "
+                           "transition for state 2 on 'b'$"):
+            parse_faf(commented + "  trans 2 b 1\n")
+
+    def test_state_tokens_with_leading_zeros(self):
+        # "01" and "1" are one state, so the second spelling of a
+        # transition is a duplicate, whether its tokens were seen or not.
+        text = read_file("ba_star.faf")
+        padded = text.replace("trans 1 a 1", "trans 001 a 01") \
+            .replace("trans 2 a 2", "trans 02 a 007")
+        assert parse_faf(padded.replace("007", "2")) == parse_faf(text)
+        with pytest.raises(InputError, match="line 16: transition "
+                           "2-a->7 out of range"):
+            parse_faf(padded)
+        for line in ("  trans 01 a 1\n", "  trans 1 a 001\n"):
+            with pytest.raises(InputError, match="^line 19: duplicate "
+                               "transition for state 1 on 'a'$"):
+                parse_faf(text.replace("trans 1 a 1", "trans 001 a 01")
+                          + line)
+
+    def test_seen_state_token_out_of_range_in_a_smaller_block(self):
+        # "2" is a state of progress 0, so its token is resolved before
+        # progress 1, where it is out of range.
+        text = ("faf 1\nkind fdfa\nalphabet a b\n"
+                "leading\n  states 2\n  initial 0\n"
+                "  trans 0 a 1\n  trans 1 a 0\n"
+                "progress 0\n  states 3\n  initial 0\n  accepting 1\n"
+                "  trans 0 b 1\n  trans 1 a 1\n  trans 2 a 0\n"
+                "progress 1\n  states 2\n  initial 0\n"
+                "  trans 0 a 1\n  trans 1 b 2\n")
+        with pytest.raises(InputError, match="^line 20: transition "
+                           "1-b->2 out of range$"):
+            parse_faf(text)
 
     def test_progress_blocks_in_any_order(self):
         W = first_a_fdwa()

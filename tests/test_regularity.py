@@ -32,8 +32,9 @@ from upfam.words import Representation, root, words_up_to
 from fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                       exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
                       one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
-from helpers import (as_nfa, brute_ter_roots, classify_by_powers, compose,
-                     first_profiles, intersect_dfa, least_words_by_enumeration,
+from helpers import (as_nfa, brute_ter_roots, classify_by_powers,
+                     co_reachable, compose, first_profiles, intersect_dfa,
+                     least_words_by_enumeration,
                      profile_graph_by_composition, profile_of, random_dfa,
                      random_family, random_nfa)
 
@@ -463,7 +464,8 @@ def test_least_words_match_enumeration():
     # words exist, the k least are at most k * n letters long.  Where the
     # enumeration reaches that length the comparison is complete; below
     # it, the words the search returns up to the bound must still be the
-    # enumeration's.
+    # enumeration's.  Entries made only at the nodes that can reach the
+    # target must give the same words as entries at every node.
     rng = random.Random("least-words")
     complete = found = 0
     for i in range(600):
@@ -473,7 +475,9 @@ def test_least_words_match_enumeration():
         target = rng.randrange(n)
         avoid = None if i % 2 else rng.randrange(n)
         max_len = min(k * n, {1: 24, 2: 11, 3: 7}[nsym])
-        got = _least_words(starts, target, succ, k, avoid)
+        got = _least_words(starts, target, succ, k, set(range(n)) - {avoid})
+        assert _least_words(starts, target, succ, k,
+                            co_reachable(succ, target, avoid)) == got, i
         want = least_words_by_enumeration(starts, target, succ, k, avoid,
                                           max_len)
         assert [w for w in got if len(w) <= max_len] == want, i
