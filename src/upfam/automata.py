@@ -28,11 +28,12 @@ kept as written is the machine the search builds, keys included.  Every
 family file `serialize_faf` writes from a loaded or generated family is
 in this order.
 
-`llex_bfs`, the least-word search every checker shares, stores one link
-per node it discovers, the node it was reached from, and no symbol and
-no word.  The few words a caller reports are rebuilt by `llex_word`,
-which reads each symbol back as the first index of the child in its
-parent's successor row.
+`llex_bfs`, the least-word search of one graph, stores one link per node
+it discovers, the node it was reached from, and no symbol and no word.
+The few words a caller reports are rebuilt by `llex_word`, which reads
+each symbol back as the first index of the child in its parent's
+successor row.  `least_batches` runs several searches together and hands
+out each word, in llex order, with the nodes it first reaches in each.
 
 The other walks the checkers share live here too: `reachable`, the plain
 reachability walk, and `strongly_connected_components` with `on_cycle`,
@@ -42,6 +43,8 @@ the one rule for which states lie on a cycle.
 from __future__ import annotations
 
 import math
+from collections import deque
+from itertools import chain
 from typing import (Callable, Hashable, Iterable, Iterator, Optional,
                     Sequence)
 
@@ -89,6 +92,57 @@ def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
                 parent[nxt] = node
                 queue.append(nxt)
                 yield nxt
+
+
+def least_batches(searches: Sequence[tuple]) -> Iterator[tuple]:
+    """Several least-word searches run together, in llex order of words.
+
+    `searches[k]` is (starts, expand, close): `starts` lists the nodes the
+    empty word reaches, which are not stored, so a nonempty word that
+    reaches one again finds it new; `expand(node)` gives (symbol index,
+    child) pairs in symbol order; `close(child)`, unless close is None,
+    gives a node that the word which reaches the child also reaches, or
+    None, and is not applied to the nodes it gives.  Each search stores
+    the nodes it reaches in its own set.
+
+    Yields (w, batch) for each nonempty word w, in llex order, that some
+    search first reaches nodes with: `batch` lists (k, the new nodes of
+    search k), k ascending.  The nodes that one word first reaches in a
+    search are expanded together, their pairs merged in symbol order, so
+    a search whose `close` adds nodes stays in llex order."""
+    stored = [set() for _ in searches]
+    queue = deque([((), [(k, list(starts))
+                         for k, (starts, _, _) in enumerate(searches)
+                         if starts])])
+    while queue:
+        w, groups = queue.popleft()
+        buckets: dict = {}  # symbol -> [(k, new nodes of search k), ...]
+        for k, group in groups:
+            _, expand, close = searches[k]
+            seen = stored[k]
+            if len(group) == 1:
+                steps = expand(group[0])
+            else:
+                steps = sorted(chain.from_iterable(map(expand, group)))
+            sym = None
+            for si, child in steps:
+                if child in seen:
+                    continue
+                seen.add(child)
+                if si != sym:
+                    sym = si
+                    new = [child]
+                    buckets.setdefault(si, []).append((k, new))
+                else:
+                    new.append(child)
+                also = close and close(child)
+                if also is not None and also not in seen:
+                    seen.add(also)
+                    new.append(also)
+        for si in sorted(buckets):
+            entry = (w + (si,), buckets[si])
+            queue.append(entry)
+            yield entry
 
 
 def llex_word(parent: dict, node: Hashable) -> tuple:
@@ -560,7 +614,9 @@ class Nfa:
                    [i for i, key in enumerate(keys) if accepting(key)])
 
     def step_set(self, states: frozenset, sym: str) -> frozenset:
-        i = self.sym_index[sym]
+        i = self.sym_index.get(sym)
+        if i is None:
+            raise InputError(f"unknown symbol {sym!r}")
         out = set()
         for s in states:
             out |= self.delta[s][i]

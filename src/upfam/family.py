@@ -21,7 +21,7 @@ from enum import Enum
 from operator import add
 
 from .automata import (Dfa, Nfa, TransitionSystem, canonical_bfs, is_weak,
-                       llex_bfs, orbit, reachable, weak_loop_accepts)
+                       orbit, reachable, weak_loop_accepts)
 from .errors import InputError, PreconditionError
 from .words import Representation
 
@@ -159,17 +159,15 @@ def up_membership(F: Family, r: Representation) -> bool:
     return family_accepts(F, normalize(F, r), ReferenceSet.NORMALIZED)
 
 
-def loop_words(F: Family, q: int, parent: dict):
-    """Each node (d, t) of D x T that a nonempty word leads to from
-    (D.initial, q), where D is the progress automaton of q and T the
-    leading system.  The nodes are the states of the refined automaton of
-    q (`refine_family`), and they come in llex order of their least words,
-    which `llex_word(parent, node)` rebuilds (see `llex_bfs`)."""
+def loop_search(F: Family, q: int) -> tuple:
+    """The search of D x T from (D.initial, q), where D is the progress
+    automaton of q and T the leading system, as (starts, expand, close)
+    for `least_batches`.  The nodes (d, t) that nonempty words reach are
+    the states of the refined automaton of q (`refine_family`), and each
+    comes with its llex-least loop word."""
     D, T = F.progress[q], F.leading
-    starts = [(n, (si,)) for si, n in enumerate(zip(D.delta[D.initial],
-                                                    T.delta[q]))]
-    return llex_bfs(starts, lambda n: zip(D.delta[n[0]], T.delta[n[1]]),
-                    parent)
+    return ([(D.initial, q)],
+            lambda n: enumerate(zip(D.delta[n[0]], T.delta[n[1]])), None)
 
 
 def refine_family(F: Family) -> Family:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .automata import Dfa, TransitionSystem, llex_bfs, llex_word
+from .automata import (Dfa, TransitionSystem, least_batches, llex_bfs,
+                       llex_word)
 from .errors import InputError, PreconditionError, ProtocolError
-from .family import (FDFA, Family, ReferenceSet, family_accepts, loop_words,
+from .family import (FDFA, Family, ReferenceSet, family_accepts, loop_search,
                      up_membership)
 from .saturation import check_saturated
 from .words import (Representation, Word, canonical_pair, format_word,
@@ -578,9 +579,8 @@ def gen_char_sample(target: Family) -> Sample:
                     if x:
                         emit(u, x)
         # the llex-least nonempty loop word leading D to s and T back to q
-        parent: dict = {}
-        loops = {s: llex_word(parent, (s, t))
-                 for s, t in loop_words(target, q, parent) if t == q}
+        loops = {s: w for w, [(_, [(s, t)])]
+                 in least_batches([loop_search(target, q)]) if t == q}
         for s in sorted(D.accepting):
             if s not in loops:
                 raise PreconditionError(

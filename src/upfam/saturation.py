@@ -28,11 +28,19 @@ nodes they reach are the refined states:
   pair (u, a*w) is normalized exactly when t = q.
 * Power representatives are the llex-least nonempty words reaching each
   node (d, t) of D_q x T from (initial, q), each refined state
-  (`loop_words`).  Acceptance reads only d, so the orbit of a
+  (`loop_search`).  Acceptance reads only d, so the orbit of a
   representative under its powers is followed on d alone: the d-orbit is
   eventually periodic, the first flip, if any, comes before d first
   repeats, and the refined orbit, whose pairs repeat no earlier, flips at
   the same index.
+
+Each stage reports the least key over its searches, ((len w, w), q, a)
+for loopshift and ((len w, w), q, flip) for power.  The searches, one
+per slot or one per q, run together in `automata.least_batches`, which
+meets words in llex order and, for one word, the searches in key order.
+Every search is deterministic, so a word first reaches at most one node
+of it, and the first goal met carries the least key: the stage stops
+there.
 
 Nor do the stages need minimal progress automata: on the family as given
 they give the status, witness and stage they give on the minimized one.
@@ -74,23 +82,21 @@ no smaller p's language holds it.  The x-graph is walked once for the
 class instead of once per p, and where the runs of two p meet in the
 y-graph the node is stored once.
 
-The searches of all u, classes and pairs (q, r) run as one search over
-their disjoint union, in llex order of words, which stops at the first
-word that reaches any target.  That word is the least witness word z of
-all tuples, and the key is the least among the searches whose target z
-reaches.  The switch from the x-phase to the y-phase reads no symbol, so
-one word can first reach an x-node and a y-node together.  A node-by-node
-queue would put all children of the x-node first and leave llex order; a
-queue entry is therefore one word with, for each search, the group of
-nodes it first reaches there, and each group is expanded whole.  Each
-search keeps its own set of stored nodes and meets its groups in the
-order its own search would, so it stores the same nodes up to z.  The
-nodes that one symbol stores over all searches form one batch, and
-batches are settled in symbol order: the node count `--cap` bounds,
-summed over all searches, is tested before the batch is searched for a
-target, so a cap that the witness's batch crosses gives CapExceeded.
-Saturated families have no witness, so every search runs to its end, and
-the stored node sets of all searches are alive at once.
+The searches of all u, classes and pairs (q, r) run together in
+`automata.least_batches`, in llex order of words, and the check stops at
+the first word that reaches any target.  That word is the least witness
+word z of all tuples, and the key is the least among the searches whose
+target z reaches.  The switch from the x-phase to the y-phase reads no
+symbol, so one word can first reach an x-node and a y-node together: the
+switch is the search's `close` map, and the routine expands the nodes
+that one word first reaches in a search as one group.  Each search keeps
+its own set of stored nodes and stores the nodes its own search would,
+up to z.  The nodes that one word stores over all searches form one
+batch, and batches come in llex order of words: the node count `--cap`
+bounds, summed over all searches, is tested before the batch is
+searched for a target, so a cap that the witness's batch crosses gives
+CapExceeded.  Saturated families have no witness, so every search runs
+to its end, and the stored node sets of all searches are alive at once.
 
 All searches of one pair (u, v), v the displacement of the class, walk
 the same two product graphs, Bu x Bu x Bv over x and Bu x Bv x Bv over y,
@@ -106,14 +112,13 @@ the whole alphabet.
 
 from __future__ import annotations
 
-import math
-from collections import deque
+from itertools import chain
 from typing import Optional
 
-from .automata import dfa_sccs, llex_bfs, llex_word, on_cycle, orbit
+from .automata import dfa_sccs, least_batches, on_cycle, orbit
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
-                     loop_words, refine_family)
+                     loop_search, refine_family)
 from .words import Representation
 
 SATURATED = "Saturated"
@@ -127,97 +132,74 @@ STAGE_FDWA = "FdwaWitness"
 def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     """Search, for every leading state q and symbol a, for a word w such
     that (u, a*w) and (u*a, w*a) both lie in the reference set but only one
-    is accepted.  A node (d1, d2, t) holds the runs of the progress
-    automata of q on a*w and of T(q, a) on w, and the leading state
-    T(q, a*w); the product is deterministic, so a breadth-first search
-    finds the least witness per slot.  A slot's search stops at words
-    longer than the best witness so far, which cannot win."""
+    is accepted.  A node (d1, d2, t) of the slot (q, a) holds the runs of
+    the progress automata of q on a*w and of T(q, a) on w, and the leading
+    state T(q, a*w).  The empty word is tried on every slot, then the
+    slots are searched together."""
     if F.kind == FNFA:
         raise InputError("loopshift check needs deterministic progress")
     T = F.leading
     alphabet = T.alphabet
     normalized = ref_set is ReferenceSet.NORMALIZED
-    best = None
-    limit = math.inf
+    slots = []  # q, the index of a, and the tables the goal test reads
+    searches = []
     for q in range(T.n):
         Dq = F.progress[q]
-        acc_q = Dq.accepting
-        for ai, a in enumerate(alphabet):
-            q2 = T.delta[q][ai]
-            Dq2 = F.progress[q2]
-            acc_q2 = Dq2.accepting
-            start = (Dq.delta[Dq.initial][ai], Dq2.initial, q2)
-            parent: dict = {}
-            # the limit is fixed for the slot's whole search, so node
-            # depths are kept only when it is finite
-            depth = {} if limit < math.inf else None
-            search = llex_bfs(
-                [(start, ())],
-                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]], T.delta[n[2]]),
-                parent)
-            for node in search:
-                if depth is not None:
-                    # the start's link is a marker, never a key of depth
-                    k = depth[node] = depth.get(parent[node], -1) + 1
-                    if k > limit:
-                        break
-                d1, d2, t = node
-                if normalized and t != q:
-                    continue
-                if (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2):
-                    w = llex_word(parent, node)
-                    key = ((len(w), w), q, ai)
-                    if best is None or key < best[0]:
-                        best = (key, q, a, w, d1 in acc_q)
-                        limit = len(w)
-                    break
-    if best is None:
-        return Verdict(SATURATED, stage=STAGE_LOOPSHIFT)
-    _, q, a, w, left_acc = best
-    u = T.access_word(q)
-    w = tuple(alphabet[si] for si in w)
-    cx = Counterexample("loopshift", Representation(u, (a,) + w),
-                        Representation(u + (a,), w + (a,)),
-                        left_acc, not left_acc)
-    return Verdict(NOT_SATURATED, cx, STAGE_LOOPSHIFT)
+        for ai in range(len(alphabet)):
+            Dq2 = F.progress[T.delta[q][ai]]
+            slots.append((q, ai, Dq.accepting, Dq2.delta, Dq2.accepting))
+            searches.append((
+                [(Dq.delta[Dq.initial][ai], Dq2.initial, T.delta[q][ai])],
+                lambda n, d1=Dq.delta, d2=Dq2.delta, dt=T.delta:
+                    enumerate(zip(d1[n[0]], d2[n[1]], dt[n[2]])),
+                None))
+    empty = ((), [(k, starts) for k, (starts, _, _) in enumerate(searches)])
+    for w, batch in chain([empty], least_batches(searches)):
+        for k, ((d1, d2, t),) in batch:
+            q, ai, acc_q, delta2, acc_q2 = slots[k]
+            if normalized and t != q:
+                continue
+            left_acc = d1 in acc_q
+            if left_acc != (delta2[d2][ai] in acc_q2):
+                u = T.access_word(q)
+                a = alphabet[ai]
+                w = tuple(alphabet[si] for si in w)
+                cx = Counterexample("loopshift", Representation(u, (a,) + w),
+                                    Representation(u + (a,), w + (a,)),
+                                    left_acc, not left_acc)
+                return Verdict(NOT_SATURATED, cx, STAGE_LOOPSHIFT)
+    return Verdict(SATURATED, stage=STAGE_LOOPSHIFT)
 
 
 def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     """For each pair (d, t) of a progress state and a leading state reached
     together by a reference-set loop word, scan the acceptance orbit of the
     least such representative under loop powers; a mixed orbit is a
-    saturation violation."""
+    saturation violation.  The searches of all q run together."""
     if F.kind == FNFA:
         raise InputError("power check needs deterministic progress")
     T = F.leading
-    best = None
     normalized = ref_set is ReferenceSet.NORMALIZED
-    for q in range(T.n):
-        D = F.progress[q]
-        acc, delta = D.accepting, D.delta
-        parent: dict = {}
-        for s, t in loop_words(F, q, parent):
+    searches = [loop_search(F, q) for q in range(T.n)]
+    for w, batch in least_batches(searches):
+        for q, ((s, t),) in batch:
             if normalized and t != q:
                 continue
-            w = llex_word(parent, (s, t))
+            D = F.progress[q]
+            acc, delta = D.accepting, D.delta
             base = s in acc
             # the states that w, w^2, w^3, ... lead to
-            states, _ = orbit(s, lambda t: _after(delta, t, w))
-            flip = next((i for i, t in enumerate(states, 1)
-                         if (t in acc) != base), None)
-            if flip is None:
-                continue
-            key = ((len(w), w), q, flip)
-            if best is None or key < best[0]:
-                best = (key, q, w, flip, base)
-    if best is None:
-        return Verdict(SATURATED, stage=STAGE_POWER)
-    _, q, w, flip, base = best
-    rep = tuple(T.alphabet[si] for si in w)
-    u = T.access_word(q)
-    cx = Counterexample("power", Representation(u, rep),
-                        Representation(u, rep * flip), base, not base)
-    return Verdict(NOT_SATURATED, cx, STAGE_POWER)
+            states, _ = orbit(s, lambda d: _after(delta, d, w))
+            flip = next((i for i, d in enumerate(states, 1)
+                         if (d in acc) != base), None)
+            if flip is not None:
+                rep = tuple(T.alphabet[si] for si in w)
+                u = T.access_word(q)
+                cx = Counterexample("power", Representation(u, rep),
+                                    Representation(u, rep * flip),
+                                    base, not base)
+                return Verdict(NOT_SATURATED, cx, STAGE_POWER)
+    return Verdict(SATURATED, stage=STAGE_POWER)
 
 
 def _after(delta, state: int, w: tuple) -> int:
@@ -333,20 +315,17 @@ def _least_fdwa_witness(work, cap):
     and Bv from r over x; a y-node (a, b, c) runs Bu from p, Bv from its
     initial state and Bv on from the x-node's c over y.  Its `switch` maps
     the code of each x-node (p, p, c), p in the class, to that of the
-    y-node (p, v0, c); it is built once per class.  The searches of one
-    pair (u, v) share its successor lists, and each keeps its own `seen`
-    set; all of them stay live until the search ends.
-
-    A queue entry is a word w and, for each search that w reaches, the
-    group of node codes that w first reaches in it.  Each group's lists
-    are merged, and its new children are stored in ascending symbol order
-    into one bucket per symbol, shared by the searches; the buckets are
-    settled in symbol order, the budget tested before the targets."""
+    y-node (p, v0, c); it is built once per class and is the search's
+    `close` map in `least_batches`.  The searches of one pair (u, v)
+    share its successor lists as their `expand`.  Each batch adds its
+    nodes to the count before its targets are looked for."""
     progress = work.progress
     alphabet = work.leading.alphabet
     disps = [B.keys for B in progress]
     comps = [_components(B) for B in progress]
-    starts = []  # (search, start group)
+    searches = []  # (start group, expand, close) of each search
+    targets = []  # the target node of each search
+    tuples = []  # (u, v, class, q, r) of each search
     for u, Bu in enumerate(progress):
         acc_u = Bu.accepting
         comp_u = comps[u][0]
@@ -380,62 +359,21 @@ def _least_fdwa_witness(work, cap):
                     # needs p = q and c = r = v0, so v = u and x leads the
                     # initial state of Bu to p and to r, p = r, which the
                     # parity of r rules out.  The start is reached by the
-                    # empty word, which is no witness, so it stays out of
-                    # `seen` and does not shadow a later nonempty arrival.
+                    # empty word, which is no witness.
                     start = (lists.u0 * nu + q) * nv + r
-                    search = (lists, switch.get, set(),
-                              y_base + (q * nv + r) * nv + r,
-                              (u, v, ps, q, r))
-                    starts.append((search, [start, switch[start]]
-                                   if start in switch else [start]))
-    budget = math.inf if cap is None else cap
+                    searches.append(([start, switch[start]]
+                                     if start in switch else [start],
+                                     lists.__getitem__, switch.get))
+                    targets.append(y_base + (q * nv + r) * nv + r)
+                    tuples.append((u, v, ps, q, r))
     stored = 0
-    queue = deque([((), starts)])
-    while queue:
-        w, groups = queue.popleft()
-        buckets = {}  # symbol -> [(search, its new codes), ...]
-        hits = False
-        added = 0
-        for search, group in groups:
-            lists, switch_to, seen, target, _ = search
-            before = len(seen)
-            if len(group) == 1:
-                steps = lists[group[0]]
-            else:
-                steps = []
-                for code in group:
-                    steps += lists[code]
-                steps.sort()
-            sym = None
-            for si, code in steps:
-                if code in seen:
-                    continue
-                seen.add(code)
-                if si != sym:
-                    sym = si
-                    new = []
-                    buckets.setdefault(si, []).append((search, new))
-                new.append(code)
-                y = switch_to(code)
-                if y is not None and y not in seen:
-                    seen.add(y)
-                    new.append(y)
-            added += len(seen) - before
-            hits = hits or target in seen
-        stored += added
-        if hits or stored > budget:
-            # settle the buckets one by one: this entry ends the search
-            stored -= added
-            for si in sorted(buckets):
-                batch = buckets[si]
-                stored += sum(len(new) for _, new in batch)
-                if stored > budget:
-                    raise CapExceededError("FDWA witness search exceeded cap")
-                found = [s[4] for s, new in batch if s[3] in new]
-                if found:
-                    return _fdwa_key(progress, alphabet, w + (si,), found)
-        for si in sorted(buckets):
-            queue.append((w + (si,), buckets[si]))
+    for z, batch in least_batches(searches):
+        stored += sum([len(new) for _, new in batch])
+        if cap is not None and stored > cap:
+            raise CapExceededError("FDWA witness search exceeded cap")
+        found = [tuples[k] for k, new in batch if targets[k] in new]
+        if found:
+            return _fdwa_key(progress, alphabet, z, found)
     return None
 
 

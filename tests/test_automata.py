@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_weak, minimize_by_signatures, random_dfa
 from upfam.automata import (Dfa, Nfa, TransitionSystem, _as_written,
-                            canonical_bfs, dfa_sccs, is_weak, llex_bfs,
-                            llex_word, minimize_dfa, on_cycle, orbit,
-                            reachable, strongly_connected_components,
+                            canonical_bfs, dfa_sccs, is_weak, least_batches,
+                            llex_bfs, llex_word, minimize_dfa, on_cycle,
+                            orbit, reachable, strongly_connected_components,
                             weak_loop_accepts)
 from upfam.errors import CapExceededError, InputError
 from upfam.faf import parse_sample
@@ -36,6 +36,14 @@ def test_run_rejects_unknown_symbol():
     d = ba_star_dfa()
     with pytest.raises(InputError):
         d.run("bc")
+
+
+def test_nfa_run_rejects_unknown_symbol():
+    n = Nfa("ab", 2, {(0, "a"): [0, 1], (0, "b"): [0]}, [0], [1])
+    with pytest.raises(InputError, match="unknown symbol 'c'"):
+        n.accepts("ac")
+    with pytest.raises(InputError):
+        n.step_set(frozenset({0}), "c")
 
 
 def test_canonical_numbering_and_access_words():
@@ -277,6 +285,88 @@ def test_llex_bfs_matches_brute_force(seed, nonempty):
     assert dict(found) == least
     keys = [(len(w), w) for _, w in found]
     assert keys == sorted(keys)
+
+
+def _random_search(rng, nsym):
+    """(starts, expand, close) of a random partial deterministic table on
+    2 to 6 nodes.  `close` maps some nodes to nodes that it maps nowhere,
+    as a search's switch does."""
+    n = rng.randint(2, 6)
+    table = [[t if rng.random() < 0.8 else None
+              for t in (rng.randrange(n) for _ in range(nsym))]
+             for _ in range(n)]
+    sources = [v for v in range(n) if rng.random() < 0.5]
+    images = [v for v in range(n) if v not in sources]
+    switch = {v: rng.choice(images) for v in sources
+              if images and rng.random() < 0.5}
+    starts = rng.sample(range(n), rng.randint(1, 2))
+    return (starts,
+            lambda v: [(si, t) for si, t in enumerate(table[v])
+                       if t is not None],
+            switch.get if switch else None)
+
+
+def _batches_by_brute_force(searches, nsym):
+    """(w, [(k, nodes that w reaches in search k and no llex-smaller
+    nonempty word does), ...]) for every nonempty word w that has any.  A
+    word reaches the nodes its last letter leads to from the nodes its
+    prefix reaches, and the nodes `close` gives for those.  A least word
+    passes no node twice, so on at most six nodes it has at most five
+    letters."""
+    met = [set() for _ in searches]
+    out = []
+    for w in words_up_to(range(nsym), 6, 1):
+        batch = []
+        for k, (starts, expand, close) in enumerate(searches):
+            nodes = set(starts)
+            for si in w:
+                nodes = {t for v in nodes for sj, t in expand(v) if sj == si}
+                nodes |= {close(t) for t in nodes if close} - {None}
+            new = nodes - met[k]
+            met[k] |= nodes
+            if new:
+                batch.append((k, new))
+        if batch:
+            out.append((w, batch))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_least_batches_matches_brute_force(seed):
+    """Two to four random searches over two or three symbols, each with one
+    or two starts and, in about half of them, a `close` map: the batches
+    come in llex order of words, search by search in ascending order, and
+    hold exactly the nodes each word is the least nonempty word of; a
+    start counts as new when a nonempty word reaches it."""
+    rng = random.Random(seed)
+    nsym = rng.choice([2, 3])
+    searches = [_random_search(rng, nsym) for _ in range(rng.randint(2, 4))]
+    found = [(w, [(k, sorted(new)) for k, new in batch])
+             for w, batch in least_batches(searches)]
+    for _, batch in found:
+        for _, new in batch:
+            assert len(set(new)) == len(new)
+    assert found == [(w, [(k, sorted(new)) for k, new in batch])
+                     for w, batch in _batches_by_brute_force(searches, nsym)]
+
+
+def test_least_batches_cases_cover_the_contract():
+    """The seeds above meet batches of several searches, starts reached
+    again, and batches in which `close` adds a node beside its source."""
+    shared = restarted = closed = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        nsym = rng.choice([2, 3])
+        searches = [_random_search(rng, nsym)
+                    for _ in range(rng.randint(2, 4))]
+        for _, batch in least_batches(searches):
+            shared += len(batch) > 1
+            for k, new in batch:
+                starts, _, close = searches[k]
+                restarted += any(v in starts for v in new)
+                closed += close is not None and any(
+                    close(v) in new for v in new)
+    assert shared > 40 and restarted > 20 and closed > 10
 
 
 def _closure(adj, seeds, avoid=None):

@@ -11,7 +11,7 @@ from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
                           family_accepts, is_normalized, normalize,
                           refine_family, trivial_leading, up_membership)
 from upfam.oracle import enumerate_normalized
-from upfam.regularity import check_regular
+from upfam.regularity import check_regular, stabilize
 from upfam.saturation import check_fdwa_saturated, check_saturated
 from upfam.words import Representation, up_equal
 
@@ -110,6 +110,14 @@ def test_family_accepts_fixture_examples():
     # a^omega visits the accepting state infinitely often either way
     assert family_accepts(odd, Representation("", "a"), NORM)
     assert family_accepts(odd, Representation("", "aa"), NORM)
+
+
+def test_family_accepts_rejects_unknown_loop_symbol():
+    """The stabilized family has NFA progress automata; a loop symbol
+    outside the alphabet is an input error there too, as it is for DFAs."""
+    for F in (odd_a_fdfa(), stabilize(odd_a_fdfa())):
+        with pytest.raises(InputError, match="unknown symbol 'z'"):
+            family_accepts(F, Representation((), ("z",)))
 
 
 def test_family_accepts_respects_reference_set():

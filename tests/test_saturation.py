@@ -13,7 +13,7 @@ import pytest
 
 from test_cli import run
 from upfam import saturation
-from upfam.automata import Dfa, TransitionSystem, minimize_dfa
+from upfam.automata import Dfa, TransitionSystem, minimize_dfa, orbit
 from upfam.errors import InputError
 from upfam.faf import parse_faf, serialize_faf
 from upfam.family import (FDFA, FDWA, Family, ReferenceSet, family_accepts,
@@ -70,6 +70,29 @@ def test_odd_a_power_witness():
     assert rep_pair(cx) == (((), ("a",)), ((), ("a", "a")))
     assert cx.left_accepted and not cx.right_accepted
     assert_replays(odd_a_fdfa(), cx, NORM)
+
+
+def test_power_stage_stops_at_the_least_witness(monkeypatch):
+    """The one-letter loop a flips at leading state 0 (odd numbers of a),
+    so the power stage follows that one orbit and stops: it walks no node
+    of the 40-state progress automaton of leading state 1, nor any longer
+    loop word of state 0."""
+    lead = TransitionSystem("ab", [[0, 1], [1, 1]])
+    odd = Dfa("ab", [[1, 0], [0, 1]], [1])
+    big = Dfa("ab", [[(i + 1) % 40, i] for i in range(40)], [0])
+    F = Family(FDFA, lead, [odd, big])
+    starts = []
+
+    def counting(start, step):
+        starts.append(start)
+        return orbit(start, step)
+
+    monkeypatch.setattr(saturation, "orbit", counting)
+    for ref in (NORM, ALL):
+        starts.clear()
+        v = check_power_stable(F, ref)
+        assert rep_pair(v.witness) == (((), ("a",)), ((), ("a", "a")))
+        assert starts == [1]
 
 
 def test_one_b_power_witness():
