@@ -26,8 +26,14 @@ values whose equality is equality of the (mapping, displacement) pairs,
 so the walk meets the same nodes, in the same llex order, as a walk on
 any other exact encoding of the pairs: the node count, and with it the
 CapExceeded boundary and the witness, do not depend on the encoding.
-The search keeps one parent link per node, not words; the word of a
-violation is rebuilt when it is found.
+The walk is a `LeastWords` search that stores its start.  It keeps one
+parent link per node, not words, and rebuilds the word of a violation
+when it is found.  It reads each layer from `advance`, not through
+the search's iterator, which costs a few percent more per node.  Nodes
+are counted one at a time, in llex order: the start without a cap
+check, every other node before its violation test.  A layer is found
+node by node as the walk counts it, so the walk stores no node past the
+one where it stops.
 
 The leading states are walked in order, and the witness is the least key
 (len w, w, q, i) over all of them.  Each walk stops at its first
@@ -35,18 +41,18 @@ violation, the llex-least of its monoid.  Until one is found the walks
 run to their end, so the node count and the CapExceeded boundary of an
 almost-saturated family are those of the whole monoid.  Once one is
 found the verdict is NotAlmostSaturated at any cap, and a later walk
-breaks at its first node deeper than the best word so far: a longer word
-loses on the first component of the key, and one of equal length is
-still met and compared.  So the cap is not spent on words that cannot
-win; only when it cuts one of these short walks is the witness the least
-among the walks that ran.
+stops after the length of the best word so far: a longer word loses on
+the first component of the key, and one of equal length is still met
+and compared.  So the cap is not spent on words that cannot win; only
+when it cuts one of these short walks is the witness the least among
+the walks that ran.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .automata import Dfa, llex_bfs, llex_word, minimize_dfa, orbit
+from .automata import Dfa, LeastWords, minimize_dfa, orbit
 from .errors import CAP_EXCEEDED, InputError, Verdict
 from .family import FDFA, Family, trivial_leading
 
@@ -98,32 +104,29 @@ def check_almost_saturated(F: Family, cap: int = DEFAULT_CAP) -> Verdict:
             def successors(node):
                 return map(itemgetter(*node), cols)
 
-        parent: dict = {}
-        search = llex_bfs([(start, ())], successors, parent)
-        next(search)  # the start node counts without a cap check
-        total += 1
+        search = LeastWords([start], successors)
+        total += 1  # the start counts without a cap check
+        w = None
         # after a violation, a walk stops past the length of its word
-        depth = None if best is None else {start: 0}
-        for m in search:
-            if depth is not None:
-                k = depth[m] = depth[parent[m]] + 1
-                if k > best[0]:
+        while (w is None and not capped and search.layer
+               and (best is None or search.length < best[0])):
+            for m in search.advance():
+                total += 1
+                if total > cap:
+                    capped = True
                     break
-            total += 1
-            if total > cap:
-                capped = True
-                break
-            if m[-1] == goal and m[s0] in acc:
-                # the states that m, m^2, m^3, ... send the initial state to
-                states, _ = orbit(m[s0], m.__getitem__)
-                i = next((i for i, s in enumerate(states, 1)
-                          if s not in acc), None)
-                if i is not None:
-                    w = llex_word(parent, m)
-                    key = (len(w), w, q, i)
-                    if best is None or key < best:
-                        best = key
-                    break
+                if m[-1] == goal and m[s0] in acc:
+                    # the states that m, m^2, m^3, ... send the initial
+                    # state to
+                    states, _ = orbit(m[s0], m.__getitem__)
+                    i = next((i for i, s in enumerate(states, 1)
+                              if s not in acc), None)
+                    if i is not None:
+                        w = search.word(m)
+                        key = (len(w), w, q, i)
+                        if best is None or key < best:
+                            best = key
+                        break
     if best is not None:
         _, w, q, i = best
         x = tuple(T.alphabet[si] for si in w)

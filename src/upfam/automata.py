@@ -14,10 +14,9 @@ integers (the quotient of `minimize_dfa`, the product of
 `from_parts` and the FAF parser fill) pays one list per state and no call
 per edge.  It also numbers the regularity profile graph, from the
 one-letter profiles and under a cap.  Access words are not stored while
-building: `access_word` derives them on first use from the parent links
-of `llex_bfs`, whose discovery order is the canonical numbering, so the
-word of each state is the length-lexicographically least word reaching
-it.
+building: `access_word` derives them on first use from a `LeastWords`
+search, whose discovery order is the canonical numbering, so the word of
+each state is the length-lexicographically least word reaching it.
 
 `from_table` skips the search for a table already in canonical order
 (`_as_written`): the initial state is 0, no transition is missing, and
@@ -28,12 +27,20 @@ kept as written is the machine the search builds, keys included.  Every
 family file `serialize_faf` writes from a loaded or generated family is
 in this order.
 
-`llex_bfs`, the least-word search of one graph, stores one link per node
-it discovers, the node it was reached from, and no symbol and no word.
-The few words a caller reports are rebuilt by `llex_word`, which reads
-each symbol back as the first index of the child in its parent's
-successor row.  `least_batches` runs several searches together and hands
-out each word, in llex order, with the nodes it first reaches in each.
+`LeastWords`, the least-word search of a deterministic graph, advances
+one word length at a time and stores one link per node it meets, the
+node it was first reached from, and no symbol and no word.  A layer is
+found as it is read, so a caller that stops at a node has looked at
+nothing past it.  The words a caller asks for are rebuilt by
+`LeastWords.word`, which reads each symbol back as the first index of
+the child in its parent's successor row.  `product_search` runs several
+searches of products of tables as one, with one start per search and
+each node tagged with its search, so they advance one length together;
+`least_goal` takes the least goal of such a run, the rule the loopshift
+and power stages share.  `least_batches` runs several searches together
+and hands out each word, in llex order, with the nodes it first reaches
+in each; the FDWA witness search uses it, since one word can first
+reach two nodes of one of its searches.
 
 The other walks the checkers share live here too: `reachable`, the plain
 reachability walk, and `strongly_connected_components` with `on_cycle`,
@@ -44,7 +51,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import chain
+from itertools import chain, repeat
+from operator import indexOf
 from typing import (Callable, Hashable, Iterable, Iterator, Optional,
                     Sequence)
 
@@ -52,46 +60,120 @@ from .errors import CapExceededError, InputError
 from .words import Word
 
 
-class _Start:
-    """The link of a start node of `llex_bfs`: its word, and the search's
-    successor function, from which `llex_word` recovers the symbols."""
+class LeastWords:
+    """A least-word search of a deterministic graph, one word length at a
+    time, from one or more distinct start nodes.
 
-    __slots__ = ("word", "successors")
+    `successors(node)` gives one successor per alphabet symbol, in symbol
+    order, with None marking a blocked edge; it must give the same row
+    each time it is called on a node.  `layer` lists the nodes that words
+    of length `length` reach first: it holds the starts, in order, at
+    length 0, and `advance` finds the next layer.  `links` holds one link
+    per node met, the node of the layer before it was first reached from.
+    The starts are stored at once when `store_starts` is set, as the
+    empty word reaches them; otherwise a nonempty word that reaches one
+    again finds it new.  Each layer expands the nodes of the last in
+    order, and each node its row in symbol order, so a node's first link
+    comes from its llex-least word from the first start that reaches it,
+    and a layer lists the nodes of each start in turn, in llex order of
+    their words.  When no node is reachable from two starts, the search
+    is one separate search per start, all of them advancing together."""
 
-    def __init__(self, word: tuple, successors: Callable):
-        self.word = word
+    __slots__ = ("successors", "links", "layer", "length")
+
+    def __init__(self, starts, successors, store_starts=True):
         self.successors = successors
+        self.layer = list(starts)
+        # None, a blocked edge, is never a node; a stored start links to
+        # nothing
+        self.links = dict.fromkeys([None] + self.layer if store_starts
+                                   else [None])
+        self.length = 0
+
+    def advance(self) -> Iterator:
+        """Find the next layer: a generator that, once read, makes the
+        next layer current, empty at first, and then finds its nodes in
+        order, adds each to `layer` and gives it.  Nothing past the node
+        just given is looked at: a caller that stops there leaves the
+        layer cut, and must not advance the search again."""
+        last, self.layer = self.layer, []
+        self.length += 1
+        links, successors, add = self.links, self.successors, self.layer.append
+        for node in last:
+            for child in successors(node):
+                if child not in links:
+                    links[child] = node
+                    add(child)
+                    yield child
+
+    def __iter__(self) -> Iterator:
+        """The nodes of the current layer and of every later one, in llex
+        order of their words, as `advance` gives them; `word` holds for
+        the node just given."""
+        yield from self.layer
+        while self.layer:
+            yield from self.advance()
+
+    def word(self, node: Hashable) -> tuple:
+        """The least word of a node of the current layer, as symbol
+        indices, rebuilt from its links, `length` of them.  The symbol of
+        a link from p to c is the first index of c in the row
+        `successors(p)`: a node's symbols are expanded in order, so the
+        first symbol that reaches a new node is the one that linked it."""
+        links, successors, w = self.links, self.successors, []
+        for _ in range(self.length):
+            parent = links[node]
+            w.append(indexOf(successors(parent), node))
+            node = parent
+        return tuple(reversed(w))
 
 
-def llex_bfs(starts: Iterable[tuple[Hashable, tuple]],
-             successors: Callable[[Hashable], Iterable[Optional[Hashable]]],
-             parent: dict) -> Iterator[Hashable]:
-    """Breadth-first search of a deterministic graph in llex order.
+def product_search(searches: Sequence[tuple]) -> LeastWords:
+    """Several searches of products of two or three total deterministic
+    tables, run as one `LeastWords` whose starts are not stored.
+    `searches[k]` is (start, tables): `start` holds one state per table,
+    and symbol i leads a node (s_1, ..., s_m) to (tables[0][s_1][i], ...,
+    tables[m-1][s_m][i]).  A node of search k is tagged with k, as
+    (k, s_1, ..., s_m), so no node is reachable from two starts.  The row
+    of a node is written out for each width: built for any width, it
+    costs twice as much."""
+    rows = [(repeat(k),) + tables for k, (_, tables) in enumerate(searches)]
+    if rows and len(rows[0]) == 4:
+        def successors(node):
+            k, a, b, c = node
+            tags, x, y, z = rows[k]
+            return zip(tags, x[a], y[b], z[c])
+    else:
+        def successors(node):
+            k, a, b = node
+            tags, x, y = rows[k]
+            return zip(tags, x[a], y[b])
+    return LeastWords([(k,) + start for k, (start, _) in enumerate(searches)],
+                      successors, store_starts=False)
 
-    `starts` holds (node, word) pairs whose words have one length, listed
-    in llex order.  `successors(node)` gives one successor per alphabet
-    symbol, in alphabet order, with None marking a blocked edge; it must
-    give the same row each time it is called on a node.  Every reachable
-    node is yielded exactly once, when it is first discovered, and no
-    word is built on the way: the empty dict `parent` receives one link
-    per node, the previous node on its least word, or for a start a
-    marker holding its word and `successors`, and `llex_word` rebuilds a
-    word from these links.  Discovery order is the llex order of the
-    least words, so the first goal yielded has the llex-least word
-    reaching any goal, and a caller can stop there and rebuild that one
-    word."""
-    queue = []
-    for node, word in starts:
-        if node not in parent:
-            parent[node] = _Start(word, successors)
-            queue.append(node)
-            yield node
-    for node in queue:  # the loop also visits nodes appended below
-        for nxt in successors(node):
-            if nxt not in parent and nxt is not None:
-                parent[nxt] = node
-                queue.append(nxt)
-                yield nxt
+
+def least_goal(search: LeastWords, goals: Callable) -> Optional[tuple]:
+    """The least (w, k, data) over the goals of the searches that
+    `product_search` runs together, from the empty word on, or None when
+    none of them meets one.  `goals(nodes)` reads the nodes of one layer
+    and gives (node, data) for the goals among them; it may read
+    `search.word(node)`, and may skip a goal whose word is not below one
+    it gave before.  Each search is deterministic, so a word reaches one
+    node of it, and a layer lists the nodes of each search in llex order
+    of their words: the search stops after the first length at which any
+    search meets a goal, and at once on a goal whose word is all first
+    symbols, which no later search can beat."""
+    best = None
+    nodes = search.layer
+    while best is None and nodes:
+        for node, data in goals(nodes):
+            w = search.word(node)
+            if best is None or w < best[0]:
+                best = (w, node[0], data)
+                if not any(w):
+                    break
+        nodes = search.advance() if search.layer else ()
+    return best
 
 
 def least_batches(searches: Sequence[tuple]) -> Iterator[tuple]:
@@ -143,23 +225,6 @@ def least_batches(searches: Sequence[tuple]) -> Iterator[tuple]:
             entry = (w + (si,), buckets[si])
             queue.append(entry)
             yield entry
-
-
-def llex_word(parent: dict, node: Hashable) -> tuple:
-    """The llex-least word of a node that `llex_bfs` has yielded, as symbol
-    indices, rebuilt from its `parent` links.  The symbol of a link from
-    p to c is the first index of c in the row `successors(p)`: the search
-    expands a node's symbols in order, so the first symbol that reaches a
-    new node is the one that linked it."""
-    path = [node]
-    link = parent[node]
-    while not isinstance(link, _Start):
-        path.append(link)
-        link = parent[link]
-    path.reverse()
-    succ = link.successors
-    return link.word + tuple(list(succ(p)).index(c)
-                             for p, c in zip(path, path[1:]))
 
 
 def reachable(seeds: Iterable[Hashable],
@@ -345,13 +410,10 @@ class TransitionSystem:
         """Llex-least word reaching the state."""
         if self._access is None:
             access = [None] * self.n
-            parent: dict = {}
-            search = llex_bfs([(self.initial, ())], self.delta.__getitem__,
-                              parent)
-            access[next(search)] = ()
+            search = LeastWords([self.initial], self.delta.__getitem__)
             for q in search:
-                p = parent[q]
-                access[q] = access[p] + (
+                p = search.links[q]  # None for the initial state
+                access[q] = () if p is None else access[p] + (
                     self.alphabet[self.delta[p].index(q)],)
             self._access = tuple(access)
         word = self._access[state]

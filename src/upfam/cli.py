@@ -58,48 +58,47 @@ def _status_word(status: str) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", status).upper()
 
 
-def _show(word) -> str:
-    return format_word(word) or "ε"
-
-
-def _pair_text(r: Representation) -> str:
-    return "(%s,%s)" % (_show(r.u), format_word(r.x))
-
-
-def _pair_json(r: Representation) -> dict:
-    return {"u": format_word(r.u), "x": format_word(r.x)}
-
-
-def _witness(w):
+def _witness(w, alphabet):
     """(JSON object, report lines) of a verdict's witness: a saturation
     Counterexample, a regularity GoodWitness, or the almost-saturation
-    (u, x, i)."""
+    (u, x, i).  Words over the family's alphabet are written as
+    `format_word` writes them for that alphabet, so a word of one-character
+    symbols over an alphabet with a longer symbol keeps its spaces and
+    `parse_word` reads it back.  The words of a GoodWitness are over the
+    labelled alphabet of the regularity check, whose symbols are all
+    longer than one character, and are written with spaces."""
+    if isinstance(w, GoodWitness):
+        return ({"case": w.case, "words": [format_word(x) for x in w.words]},
+                ["evidence %s: %s" % (w.case, " ".join(
+                    format_word(x) or "ε" for x in w.words))])
+    word = functools.partial(format_word, alphabet=alphabet)
+    show = lambda x: word(x) or "ε"
+    pair = lambda r: {"u": word(r.u), "x": word(r.x)}
+    text = lambda r: "(%s,%s)" % (show(r.u), word(r.x))
     if isinstance(w, Counterexample):
         side = lambda f: "accepted" if f else "rejected"
         return ({"variant": w.variant,
-                 "left": _pair_json(w.left),
-                 "right": _pair_json(w.right),
+                 "left": pair(w.left),
+                 "right": pair(w.right),
                  "left_accepted": w.left_accepted,
                  "right_accepted": w.right_accepted},
-                ["witness %s/%s" % (_pair_text(w.left), _pair_text(w.right)),
+                ["witness %s/%s" % (text(w.left), text(w.right)),
                  "%s: left %s, right %s" % (w.variant, side(w.left_accepted),
                                             side(w.right_accepted))])
-    if isinstance(w, GoodWitness):
-        return ({"case": w.case, "words": [format_word(x) for x in w.words]},
-                ["evidence %s: %s" % (w.case,
-                                      " ".join(_show(x) for x in w.words))])
     u, x, i = w
-    return ({"u": format_word(u), "x": format_word(x), "power": i},
+    return ({"u": word(u), "x": word(x), "power": i},
             ["witness (%s,%s) accepted, power %d rejected"
-             % (_show(u), format_word(x), i)])
+             % (show(u), word(x), i)])
 
 
-def _emit(check: str, verdict: Verdict, as_json: bool, lines=()) -> int:
+def _emit(check: str, verdict: Verdict, alphabet, as_json: bool,
+          lines=()) -> int:
     """Print a verdict, as JSON or as a status word plus report lines, and
-    return its exit code.  A witness replaces `lines` with its own."""
+    return its exit code.  A witness replaces `lines` with its own; its
+    words are over `alphabet`, the family's."""
     doc = {"check": check, "status": verdict.status}
     if verdict.witness is not None:
-        doc["witness"], lines = _witness(verdict.witness)
+        doc["witness"], lines = _witness(verdict.witness, alphabet)
     if as_json:
         print(json.dumps(doc))
     else:
@@ -130,7 +129,8 @@ def _cmd_check(args) -> int:
         raise InputError("cap must be positive")
     F = parse_faf(_read(args.file))
     cap_kw = {} if args.cap is None else {"cap": args.cap}
-    return _emit(args.which, _CHECKS[args.which](F, **cap_kw), args.json)
+    return _emit(args.which, _CHECKS[args.which](F, **cap_kw), F.alphabet,
+                 args.json)
 
 
 def _cmd_translate(args) -> int:
@@ -265,7 +265,7 @@ def _cmd_oracle(args) -> int:
         refuted = "NotSaturated"
         bounds = "bounds: |u| <= %d, |x| <= %d" % (args.max_u, args.max_x)
     verdict = Verdict("NoCounterexample" if found is None else refuted, found)
-    return _emit(args.which, verdict, args.json, [bounds])
+    return _emit(args.which, verdict, F.alphabet, args.json, [bounds])
 
 
 @functools.cache

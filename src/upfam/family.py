@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import add
 
-from .automata import (Dfa, Nfa, TransitionSystem, canonical_bfs, is_weak,
-                       orbit, reachable, weak_loop_accepts)
+from .automata import (Dfa, LeastWords, Nfa, TransitionSystem, canonical_bfs,
+                       is_weak, orbit, product_search, reachable,
+                       weak_loop_accepts)
 from .errors import InputError, PreconditionError
 from .words import Representation
 
@@ -159,15 +160,16 @@ def up_membership(F: Family, r: Representation) -> bool:
     return family_accepts(F, normalize(F, r), ReferenceSet.NORMALIZED)
 
 
-def loop_search(F: Family, q: int) -> tuple:
-    """The search of D x T from (D.initial, q), where D is the progress
-    automaton of q and T the leading system, as (starts, expand, close)
-    for `least_batches`.  The nodes (d, t) that nonempty words reach are
-    the states of the refined automaton of q (`refine_family`), and each
-    comes with its llex-least loop word."""
-    D, T = F.progress[q], F.leading
-    return ([(D.initial, q)],
-            lambda n: enumerate(zip(D.delta[n[0]], T.delta[n[1]])), None)
+def loop_search(F: Family) -> LeastWords:
+    """The searches of D_q x T from (D_q.initial, q), for every leading
+    state q in order, where D_q is the progress automaton of q and T the
+    leading system, run together on nodes (q, d, t) (`product_search`).
+    The starts are not stored, so the nodes (q, d, t) of the layers past
+    the first are those that nonempty words reach: (d, t) runs over the
+    states of the refined automaton of q (`refine_family`), each with its
+    llex-least loop word."""
+    return product_search([((D.initial, q), (D.delta, F.leading.delta))
+                           for q, D in enumerate(F.progress)])
 
 
 def refine_family(F: Family) -> Family:

@@ -13,11 +13,10 @@ implement learning from labeled example sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
-from .automata import (Dfa, TransitionSystem, least_batches, llex_bfs,
-                       llex_word)
+from .automata import Dfa, LeastWords, TransitionSystem
 from .errors import InputError, PreconditionError, ProtocolError
 from .family import (FDFA, Family, ReferenceSet, family_accepts, loop_search,
                      up_membership)
@@ -193,12 +192,11 @@ def _least_dollar_difference(A: Dfa, B: Dfa) -> Optional[tuple[Word, Word]]:
                 out.append((ta, tb, 2 if phase else 0))
         return out
 
-    parent: dict = {}
-    for node in llex_bfs([((A.initial, B.initial, 0), ())], successors,
-                         parent):
+    search = LeastWords([(A.initial, B.initial, 0)], successors)
+    for node in search:
         sa, sb, phase = node
         if phase == 2 and ((sa in A.accepting) != (sb in B.accepting)):
-            w = tuple(A.alphabet[i] for i in llex_word(parent, node))
+            w = tuple(A.alphabet[i] for i in search.word(node))
             cut = w.index(DOLLAR)
             return w[:cut], w[cut + 1:]
     return None
@@ -545,6 +543,11 @@ def gen_char_sample(target: Family) -> Sample:
             r = Representation(u, x)
             (positive if up_membership(target, r) else negative).append(r)
 
+    # the llex-least nonempty loop word leading the progress automaton of q
+    # to s and T from q back to q, for each (q, s)
+    search = loop_search(target)
+    loops = {node[:2]: search.word(node)
+             for node in islice(search, T.n, None) if node[0] == node[2]}
     lead_sep = {(q, p): _leading_separator(target, q, p)
                 for p in range(T.n) for q in range(p)}
     for w, t in _state_words(T):
@@ -578,15 +581,12 @@ def gen_char_sample(target: Family) -> Sample:
                     x = w + seps[(t, j) if t < j else (j, t)]
                     if x:
                         emit(u, x)
-        # the llex-least nonempty loop word leading D to s and T back to q
-        loops = {s: w for w, [(_, [(s, t)])]
-                 in least_batches([loop_search(target, q)]) if t == q}
         for s in sorted(D.accepting):
-            if s not in loops:
+            if (q, s) not in loops:
                 raise PreconditionError(
                     "accepting progress state %d of leading state %d has no"
                     " normalized loop" % (s, q))
-            emit(u, tuple(T.alphabet[i] for i in loops[s]))
+            emit(u, tuple(T.alphabet[i] for i in loops[q, s]))
         for a in T.alphabet:
             emit(u, (a,))
 
@@ -608,12 +608,12 @@ def _leading_separator(F: Family, q: int, p: int) -> tuple[Word, Word]:
     on both v-successors and exactly one side accepts.  For a saturated
     family such a pair exists whenever the states are inequivalent."""
     T = F.leading
-    parent: dict = {}
-    for node in llex_bfs([((q, p), ())],
-                         lambda n: zip(T.delta[n[0]], T.delta[n[1]]), parent):
+    search = LeastWords([(q, p)],
+                        lambda n: zip(T.delta[n[0]], T.delta[n[1]]))
+    for node in search:
         x = _loop_separator(F, *node)
         if x is not None:
-            return tuple(T.alphabet[i] for i in llex_word(parent, node)), x
+            return tuple(T.alphabet[i] for i in search.word(node)), x
     raise PreconditionError(
         "leading states %d and %d are equivalent; the leading system is"
         " not minimal" % (q, p))
@@ -629,12 +629,11 @@ def _loop_separator(F: Family, t1: int, t2: int) -> Optional[Word]:
         a1, a2, d1, d2 = cfg
         return zip(T.delta[a1], T.delta[a2], D1.delta[d1], D2.delta[d2])
 
-    starts = [(cfg, (i,)) for i, cfg in enumerate(successors(
-        (t1, t2, D1.initial, D2.initial)))]
-    parent: dict = {}
-    for node in llex_bfs(starts, successors, parent):
+    search = LeastWords([(t1, t2, D1.initial, D2.initial)], successors,
+                        store_starts=False)
+    for node in islice(search, 1, None):  # the empty word is no loop
         a1, a2, d1, d2 = node
         if a1 == t1 and a2 == t2 and ((d1 in D1.accepting)
                                       != (d2 in D2.accepting)):
-            return tuple(T.alphabet[i] for i in llex_word(parent, node))
+            return tuple(T.alphabet[i] for i in search.word(node))
     return None

@@ -36,11 +36,22 @@ nodes they reach are the refined states:
 
 Each stage reports the least key over its searches, ((len w, w), q, a)
 for loopshift and ((len w, w), q, flip) for power.  The searches, one
-per slot or one per q, run together in `automata.least_batches`, which
-meets words in llex order and, for one word, the searches in key order.
-Every search is deterministic, so a word first reaches at most one node
-of it, and the first goal met carries the least key: the stage stops
-there.
+per slot k = (q, a) or one per q, run as one search with one start per
+search, each node tagged with its k (`automata.product_search`), so all
+of them advance one word length at a time, together.  Every search is
+deterministic, so a word reaches one node of it, and a layer lists the
+nodes of each search in turn, each in llex order of their words: the
+first goal of a search in a layer is its least.  `automata.least_goal`
+stops the stage after the first length at which any search meets a
+goal, with the least (w, k) among the goals of that length, and at once
+on a goal whose word is all first symbols, the least word of its
+length, which no later search can beat.  Both searches keep one link
+per node and rebuild a word only when asked: loopshift for its goals,
+power for each node that passes the reference-set test, since its orbit
+reads the word.  Power skips the orbit of a node whose word is not below
+the least goal of the length so far.  A layer is found as it is read,
+so the layer of the last length is not read past the point where the
+stage stops.
 
 Nor do the stages need minimal progress automata: on the family as given
 they give the status, witness and stage they give on the minimized one.
@@ -112,10 +123,10 @@ the whole alphabet.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Optional
 
-from .automata import dfa_sccs, least_batches, on_cycle, orbit
+from .automata import (dfa_sccs, least_batches, least_goal, on_cycle, orbit,
+                       product_search)
 from .errors import CAP_EXCEEDED, CapExceededError, InputError, Verdict
 from .family import (FDFA, FDWA, FNFA, Counterexample, Family, ReferenceSet,
                      loop_search, refine_family)
@@ -132,10 +143,10 @@ STAGE_FDWA = "FdwaWitness"
 def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
     """Search, for every leading state q and symbol a, for a word w such
     that (u, a*w) and (u*a, w*a) both lie in the reference set but only one
-    is accepted.  A node (d1, d2, t) of the slot (q, a) holds the runs of
-    the progress automata of q on a*w and of T(q, a) on w, and the leading
-    state T(q, a*w).  The empty word is tried on every slot, then the
-    slots are searched together."""
+    is accepted.  A node (k, d1, d2, t) of the slot k = (q, a) holds the
+    runs of the progress automata of q on a*w and of T(q, a) on w, and the
+    leading state T(q, a*w).  The slots are searched together, from the
+    empty word on."""
     if F.kind == FNFA:
         raise InputError("loopshift check needs deterministic progress")
     T = F.leading
@@ -148,27 +159,27 @@ def check_loopshift_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
         for ai in range(len(alphabet)):
             Dq2 = F.progress[T.delta[q][ai]]
             slots.append((q, ai, Dq.accepting, Dq2.delta, Dq2.accepting))
-            searches.append((
-                [(Dq.delta[Dq.initial][ai], Dq2.initial, T.delta[q][ai])],
-                lambda n, d1=Dq.delta, d2=Dq2.delta, dt=T.delta:
-                    enumerate(zip(d1[n[0]], d2[n[1]], dt[n[2]])),
-                None))
-    empty = ((), [(k, starts) for k, (starts, _, _) in enumerate(searches)])
-    for w, batch in chain([empty], least_batches(searches)):
-        for k, ((d1, d2, t),) in batch:
+            searches.append(((Dq.delta[Dq.initial][ai], Dq2.initial,
+                              T.delta[q][ai]), (Dq.delta, Dq2.delta, T.delta)))
+
+    def goals(nodes):
+        for node in nodes:
+            k, d1, d2, t = node
             q, ai, acc_q, delta2, acc_q2 = slots[k]
-            if normalized and t != q:
-                continue
-            left_acc = d1 in acc_q
-            if left_acc != (delta2[d2][ai] in acc_q2):
-                u = T.access_word(q)
-                a = alphabet[ai]
-                w = tuple(alphabet[si] for si in w)
-                cx = Counterexample("loopshift", Representation(u, (a,) + w),
-                                    Representation(u + (a,), w + (a,)),
-                                    left_acc, not left_acc)
-                return Verdict(NOT_SATURATED, cx, STAGE_LOOPSHIFT)
-    return Verdict(SATURATED, stage=STAGE_LOOPSHIFT)
+            if ((not normalized or t == q)
+                    and (d1 in acc_q) != (delta2[d2][ai] in acc_q2)):
+                yield node, d1 in acc_q
+
+    best = least_goal(product_search(searches), goals)
+    if best is None:
+        return Verdict(SATURATED, stage=STAGE_LOOPSHIFT)
+    w, k, left_acc = best
+    u = T.access_word(slots[k][0])
+    aw = tuple(alphabet[si] for si in (slots[k][1],) + w)
+    cx = Counterexample("loopshift", Representation(u, aw),
+                        Representation(u + aw[:1], aw[1:] + aw[:1]),
+                        left_acc, not left_acc)
+    return Verdict(NOT_SATURATED, cx, STAGE_LOOPSHIFT)
 
 
 def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
@@ -180,26 +191,35 @@ def check_power_stable(F: Family, ref_set: ReferenceSet) -> Verdict:
         raise InputError("power check needs deterministic progress")
     T = F.leading
     normalized = ref_set is ReferenceSet.NORMALIZED
-    searches = [loop_search(F, q) for q in range(T.n)]
-    for w, batch in least_batches(searches):
-        for q, ((s, t),) in batch:
-            if normalized and t != q:
-                continue
+    search = loop_search(F)
+
+    def goals(nodes):
+        bound = (len(T.alphabet),)  # above every word of the layer
+        for node in nodes:
+            q, s, t = node
+            if normalized and t != q or not search.length:
+                continue  # the empty word is no loop
             D = F.progress[q]
-            acc, delta = D.accepting, D.delta
-            base = s in acc
+            acc, delta, w = D.accepting, D.delta, search.word(node)
+            if w >= bound:
+                continue
             # the states that w, w^2, w^3, ... lead to
             states, _ = orbit(s, lambda d: _after(delta, d, w))
             flip = next((i for i, d in enumerate(states, 1)
-                         if (d in acc) != base), None)
+                         if (d in acc) != (s in acc)), None)
             if flip is not None:
-                rep = tuple(T.alphabet[si] for si in w)
-                u = T.access_word(q)
-                cx = Counterexample("power", Representation(u, rep),
-                                    Representation(u, rep * flip),
-                                    base, not base)
-                return Verdict(NOT_SATURATED, cx, STAGE_POWER)
-    return Verdict(SATURATED, stage=STAGE_POWER)
+                bound = w
+                yield node, (s in acc, flip)
+
+    best = least_goal(search, goals)
+    if best is None:
+        return Verdict(SATURATED, stage=STAGE_POWER)
+    w, q, (base, flip) = best
+    rep = tuple(T.alphabet[si] for si in w)
+    u = T.access_word(q)
+    cx = Counterexample("power", Representation(u, rep),
+                        Representation(u, rep * flip), base, not base)
+    return Verdict(NOT_SATURATED, cx, STAGE_POWER)
 
 
 def _after(delta, state: int, w: tuple) -> int:

@@ -6,8 +6,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs, llex_bfs,
-                            llex_word, minimize_dfa)
+from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs,
+                            minimize_dfa)
 from upfam.errors import (CAP_EXCEEDED, CapExceededError, InputError,
                           PreconditionError, Verdict)
 from upfam.family import (FDFA, FDWA, FNFA, Counterexample, Family,
@@ -297,6 +297,28 @@ class Transformation:
     displacement: int
 
 
+def words_in_llex_order(starts, successors):
+    """(node, least word) for every node reachable from the starts, in
+    llex order of the words, by a plain breadth-first search that stores
+    each node's word.  `starts` are (node, word) pairs of one length in
+    llex order; `successors(node)` gives one successor per symbol, None
+    for a blocked edge.  Words are tuples of symbol indices."""
+    words = {}
+    todo = deque()
+    for node, w in starts:
+        if node not in words:
+            words[node] = w
+            todo.append(node)
+            yield node, w
+    while todo:
+        node = todo.popleft()
+        for si, child in enumerate(successors(node)):
+            if child is not None and child not in words:
+                words[child] = words[node] + (si,)
+                todo.append(child)
+                yield child, words[child]
+
+
 def almost_by_transformations(F: Family, cap: int) -> Verdict:
     """Reference for almost.check_almost_saturated: the same capped monoid
     walk with Transformation nodes, each composed one state at a time, on
@@ -334,14 +356,13 @@ def almost_by_transformations(F: Family, cap: int) -> Verdict:
             return [Transformation(tuple(sm[v] for v in m), row[si])
                     for si, sm in enumerate(sym_maps)]
 
-        parent = {}
-        search = llex_bfs([(Transformation(tuple(range(D.n)), q), ())],
-                          successors, parent)
+        search = words_in_llex_order(
+            [(Transformation(tuple(range(D.n)), q), ())], successors)
         next(search)
         total += 1
-        for node in search:
+        for node, w in search:
             # once a violation is known, a longer word cannot win
-            if best is not None and len(llex_word(parent, node)) > best[0]:
+            if best is not None and len(w) > best[0]:
                 break
             total += 1
             if total > cap:
@@ -350,7 +371,6 @@ def almost_by_transformations(F: Family, cap: int) -> Verdict:
             if node.displacement == q:
                 i = bad_power(node.mapping)
                 if i is not None:
-                    w = llex_word(parent, node)
                     key = (len(w), w, q, i)
                     if best is None or key < best:
                         best = key
@@ -501,13 +521,11 @@ def loopshift_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
                 return (d1 in acc_q) != (Dq2.delta[d2][ai] in acc_q2)
 
             start = (Dq.delta[Dq.initial][ai], Dq2.initial)
-            parent = {}
-            search = llex_bfs(
+            search = words_in_llex_order(
                 [(start, ())],
-                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]]), parent)
-            for d1, d2 in search:
+                lambda n: zip(Dq.delta[n[0]], Dq2.delta[n[1]]))
+            for (d1, d2), w in search:
                 if violates(d1, d2):
-                    w = llex_word(parent, (d1, d2))
                     key = ((len(w), w), q, ai)
                     if best is None or key < best[0]:
                         best = (key, q, a, w, d1 in acc_q)
@@ -534,10 +552,9 @@ def power_on_refined(F: Family, ref_set: ReferenceSet) -> Verdict:
     for q in range(T.n):
         D = F.progress[q]
         disp = disps[q]
-        parent = {}
-        reps = {d: llex_word(parent, d) for d in llex_bfs(
+        reps = dict(words_in_llex_order(
             [(t, (si,)) for si, t in enumerate(D.delta[D.initial])],
-            D.delta.__getitem__, parent)}
+            D.delta.__getitem__))
         for d, w in sorted(reps.items()):
             if normalized and disp[d] != q:
                 continue

@@ -1,16 +1,18 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import odd_a_fdfa
 from helpers import make_weak, minimize_by_signatures, random_dfa
-from upfam.automata import (Dfa, Nfa, TransitionSystem, _as_written,
-                            canonical_bfs, dfa_sccs, is_weak, least_batches,
-                            llex_bfs, llex_word, minimize_dfa, on_cycle,
-                            orbit, reachable, strongly_connected_components,
-                            weak_loop_accepts)
+from upfam.automata import (Dfa, LeastWords, Nfa, TransitionSystem,
+                            _as_written, canonical_bfs, dfa_sccs, is_weak,
+                            least_batches, least_goal, minimize_dfa, on_cycle,
+                            orbit, product_search, reachable,
+                            strongly_connected_components, weak_loop_accepts)
 from upfam.errors import CapExceededError, InputError
+from upfam.family import loop_search
 from upfam.faf import parse_sample
 from upfam.learning import learn_passive
 from upfam.words import as_word, words_up_to
@@ -244,11 +246,13 @@ def _least_words_by_brute_force(root, successors, nsym, min_len, max_len):
 @pytest.mark.parametrize("nonempty", [False, True])
 @pytest.mark.parametrize("seed", range(24))
 def test_llex_bfs_matches_brute_force(seed, nonempty):
-    """One DFA over abc (even seeds) or a product of two DFAs over ab (odd
-    seeds), with about a fifth of the edges blocked.  Seeds 12-23 take the
-    graphs of seeds 0-11 with the last symbol's column copying the
-    first's, so a node is reached by two symbols and its least word must
-    use the first of them, as `llex_word` reads it."""
+    """`LeastWords`, the llex-order breadth-first search, on one DFA over
+    abc (even seeds) or a product of two DFAs over ab (odd seeds), with
+    about a fifth of the edges blocked.  Seeds 12-23 take the graphs of
+    seeds 0-11 with the last symbol's column copying the first's, so a
+    node is reached by two symbols and its least word must use the first
+    of them, as `LeastWords.word` reads it.  The nonempty words come from
+    a search whose start is not stored, read past its first layer."""
     rng = random.Random(seed % 12)
     if seed % 2:
         A, B = (random_dfa(rng, "ab", 3, total=False) for _ in range(2))
@@ -271,20 +275,138 @@ def test_llex_bfs_matches_brute_force(seed, nonempty):
             row[-1] = row[0]
         return row
 
-    if nonempty:
-        starts = [(t, (si,)) for si, t in enumerate(successors(root))
-                  if t is not None]
-    else:
-        starts = [(root, ())]
-    parent = {}
-    found = [(n, llex_word(parent, n))
-             for n in llex_bfs(starts, successors, parent)]
+    search = LeastWords([root], successors, store_starts=not nonempty)
+    # the start is left out when it is not stored
+    found = [(n, search.word(n))
+             for n in islice(search, int(nonempty), None)]
     least = _least_words_by_brute_force(root, successors, nsym,
                                         int(nonempty), len(nodes))
     assert len({n for n, _ in found}) == len(found)
     assert dict(found) == least
     keys = [(len(w), w) for _, w in found]
     assert keys == sorted(keys)
+
+
+def layers_with_words(search):
+    """Every layer of a search, as (node, rebuilt word) pairs, each layer
+    found by running `advance` to its end."""
+    layers = [[(v, search.word(v)) for v in search.layer]]
+    while search.layer:
+        layers.append([(v, search.word(v)) for v in search.advance()])
+    return layers
+
+
+def test_stored_start_is_not_found_again():
+    """A search that stores its start, as the almost-saturation walk and
+    `access_word` do: the cycle 0 -a-> 1 -a-> 0 returns to the start, and
+    the nonempty word aa finds nothing new."""
+    search = LeastWords([0], [[1, None], [0, 2], [2, 2]].__getitem__)
+    assert layers_with_words(search) == [
+        [(0, ())], [(1, (0,))], [(2, (0, 1))], []]
+    assert search.length == 3
+    d = TransitionSystem("a", [[1], [0]])
+    assert [d.access_word(q) for q in range(2)] == [(), ("a",)]
+
+
+def test_unstored_start_is_found_again():
+    """A search that does not store its start, as the loop searches do:
+    the cycle 0 -a-> 1 -a-> 0 reaches the start again with aa, which is
+    listed in its layer, expanded once more without finding anything new,
+    and has its word rebuilt; `least_batches` hands out the same nodes,
+    and `loop_search` finds its start again the same way."""
+    table = [[1, None], [0, 2], [2, 2]]
+    search = LeastWords([0], table.__getitem__, store_starts=False)
+    assert layers_with_words(search) == [
+        [(0, ())], [(1, (0,))], [(0, (0, 0)), (2, (0, 1))], []]
+    # the loop search of odd_a: aa leads the progress automaton back to
+    # its initial state and the leading system back to 0
+    loops = loop_search(odd_a_fdfa())
+    assert [(v, loops.word(v)) for v in loops] == [
+        ((0, 0, 0), ()), ((0, 1, 0), (0,)), ((0, 0, 0), (0, 0))]
+    assert [w for w, _ in least_batches(
+        [([0], lambda v: [(si, t) for si, t in enumerate(table[v])
+                          if t is not None], None)])] == [(0,), (0, 0),
+                                                          (0, 1)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_several_starts_advance_together(seed):
+    """Two to four searches of products of two or three random total
+    tables, run as one by `product_search`: each layer lists the layers
+    of the single searches in turn, with the same words."""
+    rng = random.Random(seed)
+    nsym, width = rng.choice([2, 3]), rng.choice([2, 3])
+    searches = []
+    for _ in range(rng.randint(2, 4)):
+        tables = tuple([[rng.randrange(n) for _ in range(nsym)]
+                        for _ in range(n)]
+                       for n in (rng.randint(1, 5) for _ in range(width)))
+        searches.append((tuple(rng.randrange(len(t)) for t in tables),
+                         tables))
+
+    def alone(start, tables):
+        return LeastWords([start], lambda v: zip(*(
+            t[s] for t, s in zip(tables, v))), store_starts=False)
+
+    together = product_search(searches)
+    singles = [alone(*search) for search in searches]
+    while together.layer:
+        assert [(v, together.word(v)) for v in together.layer] == [
+            ((k,) + v, search.word(v)) for k, search in enumerate(singles)
+            for v in search.layer]
+        list(together.advance())
+        for search in singles:
+            list(search.advance())
+    assert not any(search.layer for search in singles)
+
+
+def test_least_goal_takes_the_least_word_then_the_first_search():
+    """Two copies of one cycle 0 -a-> 1 -a-> 2, b staying put, with the
+    goal 2 in the first and 1 in the second: the second meets its goal
+    first, with a.  With the goal 1 in both, the first search wins the
+    tie on a, and the search stops there, as a is the least word of its
+    length: the second search's node of a is not tested."""
+    table, constant = [[1, 0], [2, 1], [2, 2]], [[0, 0]]
+    searches = [((0, 0), (table, constant))] * 2
+    tested = []
+
+    def goals(targets):
+        def given(nodes):
+            for node in nodes:
+                tested.append(node[:2])
+                if node[1] == targets[node[0]]:
+                    yield node, node[:2]
+        return given
+
+    assert least_goal(product_search(searches), goals([2, 1])) == (
+        (0,), 1, (1, 1))
+    tested.clear()
+    assert least_goal(product_search(searches), goals([1, 1])) == (
+        (0,), 0, (0, 1))
+    assert tested == [(0, 0), (1, 0), (0, 1)]
+    assert least_goal(product_search(searches), goals([3, 3])) is None
+
+
+def test_a_layer_is_found_as_far_as_it_is_read():
+    """`advance` starts the next layer when it is first read and expands a
+    node's row only when the layer is read past the children of the nodes
+    before it."""
+    table = [[1, 2], [3, 3], [4, 4], [0, 0], [0, 0]]
+    expanded = []
+
+    def successors(v):
+        expanded.append(v)
+        return table[v]
+
+    search = LeastWords([0], successors)
+    assert list(search.advance()) == [1, 2]
+    nodes = search.advance()
+    assert expanded == [0] and search.layer == [1, 2]
+    assert next(nodes) == 3
+    assert expanded == [0, 1] and search.layer == [3]
+    assert list(nodes) == [4]
+    assert expanded == [0, 1, 2]
+    assert [search.word(v) for v in search.layer] == [(0, 0), (1, 0)]
 
 
 def _random_search(rng, nsym):

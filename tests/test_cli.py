@@ -33,6 +33,7 @@ ODD = os.path.join(FILES, "odd_a.faf")
 CAPPED_284 = os.path.join(FILES, "capped_3x7_284.faf")
 RAND_755 = os.path.join(FILES, "rand_2x5_0755.faf")
 RAND_686 = os.path.join(FILES, "rand_2x5_0686.faf")
+MULTI_12 = os.path.join(FILES, "multi_char_12.faf")
 
 
 def run(argv, stdin_text=None, capsys=None):
@@ -261,6 +262,49 @@ class TestJsonAndReplay:
         path = write_family(tmp_path, universal_fdfa())
         code, _ = run(["oracle", "replay", path], stdin_text=out)
         assert code == 1
+
+    @pytest.mark.parametrize("check", ["saturation", "full-saturation"])
+    def test_multi_character_alphabet_witness_replays(self, check):
+        """multi_char_12.faf is over the alphabet 1 2 12.  Its loopshift
+        witness has the loop 1*2, whose two symbols are one character
+        each; written without a space it would read as the one symbol
+        12."""
+        code, out = run(["check", check, MULTI_12, "--json"])
+        assert code == 1
+        assert json.loads(out)["witness"] == {
+            "variant": "loopshift",
+            "left": {"u": "", "x": "2 1"},
+            "right": {"u": "2", "x": "1 2"},
+            "left_accepted": True,
+            "right_accepted": False,
+        }
+        code, out = run(["oracle", "replay", MULTI_12], stdin_text=out)
+        assert (code, out) == (0, "WITNESS-REPLAYS: counterexample replays\n")
+        code, out = run(["check", check, MULTI_12])
+        assert out.splitlines()[1] == "witness (ε,2 1)/(2,1 2)"
+
+    def test_witnesses_over_multi_character_symbols_replay(self, tmp_path):
+        """Every refutation that the checkers and the bounded oracles
+        print for 100 seeded families over the alphabet 1 2 12 replays:
+        the words keep their spaces wherever the alphabet needs them."""
+        path = tmp_path / "f.faf"
+        refuted = 0
+        for seed in range(100):
+            F = random_family(random.Random(seed), alphabet=("1", "2", "12"))
+            path.write_text(serialize_faf(F))
+            for argv in (["check", "saturation"],
+                         ["check", "full-saturation"],
+                         ["check", "almost-saturation"],
+                         ["oracle", "saturation"],
+                         ["oracle", "almost-saturation"]):
+                code, out = run(argv + [str(path), "--json"])
+                if code != 1:
+                    continue
+                refuted += 1
+                code, replay = run(["oracle", "replay", str(path)],
+                                   stdin_text=out)
+                assert code == 0, (seed, argv, out, replay)
+        assert refuted > 200
 
     @pytest.mark.parametrize("mod2,witness,code,reason", BROKEN_WITNESSES,
                              ids=[case[-1] for case in BROKEN_WITNESSES])

@@ -23,7 +23,7 @@ from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
                               check_fdwa_saturated, check_loopshift_stable,
                               check_power_stable, check_saturated)
 from upfam.translate import gen_family
-from upfam.words import up_equal, words_up_to
+from upfam.words import Representation, up_equal, words_up_to
 
 from fixtures import (all_fixture_families, ba_star_fdfa, eventually_ab_fdfa,
                       exactly_one_a_fdfa, first_a_fdwa, odd_a_fdfa,
@@ -93,6 +93,22 @@ def test_power_stage_stops_at_the_least_witness(monkeypatch):
         v = check_power_stable(F, ref)
         assert rep_pair(v.witness) == (((), ("a",)), ((), ("a", "a")))
         assert starts == [1]
+
+
+def test_power_least_key_can_come_from_a_later_leading_state():
+    """a swaps the two leading states and b keeps them.  The progress
+    automaton of state 0 counts b modulo 2 and that of state 1 counts a:
+    at length 1, state 0 first flips on b and state 1 on a, so with every
+    pair admitted the least key is (a, 1), met in the later search.
+    Normalized, a is no loop of state 1 and the key is (b, 0)."""
+    lead = TransitionSystem("ab", [[1, 0], [0, 1]])
+    odd_b = Dfa("ab", [[0, 1], [1, 0]], [1])
+    odd_a = Dfa("ab", [[1, 0], [0, 1]], [1])
+    F = Family(FDFA, lead, [odd_b, odd_a])
+    assert rep_pair(check_power_stable(F, ALL).witness) == (
+        (("a",), ("a",)), (("a",), ("a", "a")))
+    assert rep_pair(check_power_stable(F, NORM).witness) == (
+        ((), ("b",)), ((), ("b", "b")))
 
 
 def test_one_b_power_witness():
@@ -234,6 +250,103 @@ def test_saturation_stages_get_the_callers_family(monkeypatch):
     assert check_saturated(F, NORM).ok
     assert len(received) == 2
     assert all(G is F for G in received)
+
+
+def loopshift_goals_by_enumeration(F, ref, w):
+    """The slots (q, a index) of the loopshift goals of the word w, in
+    key order: (u, a*w) and (u*a, w*a) lie in the reference set, u the
+    access word of q, and exactly one of them is accepted."""
+    T = F.leading
+    out = []
+    for q in range(T.n):
+        u = T.access_word(q)
+        for ai, a in enumerate(T.alphabet):
+            left = Representation(u, (a,) + w)
+            right = Representation(u + (a,), w + (a,))
+            if (ref.contains(F, left) and ref.contains(F, right)
+                    and family_accepts(F, left) != family_accepts(F, right)):
+                out.append((q, ai))
+    return out
+
+
+def power_goals_by_enumeration(F, ref, w, seen):
+    """(q, flip) of the power goals of the nonempty word w, in key order:
+    w is the least word to reach its pair (D_q after w, T after w from
+    q), which `seen` (one set per q, filled in llex order) tells; (u, w)
+    lies in the reference set; and (u, w^flip) is the first power whose
+    acceptance differs from that of (u, w)."""
+    T = F.leading
+    out = []
+    for q in range(T.n):
+        D = F.progress[q]
+        node = (D.run(w), T.after(q, w))
+        if node in seen[q]:
+            continue
+        seen[q].add(node)
+        u = T.access_word(q)
+        if not ref.contains(F, Representation(u, w)):
+            continue
+        base = D.accepts(w)
+        flip = next((i for i in range(2, D.n + 2)
+                     if D.accepts(w * i) != base), None)
+        if flip is not None:
+            out.append((q, flip))
+    return out
+
+
+def test_stage_witnesses_are_the_least_keys_by_enumeration():
+    """Each FDFA stage reports the least key over all its searches,
+    ((len w, w), q, a) for loopshift and ((len w, w), q, flip) for power,
+    found here by enumerating the words up to length 5 in llex order, with
+    no search: a stage whose witness is that short gives that key, and a
+    stage with no witness or a longer one has no goal among these words.
+    Many least keys come from a later search than the first one with a
+    goal at that length, where a smaller word wins."""
+    rng = random.Random("least-keys")
+    max_len = 5
+    found = Counter()
+    later = Counter()
+    for _ in range(400):
+        F = random_family(rng, FDFA, alphabet=rng.choice(["ab", "abc"]),
+                          max_leading=rng.randint(1, 4),
+                          max_progress=rng.randint(1, 4))
+        T = F.leading
+        for ref in (NORM, ALL):
+            goals = {"loopshift": [], "power": []}  # (w, search key, ...)
+            seen = [set() for _ in range(T.n)]
+            for w in words_up_to(T.alphabet, max_len):
+                goals["loopshift"] += [
+                    (w, slot) for slot in loopshift_goals_by_enumeration(
+                        F, ref, w)]
+                if w:
+                    goals["power"] += [
+                        (w, q, flip) for q, flip
+                        in power_goals_by_enumeration(F, ref, w, seen)]
+            for stage, check in (("loopshift", check_loopshift_stable),
+                                 ("power", check_power_stable)):
+                v = check(F, ref)
+                if not goals[stage]:
+                    # the loopshift loop is a*w, the power loop w
+                    assert v.ok or (len(v.witness.left.x)
+                                    - (stage == "loopshift") > max_len)
+                    continue
+                w, k, *rest = goals[stage][0]
+                if stage == "loopshift":
+                    q, ai = k
+                    u, a = T.access_word(q), T.alphabet[ai]
+                    pair = (Representation(u, (a,) + w),
+                            Representation(u + (a,), w + (a,)))
+                else:
+                    u = T.access_word(k)
+                    pair = (Representation(u, w),
+                            Representation(u, w * rest[0]))
+                assert not v.ok
+                assert (v.witness.left, v.witness.right) == pair, (F, ref)
+                found[stage] += 1
+                later[stage] += any(len(g[0]) == len(w) and g[1] < k
+                                    for g in goals[stage])
+    assert found["loopshift"] > 250 and found["power"] > 100, found
+    assert later["loopshift"] > 100 and later["power"] > 2, later
 
 
 def test_checker_agrees_with_oracle_on_random_families():
