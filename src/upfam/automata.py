@@ -484,7 +484,11 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
     Moore refinement on columns: a round gives each state the signature
     (block, block of each successor), read off one column per symbol, and
     numbers the distinct signatures.  Each round refines the last, so the
-    partition is stable as soon as a round adds no block."""
+    partition is stable as soon as a round adds no block.
+
+    A machine that ends with every state in its own block and is already
+    in canonical order (`_as_written`) is returned itself: the rebuild
+    would number its states as they are."""
     acc = dfa.accepting
     blocks = [q in acc for q in range(dfa.n)]
     count = len(set(blocks))
@@ -497,6 +501,8 @@ def minimize_dfa(dfa: Dfa) -> Dfa:
             break
         blocks = list(map(number.__getitem__, sigs))
         count = len(number)
+    if count == dfa.n and _as_written(dfa.delta, dfa.initial) is not None:
+        return dfa
     rep = {}
     for q, b in enumerate(blocks):
         rep.setdefault(b, q)

@@ -7,6 +7,13 @@ Subcommands expose the checkers (`check`), the automaton translations
 operation succeeded, 1 means refuted (a witness is printed, and as JSON
 under --json), 2 is a usage or parse error, and 3 means a cap was
 exceeded.  `-` stands for stdin/stdout so commands compose in pipes.
+
+The parsers are built once per process, and each call makes one argparse
+pass: a command line that starts with a subcommand's name is parsed by
+that subcommand's parser alone, and anything else (no arguments, --help,
+an unknown name) by the top-level parser.  Arguments the subcommand's
+parser leaves over are reported by the top-level parser, in the words a
+single parse of the whole line would use.
 """
 
 import argparse
@@ -269,16 +276,19 @@ def _cmd_oracle(args) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused: the
-    handlers it binds look the checkers up when they run."""
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """(the top-level parser, each subcommand's parser by name), built on
+    the first call and reused: the handlers they bind look the checkers
+    up when they run."""
     p = argparse.ArgumentParser(
         prog="upfam",
         description="Decision procedures, translations, and learners for "
                     "families of automata over ultimately periodic words.")
     sub = p.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    c = sub.add_parser("check", help="run a decision procedure on a family")
+    c = commands["check"] = sub.add_parser(
+        "check", help="run a decision procedure on a family")
     c.add_argument("which", metavar="property",
                    choices=tuple(_CHECKS))
     c.add_argument("file", help="family file, or - for stdin")
@@ -296,7 +306,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="machine-readable verdict on stdout")
     c.set_defaults(handler=_cmd_check)
 
-    t = sub.add_parser("translate", help="convert between representations")
+    t = commands["translate"] = sub.add_parser(
+        "translate", help="convert between representations")
     t.add_argument("which", metavar="conversion",
                    choices=("fdwa-to-nba", "to-dollar", "from-dollar",
                             "complement", "duo-to-fdwa", "fdwa-to-duo"))
@@ -307,7 +318,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="emit Graphviz instead of the text format")
     t.set_defaults(handler=_cmd_translate)
 
-    l = sub.add_parser("learn", help="run a learner")
+    l = commands["learn"] = sub.add_parser("learn", help="run a learner")
     l.add_argument("which", metavar="mode", choices=("active", "passive"))
     l.add_argument("--target", help="family file the teacher answers from")
     l.add_argument("--sample", help="labeled sample file")
@@ -315,7 +326,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="query statistics on stderr (active mode)")
     l.set_defaults(handler=_cmd_learn)
 
-    g = sub.add_parser("gen", help="generate a benchmark family")
+    g = commands["gen"] = sub.add_parser(
+        "gen", help="generate a benchmark family")
     g.add_argument("name", choices=GEN_FAMILY_NAMES)
     g.add_argument("--n", type=int, required=True, help="size parameter")
     g.add_argument("-o", "--output", default="-")
@@ -323,7 +335,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="emit Graphviz instead of the text format")
     g.set_defaults(handler=_cmd_gen)
 
-    o = sub.add_parser("oracle",
+    o = commands["oracle"] = sub.add_parser("oracle",
                        help="bounded brute-force checks and witness replay")
     o.add_argument("which", metavar="check",
                    choices=("saturation", "full-saturation",
@@ -340,13 +352,20 @@ def _parser() -> argparse.ArgumentParser:
     o.add_argument("--json", action="store_true",
                    help="machine-readable verdict on stdout")
     o.set_defaults(handler=_cmd_oracle)
-    return p
+    return p, commands
 
 
 def run_subcommand(argv) -> int:
     """Parse argv, run the subcommand, and map outcomes to exit codes."""
+    top, commands = _parser()
+    sub = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if sub is None:  # no subcommand: help, usage or an unknown name
+            args = top.parse_args(argv)
+        else:
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:  # reported by the top-level parser, as it would be
+                top.error("unrecognized arguments: %s" % " ".join(extra))
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:

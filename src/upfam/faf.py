@@ -35,7 +35,13 @@ the last token of the ``alphabet`` line.
 Dollar machines (plain DFAs) use the same directives under a ``dfa 1``
 header; serialized Buchi automata use ``nba 1`` with ``initials``.  Sample
 files carry one labeled pair per line, ``+<TAB>u<TAB>x`` or
-``-<TAB>u<TAB>x``, with ``_`` for the empty word.
+``-<TAB>u<TAB>x``, with ``_`` for the empty word.  Without an alphabet
+line, every character of a word is one symbol.  A first line
+``alphabet <symbols>``, the symbols separated by spaces and the line
+holding no comment, declares the symbols instead; a word is then one
+symbol, or its symbols separated by spaces.  `serialize_sample` writes
+that line, and spaces, only when some symbol is longer than one
+character, so ``1 2`` and ``12`` stay apart over the symbols ``1 2 12``.
 """
 
 from __future__ import annotations
@@ -154,6 +160,12 @@ def _parse_alphabet(reader):
         if t.startswith("#") and (len(t) > 1 or k + 1 < len(rest)):
             break
         symbols.append(t)
+    return _symbols(no, symbols)
+
+
+def _symbols(no, symbols):
+    """The symbols an alphabet line declares, as a tuple: at least one,
+    and no two alike."""
     if not symbols:
         _fail(no, "alphabet must list at least one symbol")
     if len(set(symbols)) != len(symbols):
@@ -420,14 +432,21 @@ def serialize_nba(A: Nfa) -> str:
 
 def parse_sample(text: str) -> Sample:
     """Sample from tab-separated ``+/-<TAB>u<TAB>x`` lines, '_' for the
-    empty word."""
+    empty word, after an optional ``alphabet`` line; see the module
+    docstring."""
     entries = []
     symbols = set()
+    alphabet = None
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
+        if len(parts) == 1 and line.split()[0] == "alphabet":
+            if alphabet is not None or entries:
+                _fail(no, "'alphabet' must be the first line of a sample")
+            alphabet = _symbols(no, line.split()[1:])
+            continue
         if len(parts) != 3:
             _fail(no, "expected three tab-separated fields, got %d"
                   % len(parts))
@@ -435,14 +454,19 @@ def parse_sample(text: str) -> Sample:
         if sign not in ("+", "-"):
             _fail(no, "label must be '+' or '-', got %r" % sign)
         entries.append((no, sign, u_text.strip(), x_text.strip()))
-        for part in (u_text, x_text):
-            if part.strip() not in ("", "_"):
-                symbols.update(part.strip())
-    alphabet = tuple(sorted(symbols))
+        if alphabet is None:
+            for part in (u_text, x_text):
+                if part.strip() not in ("", "_"):
+                    symbols.update(part.strip())
+    if alphabet is None:
+        alphabet = tuple(sorted(symbols))
     positive, negative = [], []
     for no, sign, u_text, x_text in entries:
-        u = parse_word(u_text, alphabet)
-        x = parse_word(x_text, alphabet)
+        try:
+            u = parse_word(u_text, alphabet)
+            x = parse_word(x_text, alphabet)
+        except InputError as e:
+            _fail(no, str(e))
         if not x:
             _fail(no, "the loop part of a pair must be nonempty")
         (positive if sign == "+" else negative).append(Representation(u, x))
@@ -450,11 +474,16 @@ def parse_sample(text: str) -> Sample:
 
 
 def serialize_sample(sample: Sample) -> str:
+    """The sample as `parse_sample` reads it; an ``alphabet`` line comes
+    first only when a symbol is longer than one character."""
+    alphabet = sample.alphabet()
     out = []
+    if any(len(a) > 1 for a in alphabet):
+        out.append("alphabet " + " ".join(alphabet))
+    word = partial(format_word, alphabet=alphabet)
     for sign, reps in (("+", sample.positive), ("-", sample.negative)):
         for r in reps:
-            out.append("%s\t%s\t%s" % (sign, format_word(r.u) or "_",
-                                       format_word(r.x)))
+            out.append("%s\t%s\t%s" % (sign, word(r.u) or "_", word(r.x)))
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -4,7 +4,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import odd_a_fdfa
+from fixtures import odd_a_fdfa, universal_fdfa
 from helpers import make_weak, minimize_by_signatures, random_dfa
 from upfam.automata import (Dfa, LeastWords, Nfa, TransitionSystem,
                             _as_written, canonical_bfs, dfa_sccs, is_weak,
@@ -14,7 +14,7 @@ from upfam.automata import (Dfa, LeastWords, Nfa, TransitionSystem,
 from upfam.errors import CapExceededError, InputError
 from upfam.family import loop_search
 from upfam.faf import parse_sample
-from upfam.learning import learn_passive
+from upfam.learning import fdfa_to_dollar_dfa, learn_passive
 from upfam.words import as_word, words_up_to
 
 
@@ -606,3 +606,55 @@ def test_minimize_matches_signature_reference():
         assert m == minimize_by_signatures(d)
         sizes.add(m.n)
     assert {1, 2} <= sizes and max(sizes) > 20
+
+
+def _permuted(rng, d):
+    """The machine d with its states renumbered at random, built with the
+    constructor, so it is in canonical order only by chance."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    delta = [None] * d.n
+    for q, row in enumerate(d.delta):
+        delta[perm[q]] = [perm[t] for t in row]
+    return Dfa(d.alphabet, delta, [perm[q] for q in d.accepting],
+               perm[d.initial])
+
+
+def test_minimize_returns_a_minimal_canonical_machine_itself():
+    d = Dfa.from_parts("a", 2, {(0, "a"): 1, (1, "a"): 0}, accepting={1})
+    assert minimize_dfa(d) is d
+    one = Dfa("ab", [[0, 0]], [])
+    assert minimize_dfa(one) is one
+    m = minimize_dfa(ba_star_dfa())
+    assert minimize_dfa(m) is m
+
+
+def test_minimize_renumbers_a_minimal_machine_out_of_canonical_order():
+    # the dollar machine of the universal family is minimal, and the
+    # constructor keeps its disjoint-union numbering
+    A = fdfa_to_dollar_dfa(universal_fdfa())
+    assert _as_written(A.delta, A.initial) is None
+    assert minimize_by_signatures(A).n == A.n
+    m = minimize_dfa(A)
+    assert m is not A and m.n == A.n
+    assert _as_written(m.delta, m.initial) is not None
+    assert m == minimize_by_signatures(A)
+    # a distinguishable state that nothing reaches is dropped
+    d = Dfa("a", [[0], [1]], [1])
+    assert minimize_dfa(d) == Dfa("a", [[0]], [])
+
+
+def test_minimize_matches_the_reference_on_permuted_machines():
+    rng = random.Random("minimize permuted")
+    kept = renumbered = 0
+    for _ in range(600):
+        d = _minimize_case(rng)
+        for e in (d, _permuted(rng, d), _permuted(rng, minimize_dfa(d))):
+            m = minimize_dfa(e)
+            assert m == minimize_by_signatures(e)
+            assert _as_written(m.delta, m.initial) is not None
+            if m is e:
+                kept += 1
+            else:
+                renumbered += 1
+    assert kept > 100 and renumbered > 100

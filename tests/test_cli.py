@@ -16,10 +16,11 @@ from pathlib import Path
 import pytest
 
 from upfam import cli
+from upfam.automata import Dfa, TransitionSystem
 from upfam.cli import main, run_subcommand
 from upfam.faf import parse_faf, serialize_faf, serialize_sample
 from upfam.family import FDFA, FDWA, FNFA, Family, family_accepts
-from upfam.learning import gen_char_sample
+from upfam.learning import gen_char_sample, learn_passive
 from upfam.translate import GEN_FAMILY_NAMES, gen_family
 from upfam.words import Representation
 
@@ -433,6 +434,24 @@ class TestLearn:
                 r = Representation(u, x)
                 assert family_accepts(learned, r) == family_accepts(target, r)
 
+    def test_passive_reads_a_sample_over_multi_character_symbols(
+            self, tmp_path):
+        """Over 1 2 12, a loop that holds the symbol 12 is accepted.  The
+        sample's alphabet line keeps the words 1 2 and 12 apart."""
+        alphabet = ("1", "2", "12")
+        target = Family(FDFA, TransitionSystem.build(
+            alphabet, 0, lambda s, a: 0), [Dfa.build(
+                alphabet, False, lambda s, a: s or a == "12",
+                accepting=bool)])
+        sample = gen_char_sample(target)
+        text = serialize_sample(sample)
+        assert text.startswith("alphabet 1 12 2\n") and "\t12 1\n" in text
+        path = tmp_path / "sample.txt"
+        path.write_text(text)
+        code, out = run(["learn", "passive", "--sample", str(path)])
+        assert code == 0
+        assert parse_faf(out) == learn_passive(sample)
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -452,6 +471,9 @@ class TestUsageErrors:
         ["check", "saturation", BA_STAR, "--cap", "-1"],
         ["check", "full-saturation", BA_STAR, "--cap", "0"],
         ["check", "full-saturation", BA_STAR, "--cap", "-1"],
+        ["check", "saturation", BA_STAR, "--bogus"],
+        ["check", "--bogus", "saturation", BA_STAR],
+        ["chec", "saturation", BA_STAR],
     ], ids=lambda v: " ".join(v) or "(empty)")
     def test_exit_2(self, argv, capsys):
         assert run(argv)[0] == 2
@@ -473,6 +495,28 @@ class TestUsageErrors:
 
     def test_help_is_exit_0(self, capsys):
         assert run(["--help"])[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["check", "--help"], ["translate", "-h"],
+        ["gen", "syntactic-gap", "--n", "2", "--help"],
+    ], ids=" ".join)
+    def test_subcommand_help_is_exit_0(self, argv):
+        code, out = run(argv)
+        assert code == 0 and out.startswith("usage: upfam")
+
+    def test_errors_name_the_parser_that_reports_them(self, capsys):
+        """A subcommand's own parser reads its arguments, and its errors
+        name it; arguments left over are reported by the top-level
+        parser, as one parse of the whole command line reports them."""
+        assert run(["check", "nonsense", BA_STAR])[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: upfam check ")
+        assert "upfam check: error: argument property: invalid choice" in err
+        assert run(["check", "saturation", BA_STAR, "--bogus", "x"])[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: upfam [-h] {check,")
+        assert err.endswith(
+            "upfam: error: unrecognized arguments: --bogus x\n")
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -22,7 +22,7 @@ from upfam.faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
 from upfam.family import FDFA, FNFA, family_accepts
 from upfam.learning import Sample, fdfa_to_dollar_dfa
 from upfam.translate import GEN_FAMILY_NAMES, fdwa_to_nba, gen_family
-from upfam.words import Representation, words_up_to
+from upfam.words import Representation, canonical_pair, words_up_to
 
 from fixtures import (all_fixture_families, ba_star_fdfa, first_a_fdwa,
                       odd_a_fdfa, some_a_fdwa)
@@ -395,6 +395,56 @@ class TestSampleFormat:
             parse_sample("?\ta\ta\n")
         with pytest.raises(InputError, match="nonempty"):
             parse_sample("+\ta\t_\n")
+
+    def test_one_character_symbols_are_written_run_together(self):
+        s = Sample([Representation("ab", "b")], [Representation("", "ba")])
+        assert serialize_sample(s) == "+\tab\tb\n-\t_\tba\n"
+
+    def test_multi_character_symbols_round_trip(self):
+        # over 1 2 12 these two words differ; written without the
+        # alphabet both read as 12<TAB>12
+        s = Sample([Representation(("1", "2"), ("12",))],
+                   [Representation(("12",), ("1", "2"))])
+        text = serialize_sample(s)
+        assert text == "alphabet 1 12 2\n+\t1 2\t12\n-\t12\t1 2\n"
+        back = parse_sample(text)
+        assert (back.positive, back.negative) == (s.positive, s.negative)
+
+    def test_alphabet_line(self):
+        s = parse_sample("# over ab and b\nalphabet ab b\n+\tab b\tab\n")
+        assert s.positive == (Representation(("ab", "b"), ("ab",)),)
+        assert parse_sample("alphabet a b\n-\tab\tb\n").negative == (
+            Representation("ab", "b"),)
+        for text, message in [
+                ("alphabet\n", "line 1: alphabet must list"),
+                ("alphabet a a\n", "line 1: duplicate symbol"),
+                ("+\ta\ta\nalphabet a\n", "line 2: 'alphabet' must be"),
+                ("alphabet a\nalphabet a\n", "line 2: 'alphabet' must be"),
+                ("alphabet ab\n+\tab\tb\n", "line 2: unknown symbol 'b'")]:
+            with pytest.raises(InputError, match=message):
+                parse_sample(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_over_mixed_alphabets(self, data):
+        """Symbols of one to three characters, some of them the
+        concatenation of others, on words labelled by a random rule that
+        depends only on the ultimately periodic word."""
+        symbols = data.draw(st.lists(st.sampled_from(
+            ("a", "b", "1", "2", "12", "21", "ab", "#", "abc", "$")),
+            min_size=1, max_size=5, unique=True))
+        words = st.lists(st.sampled_from(symbols), max_size=3).map(tuple)
+        pairs = data.draw(st.lists(st.tuples(
+            words, words.filter(bool)), max_size=8))
+        seed = data.draw(st.integers(0, 1))
+        pos, neg = [], []
+        for u, x in pairs:
+            cu, cx = canonical_pair(u, x)
+            label = (seed + len(cu) + cx.count(symbols[0])) % 2
+            (pos if label else neg).append(Representation(u, x))
+        s = Sample(pos, neg)
+        back = parse_sample(serialize_sample(s))
+        assert (back.positive, back.negative) == (s.positive, s.negative)
 
 
 # ----------------------------------------------------------------- fuzzing
