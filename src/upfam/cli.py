@@ -75,9 +75,9 @@ def _witness(w, alphabet):
     labelled alphabet of the regularity check, whose symbols are all
     longer than one character, and are written with spaces."""
     if isinstance(w, GoodWitness):
-        return ({"case": w.case, "words": [format_word(x) for x in w.words]},
-                ["evidence %s: %s" % (w.case, " ".join(
-                    format_word(x) or "ε" for x in w.words))])
+        words = [" ".join(x) for x in w.words]
+        return ({"case": w.case, "words": words}, ["evidence %s: %s" % (
+            w.case, " ".join(x or "ε" for x in words))])
     word = functools.partial(format_word, alphabet=alphabet)
     show = lambda x: word(x) or "ε"
     pair = lambda r: {"u": word(r.u), "x": word(r.x)}

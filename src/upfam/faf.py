@@ -30,7 +30,10 @@ implicit rejecting sink; a complete table already in that order, as
 missing transition there leads nowhere.  Lines starting with ``#`` are
 comments, as is anything after a directive's arguments.  ``#`` and ``$``
 are legal alphabet symbols; since ``#`` also opens comments, declare it as
-the last token of the ``alphabet`` line.
+the last token of the ``alphabet`` line.  The writers keep to that rule:
+they refuse an alphabet with ``#`` elsewhere, or with a longer symbol
+that starts with ``#``, and `learning.fdfa_to_dollar_dfa` puts ``$``
+before a trailing ``#``.
 
 Dollar machines (plain DFAs) use the same directives under a ``dfa 1``
 header; serialized Buchi automata use ``nba 1`` with ``initials``.  Sample
@@ -393,9 +396,19 @@ def _machine_lines(out, machine, nondet):
                 out.append("  trans %d %s %d" % (s, sym, machine.delta[s][i]))
 
 
+def _alphabet_line(alphabet) -> str:
+    """The ``alphabet`` line that `_parse_alphabet` reads back as
+    `alphabet`.  A symbol starting with ``#`` would open a comment there
+    unless it is a bare ``#`` listed last, so any other raises InputError:
+    in the line, such a symbol is a " #" before the last character."""
+    line = "alphabet " + " ".join(alphabet)
+    if " #" in line[:-1]:
+        raise InputError("cannot write %r: '#' opens comments" % line)
+    return line
+
+
 def serialize_faf(F: Family) -> str:
-    out = ["faf " + FAF_VERSION, "kind " + F.kind,
-           "alphabet " + " ".join(F.alphabet)]
+    out = ["faf " + FAF_VERSION, "kind " + F.kind, _alphabet_line(F.alphabet)]
     out.append("leading")
     _machine_lines(out, F.leading, nondet=False)
     for q, D in enumerate(F.progress):
@@ -417,13 +430,13 @@ def parse_dfa_doc(text: str) -> Dfa:
 
 
 def serialize_dfa_doc(A: Dfa) -> str:
-    out = ["dfa " + FAF_VERSION, "alphabet " + " ".join(A.alphabet)]
+    out = ["dfa " + FAF_VERSION, _alphabet_line(A.alphabet)]
     _machine_lines(out, A, nondet=False)
     return "\n".join(out) + "\n"
 
 
 def serialize_nba(A: Nfa) -> str:
-    out = ["nba " + FAF_VERSION, "alphabet " + " ".join(A.alphabet)]
+    out = ["nba " + FAF_VERSION, _alphabet_line(A.alphabet)]
     _machine_lines(out, A, nondet=True)
     return "\n".join(out) + "\n"
 

@@ -43,7 +43,7 @@ class Sample:
         for u, x in sorted(pos_words & neg_words):
             raise InputError(
                 "sample labels %s(%s)^w both positive and negative"
-                % (format_word(u), format_word(x)))
+                % tuple(format_word(w, self.alphabet()) for w in (u, x)))
 
     def alphabet(self) -> tuple:
         seen = set()
@@ -114,7 +114,10 @@ def fdfa_to_dollar_dfa(F: Family) -> Dfa:
     if DOLLAR in F.alphabet:
         raise InputError("family alphabet already contains '$'")
     T = F.leading
-    gamma = F.alphabet + (DOLLAR,)
+    # '$' may stand anywhere; it goes before a trailing '#', which an
+    # alphabet line must list last (see `faf`).
+    at = len(F.alphabet) - (F.alphabet[-1:] == ("#",))
+    gamma = F.alphabet[:at] + (DOLLAR,) + F.alphabet[at:]
     base = []
     off = T.n
     for D in F.progress:
@@ -138,6 +141,8 @@ def fdfa_to_dollar_dfa(F: Family) -> Dfa:
         D = F.progress[q]
         delta.append([base[q] + t for t in D.delta[D.initial]] + [sink])
     delta.append([sink] * len(gamma))
+    if at < len(F.alphabet):  # the '$' column, built last, moves to `at`
+        delta = [row[:at] + row[-1:] + row[at:-1] for row in delta]
     accepting = {base[q] + s
                  for q, D in enumerate(F.progress) for s in D.accepting}
     return Dfa(gamma, delta, accepting, initial=T.initial)
@@ -306,7 +311,7 @@ def learn_active(teacher: Teacher) -> tuple[Family, LearnLog]:
         if hypothesis.accepts(word) == mem(word):
             raise ProtocolError(
                 "counterexample %r agrees with the hypothesis; the teacher's"
-                " answers are inconsistent" % (format_word(word),))
+                " answers are inconsistent" % (format_word(word, gamma),))
         log.max_counterexample = max(log.max_counterexample, len(word))
         suffixes += [word[k:] for k in range(len(word) + 1)
                      if word[k:] not in suffixes]

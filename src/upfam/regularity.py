@@ -8,11 +8,9 @@ it is expressible with a single deterministic weak automaton per leading
 state.
 
 The decision runs on transition profiles: the profile of a nonempty word maps
-each state of an NFA to the set of states reachable by reading the word.  A
-profile is a plain tuple of masks, one per state: entry s is the bitmask of
-the states the word leads to from s, so equal profiles are equal tuples and
-index the profile graph directly.  Profiles compose, so the finitely many
-profiles of an automaton form a monoid whose structure determines how
+each state of an NFA to the set of states reachable by reading the word, its
+row for that state, a bitmask of states.  Profiles compose, so the finitely
+many profiles of an automaton form a monoid whose structure determines how
 acceptance behaves under taking powers of words.  A word is classified by
 its profile:
 
@@ -29,34 +27,38 @@ words that loop on it.
 The profile graph is numbered by `automata.canonical_bfs`, with the
 one-letter profiles as its starts.  A successor is composed row by row:
 row s of the profile of xa is the image under a of row s of the profile
-of x, the set of states that a leads to from the states x reaches from s.
-That image depends only on the row mask, not on x or s.  Rows repeat
+of x, the set of states that a leads to from the states x reaches from
+s.  That image depends only on the row mask, not on x or s.  Rows repeat
 heavily across profiles (the 7,726 profiles of `zero-u-zero-fdfa` n=5,
 91 rows each, hold 568 distinct rows), so each distinct row mask gets a
-small row id, and the graph numbers profiles by the tuples of their row
-ids: two profiles are equal exactly when these tuples are.  Each symbol
-keeps a column from row id to the id of the row's image, so a successor
-is one itemgetter of the profile's row ids applied to the column; a
-big-int mask is hashed only when a row's image is first computed.  The
-columns are filled lazily: when a profile is expanded, its rows that
-have no image yet get theirs under every symbol.  So every row whose
-image is computed is a row of a profile the cap admitted.  Closing the
-set of rows under the symbols instead would compute the rows of
-profiles the cap never admits, and that closure can be exponential
-where the cap stops the graph.
+small row id, and a profile is known only by its key, the tuple of its
+row ids: two profiles are equal exactly when their keys are, and the
+graph numbers keys.  One profile space per NFA holds the row ids, the
+keys of the one-letter profiles and the masks of the initial and
+accepting sets.  Each symbol keeps a column from row id to the id of the
+row's image, so a successor is one itemgetter of the key's row ids
+applied to the column; a big-int mask is hashed only when a row's image
+is first computed.  The columns are filled lazily: when a profile is
+expanded, its rows that have no image yet get theirs under every symbol.
+So every row whose image is computed is a row of a profile the cap
+admitted.  Closing the set of rows under the symbols instead would
+compute the rows of profiles the cap never admits, and that closure can
+be exponential where the cap stops the graph.
 
-A profile is classified by its orbit: tau^e is accepted exactly when the
-image of the initial set under tau^e meets the accepting set, so it is
-enough to follow that image, one step per power, until it repeats; the
-matrix powers themselves are never formed.  Every element of a finite
-monoid has an idempotent power, so a profile is terminal exactly when
-some power of it is accepted and its idempotent power is rejected: one
-lookup on the orbit.  For a terminal profile g, the
-profiles that a first-visit path to g can pass form a region (reachable
-from the one-letter profiles and co-reachable to g, with g avoided).  The
-least region profile on a cycle inside the region, found through the
-strongly connected components of the subgraph the region induces, gives
-infinitely many first visitors stem cycle^k tail.
+A profile is classified on its key, by its orbit: tau^e is accepted
+exactly when the image of the initial set under tau^e meets the
+accepting set, so it is enough to follow that image, one step per power,
+until it repeats; the matrix powers themselves are never formed.  Each
+step is the union of the rows, looked up by the key's row ids, of the
+states in the image.  Every element of a finite monoid has an idempotent
+power, so a profile is terminal exactly when some power of it is
+accepted and its idempotent power is rejected: one lookup on the orbit.
+For a terminal profile g, the profiles that a first-visit path to g can
+pass form a region (reachable from the one-letter profiles and
+co-reachable to g, with g avoided).  The least region profile on a cycle
+inside the region, found through the strongly connected components of
+the subgraph the region induces, gives infinitely many first visitors
+stem cycle^k tail.
 
 The words of a witness come from one search for the k least words that
 reach a profile, the unit-weight case of k shortest walks.  It is a FIFO
@@ -79,9 +81,10 @@ entering g, for the stem and the cycle): the profiles below an entry
 that cannot reach it cannot either, so no hit is lost and the other
 entries keep their order and counts.
 
-Classification is lazy: profiles are classified one at a time in
-discovery order, and the search stops at the first terminal profile that
-yields a witness.  A Regular input still classifies every profile once.
+Classification is lazy: keys are classified one at a time in discovery
+order, and the search stops at the first terminal profile that yields a
+witness.  A Regular input still classifies every profile once.  No key is
+turned into masks beyond the rows its own classification reads.
 
 Before the profile analysis, the family is normalised in two steps:
 ``stabilize`` closes acceptance under rotating loop words between leading
@@ -171,14 +174,11 @@ def _apply(masks, source: int) -> int:
 
 
 def _mask(states) -> int:
-    out = 0
-    for s in states:
-        out |= 1 << s
-    return out
+    return sum(1 << s for s in set(states))
 
 
-def classify_profile(N: Nfa, masks: tuple) -> str:
-    """Classify a profile tau of N, given by its masks, as Accepting,
+def classify_profile(space: _Profiles, key: tuple) -> str:
+    """Classify the profile tau with this key in the space as Accepting,
     Rejecting or Terminal-Accepting.
 
     tau^e is accepted when v_e = init.tau^e meets the accepting set, so
@@ -192,11 +192,8 @@ def classify_profile(N: Nfa, masks: tuple) -> str:
     Conversely, any power i with no accepted power has the power i.P,
     whose image is v_P.  So tau is Terminal-Accepting exactly when v_P
     misses the accepting set; v_P is init under tau's idempotent power."""
-    if len(masks) != N.n:
-        raise InputError("profile does not match the automaton")
-    acc = _mask(N.accepting)
-    values, k = orbit(_apply(masks, _mask(N.initials)),
-                      lambda v: _apply(masks, v))
+    rows, acc = space.rows(key), space.acc
+    values, k = orbit(_apply(rows, space.init), lambda v: _apply(rows, v))
     if not any(v & acc for v in values):
         return REJECTING
     c = len(values) - k  # values[e - 1] is v_e, and j = k + 1
@@ -344,60 +341,73 @@ def _least_on_cycle(region: set, succ) -> Optional[int]:
     return nodes[min(cyclic)] if cyclic else None
 
 
-def _profile_graph(N: Nfa, cap: int):
-    """(profiles, succ, letters) of N: the masks of every profile in
-    discovery order, the one-letter profiles first; succ[i][si], the id of
-    the profile of x followed by symbol si for any word x with profile i;
-    and letters[si], the id of the profile of symbol si.  The one-letter
-    profiles are the starts of `canonical_bfs`, so they are admitted
-    whatever `cap` is; discovering any other profile while `cap` profiles
-    are numbered raises CapExceededError.
+class _Profiles:
+    """The profiles of N as keys, the tuples of their row ids (see the
+    module docstring).  masks[r] is the mask of row id r, and cols[si][r]
+    the id of its image under symbol si, None until a key holding r is
+    expanded; filled counts the rows whose images are in the columns.
+    letters[si] is the key of symbol si, and init and acc are the masks
+    of N's initial and accepting sets.  itemgetter of a single index
+    returns the item, not a tuple, so an NFA of at most one state takes
+    its own getter."""
 
-    Each distinct row mask gets a row id on first sight, and the graph
-    numbers keys, the tuples of their profiles' row ids.  cols[si][r] is
-    the id of the image of row r under symbol si, so a successor is one
-    itemgetter of the key's ids applied to each column.  itemgetter of a
-    single index returns the item, not a tuple, so an NFA of at most one
-    state takes its own getter.  A column entry is filled when a key
-    holding its row is expanded, so only rows of numbered profiles have
-    their images computed.  The keys become mask tuples once, at the
-    end."""
-    sym = [tuple(_mask(N.delta[s][i]) for s in range(N.n))
-           for i in range(len(N.alphabet))]
-    masks: list = []  # row id -> row mask
-    ids: dict = {}  # row mask -> row id
-    cols: list = [[] for _ in sym]  # None marks a row not yet filled
-    filled = 0  # the number of rows whose images are in the columns
-    getter = itemgetter if N.n > 1 else \
-        lambda *rows: lambda seq: tuple(map(seq.__getitem__, rows))
+    def __init__(self, N: Nfa):
+        self.n = N.n
+        self.sym = [tuple(_mask(N.delta[s][i]) for s in range(N.n))
+                    for i in range(len(N.alphabet))]
+        self.masks, self.ids, self.filled = [], {}, 0
+        self.cols: list = [[] for _ in self.sym]
+        self.getter = itemgetter if N.n > 1 else \
+            lambda *rows: lambda seq: tuple(map(seq.__getitem__, rows))
+        self.init, self.acc = _mask(N.initials), _mask(N.accepting)
+        self.letters = [self.key(m) for m in self.sym]
 
-    def row_id(mask: int) -> int:
-        r = ids.get(mask)
+    def key(self, masks) -> tuple:
+        """The key of the profile with these masks, one per state."""
+        if len(masks) != self.n:
+            raise InputError("profile does not match the automaton")
+        return tuple(map(self.row_id, masks))
+
+    def row_id(self, mask: int) -> int:
+        r = self.ids.get(mask)
         if r is None:
-            r = ids[mask] = len(masks)
-            masks.append(mask)
-            for col in cols:
+            r = self.ids[mask] = len(self.masks)
+            self.masks.append(mask)
+            for col in self.cols:
                 col.append(None)
         return r
 
-    def successors(key):
-        nonlocal filled
-        get = getter(*key)
+    def rows(self, key) -> tuple:
+        """The masks of the profile with this key."""
+        return self.getter(*key)(self.masks)
+
+    def successors(self, key) -> list:
+        """The keys of the successors of this key, one per symbol.  The
+        rows of the key that have no images yet get them under every
+        symbol."""
+        get, cols = self.getter(*key), self.cols
         out = [get(col) for col in cols]
-        if filled < len(masks) and None in out[0]:
+        if self.filled < len(self.masks) and None in out[0]:
             for r in key:
                 if cols[0][r] is None:
-                    filled += 1
-                    for m, col in zip(sym, cols):
-                        col[r] = row_id(_apply(m, masks[r]))
+                    self.filled += 1
+                    for m, col in zip(self.sym, cols):
+                        col[r] = self.row_id(_apply(m, self.masks[r]))
             out = [get(col) for col in cols]
         return out
 
-    starts = [tuple(map(row_id, m)) for m in sym]
-    succ, profiles = canonical_bfs(starts, successors, cap)
-    for i, key in enumerate(profiles):  # in place, so keys are freed as we go
-        profiles[i] = getter(*key)(masks)
-    return profiles, succ, [profiles.index(m) for m in sym]
+
+def _profile_graph(N: Nfa, cap: int):
+    """(space, succ, keys, letters) of N: its profile space; succ[i][si],
+    the id of the profile of x followed by symbol si for any word x with
+    profile i; the keys in discovery order, the one-letter profiles
+    first; and letters[si], the id of the profile of symbol si.  The
+    one-letter profiles are the starts of `canonical_bfs`, so they are
+    admitted whatever `cap` is; discovering any other profile while `cap`
+    profiles are numbered raises CapExceededError."""
+    space = _Profiles(N)
+    succ, keys = canonical_bfs(space.letters, space.successors, cap)
+    return space, succ, keys, [keys.index(k) for k in space.letters]
 
 
 def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
@@ -409,17 +419,17 @@ def find_good_witness(N: Nfa, cap: int = DEFAULT_PROFILE_CAP
     leading state.  Terminal profiles are tried in order of their least
     generating word; the first one whose first-visitor/recurrence structure
     is rich enough yields the witness."""
-    profiles, succ, letters = _profile_graph(N, cap)
+    space, succ, keys, letters = _profile_graph(N, cap)
 
     def to_word(idxs) -> Word:
         return tuple(N.alphabet[si] for si in idxs)
 
-    preds = [[] for _ in profiles]
+    preds = [[] for _ in keys]
     for i, row in enumerate(succ):
         for j in row:
             preds[j].append(i)
-    for g, m in enumerate(profiles):
-        if classify_profile(N, m) != TERMINAL:
+    for g, key in enumerate(keys):
+        if classify_profile(space, key) != TERMINAL:
             continue
         # Profiles on a first-visit path to g, and the least one of them
         # that such a path can pass twice.
@@ -470,15 +480,12 @@ def check_regular(F: Family, cap: int = DEFAULT_PROFILE_CAP) -> Verdict:
     if F.kind == FDFA and \
             check_almost_saturated(F, cap=cap).status == ALMOST_SATURATED:
         return Verdict(REGULAR)
-    stable = stabilize(F)
-    labeled = label_by_leading(stable)
+    labeled = label_by_leading(stabilize(F)).progress[0]
     try:
-        witness = find_good_witness(labeled.progress[0], cap)
+        witness = find_good_witness(labeled, cap)
     except CapExceededError:
         return Verdict(CAP_EXCEEDED)
-    if witness is None:
-        return Verdict(REGULAR)
-    return Verdict(NOT_REGULAR, witness)
+    return Verdict(REGULAR if witness is None else NOT_REGULAR, witness)
 
 
 def gen_ter_hardness(dfas) -> Dfa:

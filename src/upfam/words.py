@@ -26,12 +26,11 @@ def as_word(w) -> Word:
     return tuple(str(t) for t in w)
 
 
-def format_word(w: Sequence[str], alphabet: Sequence[str] = ()) -> str:
-    """Render a word as text: concatenated for single-character alphabets,
-    space separated otherwise.  The empty word renders as ''."""
-    if not w:
-        return ""
-    if all(len(t) == 1 for t in alphabet or w):
+def format_word(w: Sequence[str], alphabet: Sequence[str]) -> str:
+    """Render a word over `alphabet` as text: concatenated when every
+    symbol of the alphabet is one character, space separated otherwise,
+    so that `parse_word` reads it back.  The empty word renders as ''."""
+    if not w or all(len(t) == 1 for t in alphabet):
         return "".join(w)
     return " ".join(w)
 
@@ -109,9 +108,6 @@ class Representation:
     def canonical(self) -> "Representation":
         u, x = canonical_pair(self.u, self.x)
         return Representation(u, x)
-
-    def __str__(self):
-        return f"({format_word(self.u) or 'eps'}, {format_word(self.x)})"
 
 
 def up_equal(r1: Representation, r2: Representation) -> bool:

@@ -6,6 +6,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+from upfam import regularity
 from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs,
                             minimize_dfa)
 from upfam.errors import (CAP_EXCEEDED, CapExceededError, InputError,
@@ -207,6 +208,13 @@ def profile_of(N: Nfa, x) -> tuple:
     for t in x[1:]:
         masks = compose(masks, sym[N.sym_index[t]])
     return masks
+
+
+def classify(N: Nfa, masks) -> str:
+    """regularity.classify_profile on the profile of N with these masks,
+    through a profile space of its own."""
+    space = regularity._Profiles(N)
+    return regularity.classify_profile(space, space.key(masks))
 
 
 def brute_ter_roots(N: Nfa, len_bound: int) -> set:

@@ -18,8 +18,7 @@ from upfam.learning import (Sample, fdfa_to_dollar_dfa,
                             make_teacher)
 from upfam.oracle import (brute_almost_saturation, brute_saturation,
                           nba_lasso_accepts, normalized_word_accepts)
-from upfam.regularity import (check_regular, classify_profile,
-                              gen_ter_hardness)
+from upfam.regularity import check_regular, gen_ter_hardness
 from upfam.saturation import (STAGE_LOOPSHIFT, check_fdwa_saturated,
                               check_loopshift_stable, check_saturated)
 from upfam.translate import fdwa_to_nba, gen_family
@@ -28,9 +27,9 @@ from upfam.words import Representation, root, up_equal, words_up_to
 from fixtures import (ba_star_fdfa, empty_fdfa, exactly_one_a_fdfa,
                       first_a_fdwa, odd_a_fdfa, one_b_some_a_fdfa,
                       some_a_fdwa, universal_fdfa)
-from helpers import (AB, as_nfa, brute_ter_roots, fully_saturated_targets,
-                     intersect_dfa, profile_of, random_family, same_family,
-                     syntactic_targets)
+from helpers import (AB, as_nfa, brute_ter_roots, classify,
+                     fully_saturated_targets, intersect_dfa, profile_of,
+                     random_family, same_family, syntactic_targets)
 
 NORM = ReferenceSet.NORMALIZED
 
@@ -87,7 +86,7 @@ def test_1_fixture_verdicts(capsys):
            check_loopshift_stable(biab, NORM).ok)
     N = as_nfa(biab.progress[0])
     expect("exactly-one-a: abab profile rejecting",
-           classify_profile(N, profile_of(N, "abab")) == "Rejecting")
+           classify(N, profile_of(N, "abab")) == "Rejecting")
     conclude(capsys, "1 fixture verdicts", t0, 1, failures, "9 checks")
 
 

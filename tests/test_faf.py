@@ -15,17 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_family
 from upfam import automata
+from upfam.automata import Dfa
 from upfam.errors import InputError
 from upfam.faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                        parse_faf, parse_sample, serialize_dfa_doc,
                        serialize_faf, serialize_nba, serialize_sample)
 from upfam.family import FDFA, FNFA, family_accepts
-from upfam.learning import Sample, fdfa_to_dollar_dfa
+from upfam.learning import Sample, dollar_dfa_to_fdfa, fdfa_to_dollar_dfa
 from upfam.translate import GEN_FAMILY_NAMES, fdwa_to_nba, gen_family
 from upfam.words import Representation, canonical_pair, words_up_to
 
 from fixtures import (all_fixture_families, ba_star_fdfa, first_a_fdwa,
-                      odd_a_fdfa, some_a_fdwa)
+                      odd_a_fdfa, some_a_fdwa, universal_fdfa)
 
 FILES = os.path.join(os.path.dirname(__file__), "files")
 
@@ -353,9 +354,33 @@ class TestParseErrors:
 
 class TestDollarDocument:
     def test_round_trip(self):
+        """Alphabets that end in '#' too: the '$' marker goes before it,
+        since an alphabet line reads a '#' with more tokens after it as
+        the start of a comment."""
         for F in (ba_star_fdfa(), odd_a_fdfa(), some_a_fdwa(FDFA)):
             A = fdfa_to_dollar_dfa(F)
             assert parse_dfa_doc(serialize_dfa_doc(A)) == A
+        hash_last = [universal_fdfa(("a", "#")),
+                     gen_family("fixpoint-alsat", 2)]
+        hash_last += [random_family(random.Random(seed), alphabet=("a", "#"))
+                      for seed in range(20)]
+        for F in hash_last:
+            # Most of these are not numbered canonically, so loading
+            # renumbers them as from_table does.
+            A = fdfa_to_dollar_dfa(F)
+            assert A.alphabet == F.alphabet[:-1] + ("$", "#")
+            assert parse_dfa_doc(serialize_dfa_doc(A)) == Dfa.from_table(
+                A.alphabet, A.delta, A.initial, A.accepting)
+            assert dollar_dfa_to_fdfa(A).alphabet == F.alphabet
+
+    def test_writers_refuse_an_alphabet_that_does_not_read_back(self):
+        for alphabet in (("#", "a"), ("a", "#b"), ("#x",)):
+            with pytest.raises(InputError, match="cannot write"):
+                serialize_faf(universal_fdfa(alphabet))
+            with pytest.raises(InputError, match="cannot write"):
+                serialize_dfa_doc(Dfa.build(alphabet, 0, lambda s, a: 0))
+        assert serialize_dfa_doc(Dfa.build(("a#", "#"), 0, lambda s, a: 0)
+                                 ).splitlines()[1] == "alphabet a# #"
 
     def test_rejects_family_header(self):
         with pytest.raises(InputError, match="dfa"):

@@ -24,15 +24,15 @@ from upfam.family import (FDFA, FDWA, FNFA, Family, ReferenceSet,
 from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               DEFAULT_PROFILE_CAP, TERMINAL, GoodWitness,
                               _least_words, _profile_graph, check_regular,
-                              classify_profile, find_good_witness,
-                              gen_ter_hardness, label_by_leading, stabilize)
+                              find_good_witness, gen_ter_hardness,
+                              label_by_leading, stabilize)
 from upfam.translate import gen_family
 from upfam.words import Representation, root, words_up_to
 
 from fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                       exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
                       one_b_some_a_fdfa, some_a_fdwa, universal_fdfa)
-from helpers import (as_nfa, brute_ter_roots, classify_by_powers,
+from helpers import (as_nfa, brute_ter_roots, classify, classify_by_powers,
                      co_reachable, compose, first_profiles, intersect_dfa,
                      least_words_by_enumeration,
                      profile_graph_by_composition, profile_of, random_dfa,
@@ -103,27 +103,27 @@ def test_profile_images():
 def test_classify_odd_a():
     N = as_nfa(odd_a_fdfa().progress[0])
     tau = profile_of(N, "a")
-    assert classify_profile(N, tau) == TERMINAL
+    assert classify(N, tau) == TERMINAL
     assert classify_by_powers(N, tau) == (TERMINAL, 2)  # aa never accepted
-    assert classify_profile(N, profile_of(N, "aa")) == "Rejecting"
+    assert classify(N, profile_of(N, "aa")) == "Rejecting"
     with pytest.raises(InputError):
-        classify_profile(N, (0b10,))  # one mask for two states
+        classify(N, (0b10,))  # one mask for two states
 
 
 def test_classify_exactly_one_a():
     N = as_nfa(exactly_one_a_fdfa().progress[0])
-    assert classify_profile(N, profile_of(N, "abab")) == "Rejecting"
+    assert classify(N, profile_of(N, "abab")) == "Rejecting"
     tau = profile_of(N, "ab")
-    assert classify_profile(N, tau) == TERMINAL
+    assert classify(N, tau) == TERMINAL
     assert classify_by_powers(N, tau) == (TERMINAL, 2)
     # no power of b ever sees an a, so its profile is rejecting outright
-    assert classify_profile(N, profile_of(N, "b")) == "Rejecting"
+    assert classify(N, profile_of(N, "b")) == "Rejecting"
 
 
 def test_classify_universal_progress_never_terminal():
     N = as_nfa(universal_fdfa("ab").progress[0])
     for x in words_up_to("ab", 3, min_len=1):
-        assert classify_profile(N, profile_of(N, x)) == "Accepting"
+        assert classify(N, profile_of(N, x)) == "Accepting"
 
 
 def _permutation_dfa(rng, n):
@@ -157,7 +157,7 @@ def test_orbit_classifier_matches_matrix_powers():
             x = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
             tau = profile_of(N, x)
         c, power = classify_by_powers(N, tau)
-        assert classify_profile(N, tau) == c, (N.delta, tau)
+        assert classify(N, tau) == c, (N.delta, tau)
         seen[c] = max(seen.get(c, 0), power or 0)
     assert seen.keys() == {"Accepting", "Rejecting", TERMINAL}
     assert seen[TERMINAL] >= 6
@@ -298,7 +298,7 @@ def test_ba_star_not_regular():
     assert profile_path_hits(N, x, tau) == [len(x)]  # first visit
     for k in (1, 2, 3):  # u loops on the profile, so x u^k stays terminal
         assert profile_of(N, x + u * k) == tau
-    assert classify_profile(N, tau) == TERMINAL
+    assert classify(N, tau) == TERMINAL
 
 
 def test_one_b_some_a_not_regular():
@@ -307,7 +307,7 @@ def test_one_b_some_a_not_regular():
         (("0:a", "0:a"), ("0:a",), ("0:b",))).words
     N = label_by_leading(stabilize(one_b_some_a_fdfa())).progress[0]
     g = profile_of(N, stem + tail)
-    assert classify_profile(N, g) == TERMINAL
+    assert classify(N, g) == TERMINAL
     for k in range(3):  # pumping the cycle keeps producing first visitors
         word = stem + cycle * k + tail
         assert profile_path_hits(N, word, g) == [len(word)]
@@ -352,14 +352,21 @@ def test_cap_counts_profiles_not_orbit_steps():
     N = as_nfa(Dfa("abc", [[1, 2, 0], [2, 0, 1], [0, 1, 2]], [0]))
     for cap in (1, 2, 3, 4):
         assert find_good_witness(N, cap=cap) is None
-    assert classify_profile(N, profile_of(N, "a")) == "Accepting"
+    assert classify(N, profile_of(N, "a")) == "Accepting"
 
 
 def test_no_symbols_no_profiles():
     # The empty word has no profile, so there is nothing to search.
     N = as_nfa(Dfa((), [()], [0]))
-    assert _profile_graph(N, 1) == ([], [], [])
+    assert profile_graph(N, 1) == ([], [], [])
     assert find_good_witness(N, cap=1) is None
+
+
+def profile_graph(N, cap):
+    """(profiles, succ, letters) of _profile_graph, each profile as the
+    tuple of its masks."""
+    space, succ, keys, letters = _profile_graph(N, cap)
+    return [space.rows(key) for key in keys], succ, letters
 
 
 def _graph_or_capped(explore, N, cap):
@@ -370,7 +377,7 @@ def _graph_or_capped(explore, N, cap):
 
 
 def _profiles_and_successors(N, cap):
-    return _profile_graph(N, cap)[:2]
+    return profile_graph(N, cap)[:2]
 
 
 def test_profile_graph_matches_plain_composition():
@@ -392,7 +399,7 @@ def test_profile_graph_matches_plain_composition():
             expected = graph if cap == size else below
             assert _graph_or_capped(_profiles_and_successors, N,
                                     cap) == expected
-        profiles, _, letters = _profile_graph(N, size)
+        profiles, _, letters = profile_graph(N, size)
         assert [profiles[v] for v in letters] == [profile_of(N, (a,))
                                                   for a in N.alphabet]
     assert capped >= 300
@@ -411,7 +418,7 @@ def test_nfas_of_at_most_one_state_match_plain_composition():
             assert (_graph_or_capped(_profiles_and_successors, N, cap)
                     == _graph_or_capped(profile_graph_by_composition, N,
                                         cap))
-        profiles, _, letters = _profile_graph(N, size)
+        profiles, _, letters = profile_graph(N, size)
         assert [profiles[v] for v in letters] == [profile_of(N, (a,))
                                                   for a in "ab"]
         assert all(type(m) is tuple and len(m) == N.n for m in profiles)
@@ -423,9 +430,10 @@ def test_zero_u_zero_profile_graph_is_pinned():
     # distinct rows.
     N = label_by_leading(stabilize(gen_family("zero-u-zero-fdfa",
                                               5))).progress[0]
-    profiles = _profile_graph(N, 7726)[0]
-    assert (N.n, len(profiles)) == (91, 7726)
-    assert len({row for m in profiles for row in m}) == 568
+    space, _, keys, _ = _profile_graph(N, 7726)
+    assert (N.n, len(keys)) == (91, 7726)
+    assert len({row for key in keys for row in space.rows(key)}) == 568
+    assert len(space.masks) == 568  # no row outside the profiles
     with pytest.raises(CapExceededError):
         _profile_graph(N, 7725)
 
@@ -506,7 +514,7 @@ def test_classification_stops_at_the_witness(monkeypatch, name, case,
     # order, and g is the last profile classified.  g is the profile of
     # x for DistinctRoots and of stem tail for InfinitelyManyFirstVisitors.
     N = labelled(name)
-    profiles, succ, letters = _profile_graph(N, DEFAULT_PROFILE_CAP)
+    profiles, succ, letters = profile_graph(N, DEFAULT_PROFILE_CAP)
     terminal = [i for i, m in enumerate(profiles)
                 if classify_by_powers(N, m)[0] == TERMINAL]
     calls = count_calls(monkeypatch, "classify_profile")
@@ -524,7 +532,7 @@ def test_regular_input_classifies_every_profile_once(monkeypatch):
     N = labelled("odd_a.faf")
     calls = count_calls(monkeypatch, "classify_profile")
     assert find_good_witness(N) is None
-    assert len(calls) == len(_profile_graph(N, DEFAULT_PROFILE_CAP)[0])
+    assert len(calls) == len(_profile_graph(N, DEFAULT_PROFILE_CAP)[2])
 
 
 def test_random_verdicts_match_terminal_root_growth():
