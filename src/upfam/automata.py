@@ -25,7 +25,10 @@ before its own row.  The search would expand the rows in that same
 order and number each state where the reading meets it, so the table
 kept as written is the machine the search builds, keys included.  Every
 family file `serialize_faf` writes from a loaded or generated family is
-in this order.
+in this order.  That reading also proves the table complete and in
+range, so such a machine is not checked again; the public constructors
+and every other way to build, the search included, check the table in
+`TransitionSystem.__init__`.
 
 `LeastWords`, the least-word search of a deterministic graph, advances
 one word length at a time and stores one link per node it meets, the
@@ -295,7 +298,9 @@ def canonical_bfs(starts: Iterable[Hashable],
 def _as_written(table: Sequence[Sequence[Optional[int]]], initial: int
                 ) -> Optional[list]:
     """The rows of `table`, as a list, when `canonical_bfs` from `initial`
-    would give every state its own number and add no sink; else None.
+    would give every state its own number and add no sink, and every row
+    is as long as row 0; else None.  Raises InputError on a row it reads
+    with a negative entry, or on an entry past the last row.
 
     That is when the initial state is 0, no entry is None, and, reading
     row 0, row 1, ... in turn, every entry is a state met before or the
@@ -303,25 +308,32 @@ def _as_written(table: Sequence[Sequence[Optional[int]]], initial: int
     The breadth-first search then expands the rows in this same order and
     numbers each state where this reading meets it.  The last condition
     turns away unreachable states that still come in order, like state 1
-    in [[0], [1]].  Rows are looked up one at a time and the reading
-    stops at the first None, so a table that makes a row when it is first
-    looked up makes at most one row here."""
-    if initial != 0:
+    in [[0], [1]].  So the rows given back form a complete table in range
+    and in canonical order: `from_table` keeps them without a second
+    check.  Rows are looked up one at a time and the reading stops at
+    the first None, so a table that makes a row when it is first looked
+    up makes at most one row here."""
+    if initial != 0 or not table:
         return None
     rows = []
     new = 1  # the number of the next state not met yet
+    width = len(table[0])
     try:
-        for row in map(table.__getitem__, range(len(table))):
-            if len(rows) >= new:  # the state of this row was never met
+        for i, row in enumerate(map(table.__getitem__, range(len(table)))):
+            if i >= new or len(row) != width:  # i never met, or ragged
                 return None
             for t in row:
                 if t >= new:
                     if t != new:
                         return None
                     new += 1
+                elif t < 0:
+                    raise InputError("malformed transition table")
             rows.append(row)
     except TypeError:  # a None entry, a missing transition
         return None
+    if new > len(rows):
+        raise InputError("malformed transition table")
     return rows
 
 
@@ -330,6 +342,17 @@ class TransitionSystem:
 
     def __init__(self, alphabet: Sequence[str], delta: Sequence[Sequence[int]],
                  initial: int = 0, keys: Optional[Sequence] = None):
+        TransitionSystem._keep(self, alphabet, delta, initial, keys)
+        cells = set().union(*self.delta)  # none when the alphabet is empty
+        if (not set(map(len, self.delta)) <= {len(self.alphabet)}
+                or cells and not (0 <= min(cells) and max(cells) < self.n)):
+            raise InputError("malformed transition table")
+
+    def _keep(self, alphabet, delta, initial, keys):
+        """Store the parts.  `__init__` stores them so, whatever the
+        class, and then checks the table; `from_table` calls the class's
+        own `_keep` on a table that `_as_written` proved, which needs no
+        second check."""
         self.alphabet = tuple(alphabet)
         self.sym_index = {t: i for i, t in enumerate(self.alphabet)}
         if len(self.sym_index) != len(self.alphabet):
@@ -337,10 +360,6 @@ class TransitionSystem:
         self.delta = tuple(map(tuple, delta))
         self.initial = initial
         self.n = len(self.delta)
-        cells = set().union(*self.delta)  # none when the alphabet is empty
-        if (not set(map(len, self.delta)) <= {len(self.alphabet)}
-                or cells and not (0 <= min(cells) and max(cells) < self.n)):
-            raise InputError("malformed transition table")
         self._access: Optional[tuple] = None  # filled by access_word
         self.keys = tuple(keys) if keys is not None else None
 
@@ -366,14 +385,17 @@ class TransitionSystem:
         entry per symbol, None for a missing transition; every entry and
         the initial state must lie in range.  Unreachable states are
         dropped and missing transitions are completed to a rejecting
-        sink.  A table already in canonical order is kept as written
-        (see `_as_written`)."""
+        sink, and the machine is checked as `__init__` checks it.  A table
+        already in canonical order is kept as written (see `_as_written`),
+        and is not checked again: that reading proved it."""
+        alphabet = tuple(alphabet)
         rows = _as_written(table, initial)
-        if rows is None:
+        if rows is None or len(rows[0]) != len(alphabet):
             rows, keys = canonical_bfs([initial], table.__getitem__)
-        else:
-            keys = range(len(rows))
-        return cls._finish(tuple(alphabet), rows, keys, **kw)
+            return cls._finish(alphabet, rows, keys, **kw)
+        machine = cls.__new__(cls)
+        machine._keep(alphabet, rows, 0, range(len(rows)), **kw)
+        return machine
 
     @classmethod
     def from_parts(cls, alphabet: Sequence[str], num_states: int,
@@ -446,15 +468,25 @@ class Dfa(TransitionSystem):
                                    and max(self.accepting) < self.n):
             raise InputError("accepting state out of range")
 
+    def _keep(self, alphabet, delta, initial, keys, accepting):
+        """As `TransitionSystem._keep`, with accepting states already in
+        range."""
+        super()._keep(alphabet, delta, initial, keys)
+        self.accepting = frozenset(accepting)
+
     @classmethod
     def build(cls, alphabet, start, step, accepting=None):
         """accepting is a predicate on keys; the sink is never accepting."""
-        pred = accepting or (lambda key: False)
-        return super().build(alphabet, start, step, pred=pred)
+        dfa = super().build(alphabet, start, step, accepting=())
+        if accepting is not None:
+            dfa.accepting = frozenset(i for i, k in enumerate(dfa.keys)
+                                      if k is not None and accepting(k))
+        return dfa
 
     @classmethod
-    def _finish(cls, alphabet, rows, keys, pred):
-        acc = [i for i, k in enumerate(keys) if k is not None and pred(k)]
+    def _finish(cls, alphabet, rows, keys, accepting):
+        """`accepting` holds the accepting keys."""
+        acc = [i for i, k in enumerate(keys) if k in accepting]
         return cls(alphabet, rows, acc, 0, keys)
 
     @classmethod
@@ -462,8 +494,7 @@ class Dfa(TransitionSystem):
         acc = frozenset(accepting)
         if acc and not (0 <= min(acc) and max(acc) < len(table)):
             raise InputError("accepting state out of range")
-        return super().from_table(alphabet, table, initial,
-                                  pred=acc.__contains__)
+        return super().from_table(alphabet, table, initial, accepting=acc)
 
     @classmethod
     def from_parts(cls, alphabet, num_states, transitions, initial=0,

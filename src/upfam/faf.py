@@ -25,15 +25,20 @@ them and may declare several start states with ``initials``.  Unreachable
 states are dropped on load.  Deterministic machines are renumbered in
 canonical breadth-first order, and their missing transitions fall into an
 implicit rejecting sink; a complete table already in that order, as
-`serialize_faf` writes a loaded or generated family, is kept as written.
-``fnfa`` blocks keep their reachable states in declared order, and a
-missing transition there leads nowhere.  Lines starting with ``#`` are
-comments, as is anything after a directive's arguments.  ``#`` and ``$``
-are legal alphabet symbols; since ``#`` also opens comments, declare it as
-the last token of the ``alphabet`` line.  The writers keep to that rule:
-they refuse an alphabet with ``#`` elsewhere, or with a longer symbol
-that starts with ``#``, and `learning.fdfa_to_dollar_dfa` puts ``$``
-before a trailing ``#``.
+`serialize_faf` writes a loaded or generated family, is kept as written
+and is not checked a second time (see `automata`).  States are read as
+``int`` reads them, so ``01`` and ``+1`` name state 1; a ``trans`` line
+whose state tokens an earlier line has read is resolved through plain
+dicts, which CPython's specialized subscripts serve faster than any
+dict subclass, and every other line goes through the checks that name
+its error.  ``fnfa`` blocks keep their reachable states in declared
+order, and a missing transition there leads nowhere.  Lines starting with
+``#`` are comments, as is anything after a directive's arguments.  ``#``
+and ``$`` are legal alphabet symbols; since ``#`` also opens comments,
+declare it as the last token of the ``alphabet`` line.  The writers keep
+to that rule: they refuse an alphabet with ``#`` elsewhere, or with a
+longer symbol that starts with ``#``, and `learning.fdfa_to_dollar_dfa`
+puts ``$`` before a trailing ``#``.
 
 Dollar machines (plain DFAs) use the same directives under a ``dfa 1``
 header; serialized Buchi automata use ``nba 1`` with ``initials``.  Sample
@@ -70,8 +75,8 @@ class _Reader:
     """The lines of a document after an empty line 0, so a line's index is
     its line number.  A line is split into tokens when it is read, and its
     tokens are dropped after use.  Blank and comment lines are kept and
-    skipped where lines are read.  `ints` resolves a state token to its
-    number once per document."""
+    skipped where lines are read.  `states` maps a state token to its
+    number once a ``trans`` line has read it (see `_parse_block`)."""
 
     def __init__(self, text):
         self.lines = lines = [""]
@@ -81,7 +86,7 @@ class _Reader:
         while last and not _is_directive(lines[last].split()):
             last -= 1
         self.last_line = last
-        self.ints = _Ints()
+        self.states = {}
 
     def peek(self):
         lines = self.lines
@@ -102,14 +107,6 @@ class _Reader:
 
 def _is_directive(tokens):
     return tokens and tokens[0][0] != "#"
-
-
-class _Ints(dict):
-    """Token -> int(token), parsed when the token is first looked up."""
-
-    def __missing__(self, token):
-        value = self[token] = int(token)
-        return value
 
 
 def _fixed_args(no, tokens, arity):
@@ -149,6 +146,7 @@ def _parse_header(reader, document):
     no, args = _expect(reader, document, 1)
     if args[0] != FAF_VERSION:
         _fail(no, "unsupported %s version %r" % (document, args[0]))
+    return no
 
 
 def _parse_alphabet(reader):
@@ -177,15 +175,18 @@ def _symbols(no, symbols):
 
 
 class _Rows(defaultdict):
-    """Successor table of a deterministic block: state -> row of successor
-    states, one per symbol, None where no line gives one.  A row is made
-    when its state is first looked up, so memory follows the transition
-    lines, not the declared state count; the dict's default factory makes
-    it, so no Python code runs per row.  The length is that count, as for
-    a table with one row per declared state."""
+    """Successor table of a deterministic block, as `from_table` reads
+    it: state -> row of successor states, one per symbol, None where no
+    line gives one.  Only the states that lines name have a row, so memory
+    follows the transition lines, not the declared state count; looking
+    up another state makes its row with the dict's default factory, so no
+    Python code runs per row.  The length is that count, as for a table
+    with one row per declared state.  `_parse_block` fills a plain dict
+    and wraps it here once the block is read: CPython specializes
+    subscripts of a plain dict but not of a subclass."""
 
-    def __init__(self, n, nsym):
-        super().__init__(partial(mul, [None], nsym))
+    def __init__(self, n, nsym, rows):
+        super().__init__(partial(mul, [None], nsym), rows)
         self.n = n
 
     def __len__(self):
@@ -210,8 +211,24 @@ class _Block:
             return 0
         return self.initials[0]
 
+    def checked_accepting(self):
+        """The accepting states, as listed, once each lies in range; an
+        error names the first that does not, at the block's header."""
+        accepting = self.accepting or []
+        if accepting and not (0 <= min(accepting)
+                              and max(accepting) < self.n):
+            q = next(q for q in accepting if not 0 <= q < self.n)
+            _fail(self.header_line, "accepting state %d out of range" % q)
+        return accepting
+
 
 def _parse_block(reader, alphabet, deterministic, header_line):
+    """The block after its header line.  A ``trans`` line of a declared
+    symbol and two state tokens read before is resolved by plain dict
+    lookups and one range test; any other goes to `_transition`, which
+    reads or refuses it, and a state it reads is stored for the next
+    line that names it.  A stored state is never negative, so ``s >= n``
+    is the whole range test."""
     no, args = _expect(reader, "states", 1)
     try:
         n = int(args[0])
@@ -221,12 +238,11 @@ def _parse_block(reader, alphabet, deterministic, header_line):
         _fail(no, "a machine needs at least one state")
     block = _Block(n, header_line)
     sym_index = {a: i for i, a in enumerate(alphabet)}
-    if deterministic:
-        table = block.table = _Rows(n, len(alphabet))
-    else:
-        moves = block.moves = {}
+    nsym = len(alphabet)
+    states = reader.states
+    rows = {}  # state -> row of successors, for a deterministic block
+    moves = {}  # (state, symbol) -> targets, for an fnfa block
     lines = reader.lines
-    ints = reader.ints
     start, reader.pos = reader.pos, len(lines)
     for no in range(start, len(lines)):
         tokens = lines[no].split()
@@ -236,20 +252,20 @@ def _parse_block(reader, alphabet, deterministic, header_line):
         if word == "trans":
             try:
                 _, s, sym, t = tokens
-            except ValueError:  # a trailing comment to drop, or a bad count
-                s, sym, t = _fixed_args(no, tokens, 3)
-            si = sym_index.get(sym)
-            if si is None:
-                _fail(no, "transition on undeclared symbol %r" % sym)
-            try:
-                s, t = ints[s], ints[t]
-            except ValueError:
-                _fail(no, "transition states must be numbers")
-            if not (0 <= s < n and 0 <= t < n):
-                _fail(no, "transition %d-%s->%d out of range" % (s, sym, t))
+                s, t, si = states[s], states[t], sym_index[sym]
+                if s >= n or t >= n:  # out of range: _transition says so
+                    raise KeyError
+            except (ValueError, KeyError):
+                s, sym, t = _transition(no, tokens, sym_index, n)
+                si = sym_index[sym]
+                states[tokens[1]], states[tokens[3]] = s, t
             if not deterministic:
                 moves.setdefault((s, sym), []).append(t)
-            elif (row := table[s])[si] is None:
+                continue
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = [None] * nsym
+            if row[si] is None:
                 row[si] = t
             else:
                 _fail(no, "duplicate transition for state %d on %r"
@@ -270,7 +286,29 @@ def _parse_block(reader, alphabet, deterministic, header_line):
             block.accepting = _int_args(no, tokens)
         elif word[0] != "#":
             _fail(no, "unknown directive '%s'" % word)
+    if deterministic:
+        block.table = _Rows(n, nsym, rows)
+    else:
+        block.moves = moves
     return block
+
+
+def _transition(no, tokens, sym_index, n):
+    """(s, symbol, t) of a ``trans`` line that the plain lookups of
+    `_parse_block` did not take, or the error that the line makes: it may
+    name a state token for the first time, carry a trailing comment, have
+    the wrong argument count, an undeclared symbol, a state that is no
+    number or one out of range."""
+    s, sym, t = _fixed_args(no, tokens, 3)
+    if sym not in sym_index:
+        _fail(no, "transition on undeclared symbol %r" % sym)
+    try:
+        s, t = int(s), int(t)
+    except ValueError:
+        _fail(no, "transition states must be numbers")
+    if not (0 <= s < n and 0 <= t < n):
+        _fail(no, "transition %d-%s->%d out of range" % (s, sym, t))
+    return s, sym, t
 
 
 def _set_initials(block, no, raw):
@@ -348,10 +386,7 @@ def _rejecting_progress(kind, alphabet):
 
 
 def _build_progress(kind, alphabet, block):
-    accepting = block.accepting or []
-    for q in accepting:
-        if not 0 <= q < block.n:
-            _fail(block.header_line, "accepting state %d out of range" % q)
+    accepting = block.checked_accepting()
     if kind == FNFA:
         return _reachable_nfa(alphabet, block.moves,
                               block.initials or [0], accepting)
@@ -420,13 +455,13 @@ def serialize_faf(F: Family) -> str:
 def parse_dfa_doc(text: str) -> Dfa:
     """A single DFA under a ``dfa 1`` header (used for dollar machines)."""
     reader = _Reader(text)
-    _parse_header(reader, "dfa")
+    header_line = _parse_header(reader, "dfa")
     alphabet = _parse_alphabet(reader)
-    block = _parse_block(reader, alphabet, True, reader.last_line)
+    block = _parse_block(reader, alphabet, True, header_line)
     if reader.peek() is not None:
         _fail(reader.peek()[0], "unexpected content after the machine")
     return Dfa.from_table(alphabet, block.table, block.single_initial(),
-                          block.accepting or [])
+                          block.checked_accepting())
 
 
 def serialize_dfa_doc(A: Dfa) -> str:

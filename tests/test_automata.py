@@ -569,6 +569,47 @@ def test_constructors_validate_the_table():
     assert Dfa("ab", [[1, 0], [1, 1]], [0, 1]).n == 2
 
 
+def test_tables_no_reading_proved_are_checked():
+    # from_table keeps a table in canonical order as it is; every other
+    # table, and every other way to build, is checked as the constructors
+    # check it.
+    for alphabet, table in (
+            ("ab", [[1, None], [0]]),  # incomplete, with a short row
+            ("ab", [[0, 2], [1], [1, 0]]),  # not in canonical order
+            ("ab", [[1, 0], [1]]),  # in order, but with a short row
+            ("abc", [[0, 0]]),  # in order, narrower than the alphabet
+            ("ab", [[0, -1]]),  # in order, with a negative entry
+            ("a", [[1]])):  # in order, with an entry past the last row
+        with pytest.raises(InputError, match="^malformed transition table$"):
+            TransitionSystem.from_table(alphabet, table)
+    with pytest.raises(InputError, match="^accepting state out of range$"):
+        Dfa.from_table("a", [[0]], 0, [1])
+    with pytest.raises(InputError, match="^initial state out of range$"):
+        Dfa.from_parts("a", 1, {(0, "a"): 0}, 1)
+    # Family's reachability walk is pinned by test_family's
+    # test_family_rejects_unreachable_leading_states.
+    for delta, initials, accepting in (({(0, "a"): [1]}, [0], []),
+                                       ({(1, "a"): [0]}, [0], []),
+                                       ({}, [1], []),
+                                       ({}, [0], [2]),
+                                       ({}, [-1], [])):
+        with pytest.raises(InputError, match="out of range"):
+            Nfa("a", 1, delta, initials, accepting)
+
+
+def test_a_proved_table_is_not_checked_again(monkeypatch):
+    def check(*args):
+        raise AssertionError("checked again")
+
+    built = Dfa("ab", [[1, 0], [1, 1]], [1], 0, [0, 1])
+    monkeypatch.setattr(TransitionSystem, "__init__", check)
+    D = Dfa.from_table("ab", [[1, 0], [1, 1]], 0, [1])
+    assert D == built and D.accepting == built.accepting
+    assert (type(D.accepting), D.keys) == (frozenset, built.keys)
+    with pytest.raises(AssertionError, match="checked again"):
+        Dfa.from_table("ab", [[1, None], [1, 1]], 0, [1])
+
+
 def test_zero_symbol_alphabet_builds():
     assert TransitionSystem((), [()]).n == 1
     assert Dfa((), [()], [0]).accepts(())

@@ -216,6 +216,25 @@ class TestFamilyFormat:
                 parse_faf(text.replace("trans 1 a 1", "trans 001 a 01")
                           + line)
 
+    def test_numerals_that_int_reads(self):
+        # A state token is read by int() on the checked path the first
+        # time a line names it, and looked up in a plain dict after that:
+        # every spelling int() reads names its state, and a large declared
+        # count makes no entry for the states no line names.
+        text = read_file("ba_star.faf")
+        for spelling in ("+1", "\u0661"):  # ARABIC-INDIC DIGIT ONE
+            respelled = text.replace("trans 1 ", "trans %s " % spelling)
+            assert respelled.count("trans %s " % spelling) == 2
+            assert parse_faf(respelled) == parse_faf(text)
+        for target, shown in (("1_0", "10"), ("-1", "-1")):
+            with pytest.raises(InputError, match="^line 14: transition "
+                               "1-a->%s out of range$" % shown):
+                parse_faf(text.replace("trans 1 a 1", "trans 1 a " + target))
+        big = text.replace("states 3", "states 100000000")
+        assert parse_faf(big.replace("trans 1 a 1", "trans 1 a 99999999")) \
+            == parse_faf(text.replace("states 3", "states 4")
+                         .replace("trans 1 a 1", "trans 1 a 3"))
+
     def test_seen_state_token_out_of_range_in_a_smaller_block(self):
         # "2" is a state of progress 0, so its token is resolved before
         # progress 1, where it is out of range.
@@ -381,6 +400,14 @@ class TestDollarDocument:
                 serialize_dfa_doc(Dfa.build(alphabet, 0, lambda s, a: 0))
         assert serialize_dfa_doc(Dfa.build(("a#", "#"), 0, lambda s, a: 0)
                                  ).splitlines()[1] == "alphabet a# #"
+
+    def test_accepting_state_out_of_range(self):
+        # The message of a family block: the state, at the header line.
+        text = ("dfa 1\nalphabet a\nstates 1\ninitial 0\naccepting 3\n"
+                "trans 0 a 0\n")
+        with pytest.raises(InputError, match="^line 1: accepting state 3 "
+                           "out of range$"):
+            parse_dfa_doc(text)
 
     def test_rejects_family_header(self):
         with pytest.raises(InputError, match="dfa"):
