@@ -337,6 +337,15 @@ def _as_written(table: Sequence[Sequence[Optional[int]]], initial: int
     return rows
 
 
+def _symbol_index(alphabet: Sequence[str]) -> dict:
+    """{symbol: its index} of an alphabet; raises InputError on a symbol
+    listed twice."""
+    index = {t: i for i, t in enumerate(alphabet)}
+    if len(index) != len(alphabet):
+        raise InputError("duplicate symbol in alphabet")
+    return index
+
+
 class TransitionSystem:
     """A complete deterministic transition system over a fixed alphabet."""
 
@@ -354,9 +363,7 @@ class TransitionSystem:
         own `_keep` on a table that `_as_written` proved, which needs no
         second check."""
         self.alphabet = tuple(alphabet)
-        self.sym_index = {t: i for i, t in enumerate(self.alphabet)}
-        if len(self.sym_index) != len(self.alphabet):
-            raise InputError("duplicate symbol in alphabet")
+        self.sym_index = _symbol_index(self.alphabet)
         self.delta = tuple(map(tuple, delta))
         self.initial = initial
         self.n = len(self.delta)
@@ -391,7 +398,14 @@ class TransitionSystem:
         alphabet = tuple(alphabet)
         rows = _as_written(table, initial)
         if rows is None or len(rows[0]) != len(alphabet):
-            rows, keys = canonical_bfs([initial], table.__getitem__)
+            n = len(table)
+
+            def row(s):
+                if not 0 <= s < n:  # a list would read -1 as its last row
+                    raise InputError("malformed transition table")
+                return table[s]
+
+            rows, keys = canonical_bfs([initial], row)
             return cls._finish(alphabet, rows, keys, **kw)
         machine = cls.__new__(cls)
         machine._keep(alphabet, rows, 0, range(len(rows)), **kw)
@@ -648,16 +662,12 @@ class Nfa:
         """delta maps (state, symbol) -> iterable of successor states.
         Equal successor sets are checked and stored once, as one shared
         frozenset."""
-        self.alphabet = tuple(alphabet)
-        self.sym_index = {t: i for i, t in enumerate(self.alphabet)}
-        if len(self.sym_index) != len(self.alphabet):
-            raise InputError("duplicate symbol in alphabet")
-        self.n = n
+        sym_index = _symbol_index(alphabet)
         empty = frozenset()
         shared = {empty: empty}
-        table = [[empty] * len(self.alphabet) for _ in range(n)]
+        table = [[empty] * len(sym_index) for _ in range(n)]
         for (s, a), ts in delta.items():
-            if a not in self.sym_index:
+            if a not in sym_index:
                 raise InputError(f"transition on unknown symbol {a!r}")
             ts = frozenset(ts)
             kept = shared.get(ts)
@@ -667,12 +677,21 @@ class Nfa:
                 kept = shared[ts] = ts
             if not 0 <= s < n:
                 raise InputError("transition state out of range")
-            table[s][self.sym_index[a]] = kept
-        self.delta = tuple(tuple(row) for row in table)
-        self.initials = frozenset(initials)
-        self.accepting = frozenset(accepting)
+            table[s][sym_index[a]] = kept
+        self._keep(alphabet, sym_index, table, initials, accepting)
         if any(not 0 <= q < n for q in self.initials | self.accepting):
             raise InputError("state out of range")
+
+    def _keep(self, alphabet, sym_index, rows, initials, accepting):
+        """Store the parts: rows[s][i] is the successor set of state s on
+        symbol i.  `__init__` checks them; `build` numbers every state it
+        stores, so its parts are in range."""
+        self.alphabet = tuple(alphabet)
+        self.sym_index = sym_index
+        self.n = len(rows)
+        self.delta = tuple(map(tuple, rows))
+        self.initials = frozenset(initials)
+        self.accepting = frozenset(accepting)
 
     @classmethod
     def build(cls, alphabet: Sequence[str], starts: Iterable[Hashable],
@@ -684,12 +703,19 @@ class Nfa:
 
         States are numbered in order of discovery: the starts first, then
         each target key when it is first met.  The discovered keys wait on
-        a stack, so the last one discovered is expanded first.  Equal
-        successor sets are stored once, as one shared frozenset, while the
-        automaton is built."""
+        a stack, so the last one discovered is expanded first.  Expanding a
+        key fills the row of its state: a symbol gets the last nonempty
+        successor set that edges(key) gives it.  Equal successor sets are
+        stored once, as one shared frozenset.  The machine is the one
+        `Nfa(...)` builds from the same sets as a (state, symbol) dict,
+        without that dict."""
+        sym_index = _symbol_index(alphabet)
+        empty = frozenset()
+        shared = {empty: empty}
         index: dict = {}
         keys: list = []
         todo: list = []
+        rows: list = []
 
         def ident(key):
             i = index.get(key)
@@ -697,20 +723,26 @@ class Nfa:
                 i = index[key] = len(keys)
                 keys.append(key)
                 todo.append(key)
+                rows.append(None)  # filled when the key is expanded
             return i
 
         initials = [ident(key) for key in starts]
-        shared: dict = {}
-        delta = {}
         while todo:
             key = todo.pop()
-            s = index[key]
+            row = [empty] * len(sym_index)
             for sym, targets in edges(key):
-                ts = frozenset({ident(t) for t in targets})
+                ts = frozenset(map(ident, targets))
                 if ts:
-                    delta[s, sym] = shared.setdefault(ts, ts)
-        return cls(alphabet, len(keys), delta, initials,
-                   [i for i, key in enumerate(keys) if accepting(key)])
+                    i = sym_index.get(sym)
+                    if i is None:
+                        raise InputError(
+                            f"transition on unknown symbol {sym!r}")
+                    row[i] = shared.setdefault(ts, ts)
+            rows[index[key]] = row
+        nfa = cls.__new__(cls)
+        nfa._keep(alphabet, sym_index, rows, initials,
+                  [i for i, key in enumerate(keys) if accepting(key)])
+        return nfa
 
     def step_set(self, states: frozenset, sym: str) -> frozenset:
         i = self.sym_index.get(sym)

@@ -423,12 +423,26 @@ def _machine_lines(out, machine, nondet):
         out.append("  accepting %s" % " ".join(
             str(q) for q in sorted(accepting)))
     for s in range(machine.n):
-        for i, sym in enumerate(machine.alphabet):
-            if nondet:
-                for t in sorted(machine.delta[s][i]):
-                    out.append("  trans %d %s %d" % (s, sym, t))
-            else:
+        if nondet:
+            # one string per state, not per line: an NBA has far more lines
+            # than states, and the writer holds every string until it joins
+            # them
+            lines = ["  trans %d %s %d" % (s, sym, t)
+                     for sym, cell in zip(machine.alphabet, machine.delta[s])
+                     for t in sorted(cell)]
+            if lines:  # a state with no transitions has no lines
+                out.append("\n".join(lines))
+        else:
+            for i, sym in enumerate(machine.alphabet):
                 out.append("  trans %d %s %d" % (s, sym, machine.delta[s][i]))
+
+
+def _document(out) -> str:
+    """The lines of `out`, each ended by a newline.  The last newline
+    comes from an empty last line, so the text is built once, not built
+    and then copied with a newline added."""
+    out.append("")
+    return "\n".join(out)
 
 
 def _alphabet_line(alphabet) -> str:
@@ -449,7 +463,7 @@ def serialize_faf(F: Family) -> str:
     for q, D in enumerate(F.progress):
         out.append("progress %d" % q)
         _machine_lines(out, D, nondet=F.kind == FNFA)
-    return "\n".join(out) + "\n"
+    return _document(out)
 
 
 def parse_dfa_doc(text: str) -> Dfa:
@@ -467,13 +481,13 @@ def parse_dfa_doc(text: str) -> Dfa:
 def serialize_dfa_doc(A: Dfa) -> str:
     out = ["dfa " + FAF_VERSION, _alphabet_line(A.alphabet)]
     _machine_lines(out, A, nondet=False)
-    return "\n".join(out) + "\n"
+    return _document(out)
 
 
 def serialize_nba(A: Nfa) -> str:
     out = ["nba " + FAF_VERSION, _alphabet_line(A.alphabet)]
     _machine_lines(out, A, nondet=True)
-    return "\n".join(out) + "\n"
+    return _document(out)
 
 
 # --------------------------------------------------------------- samples

@@ -8,12 +8,24 @@ forth, ``make_teacher`` wraps a fully saturated target family as an oracle
 pair, ``learn_active`` runs an observation-table learner against such a
 teacher, and ``learn_passive`` / ``gen_char_sample`` / ``default_fdfa``
 implement learning from labeled example sets.
+
+``gen_char_sample`` finds the separators of the progress states of every
+leading state with one least-word search over the transformations that
+words induce on the leading system and all progress DFAs together, not
+by scanning every word up to a length.  UP-membership of (u, x·z)
+depends on z only through its transformation, so the first
+transformation that separates two states carries their llex-least
+separator.  The start of that search, the identity, is not stored: a
+nonempty word that induces it makes a loop where the empty word makes
+none (`_progress_separators`).  ``learn_passive`` grows its classes in
+one pass over a prefix tree of the sample and reads the moves from the
+representative each word joined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Optional
 
 from .automata import Dfa, LeastWords, TransitionSystem
@@ -22,7 +34,7 @@ from .family import (FDFA, Family, ReferenceSet, family_accepts, loop_search,
                      up_membership)
 from .saturation import check_saturated
 from .words import (Representation, Word, canonical_pair, format_word,
-                    llex_key, words_up_to)
+                    llex_key)
 
 DOLLAR = "$"
 
@@ -466,22 +478,25 @@ def _grow_classes(tree, alphabet, order):
     that is not separated from one of them never becomes separated from
     all, and a word skipped once stays skipped.  A representative moves
     on a to the llex-least representative not separated from its
-    extension by a."""
+    extension by a, or to the empty word when the tree has no such
+    extension.  The pass records that representative for every word as
+    it meets it: representatives are added in llex order, so the first
+    one added before a word and not separated from it is the least of
+    all, and a word separated from each of those represents itself."""
     nodes = [((), tree)]
     for word, (kids, _labs) in nodes:
         nodes.extend((word + (a,), child) for a, child in kids.items())
     nodes.sort(key=lambda item: llex_key(item[0], order))
-    reps = nodes[:1]
-    for v, node in nodes[1:]:
-        if all(_separated(node, r) for _u, r in reps):
+    reps = []
+    joined = {}  # word -> the representative of its class
+    for v, node in nodes:
+        rep = next((u for u, r in reps if not _separated(node, r)), None)
+        if rep is None:
+            rep = v
             reps.append((v, node))
-    moves = {}
-    for u, node in reps:
-        for a in alphabet:
-            child = node[0].get(a)
-            moves[(u, a)] = next(v for v, r in reps
-                                 if not _separated(child, r))
-    return moves
+        joined[v] = rep
+    return {(u, a): joined.get(u + (a,), ()) for u, _ in reps
+            for a in alphabet}
 
 
 def _infer_progress(evidence, leading, q, alphabet, order):
@@ -528,7 +543,17 @@ def gen_char_sample(target: Family) -> Sample:
     single-letter loop per leading state and symbol, which also pins down
     the alphabet.  Raises when the target is not saturated, when two
     leading states are equivalent (the leading system must be minimal), or
-    when two progress states admit no separating extension.
+    when two progress states admit no separating extension of length at
+    most n + 2, n the size of their progress DFA.
+
+    The separator z of progress states s1 and s2 is the llex-least
+    extension on which (u, x1·z) and (u, x2·z) differ in UP-membership, x1
+    and x2 their access words.  Those verdicts depend on z only through
+    the transformation z induces on the leading system and the progress
+    DFAs together, so one least-word search over those transformations
+    finds every separator, and the first node that separates a pair
+    carries its least separator (`_progress_separators`).  No membership
+    query is spent on them: each emitted pair is asked once.
     """
     if target.kind != FDFA:
         raise InputError("characteristic samples are defined for fdfa"
@@ -561,29 +586,20 @@ def gen_char_sample(target: Family) -> Sample:
                 v, x = lead_sep[(t, j) if t < j else (j, t)]
                 emit(w + v, x)
 
+    seps = _progress_separators(target)
     for q in range(T.n):
         D = target.progress[q]
         u = T.access_word(q)
-
-        def verdict(w):
-            return bool(w) and up_membership(target, Representation(u, w))
-
-        seps = {}
         for s2 in range(D.n):
             for s1 in range(s2):
-                x1, x2 = D.access_word(s1), D.access_word(s2)
-                for z in words_up_to(D.alphabet, D.n + 2):
-                    if verdict(x1 + z) != verdict(x2 + z):
-                        seps[(s1, s2)] = z
-                        break
-                else:
+                if (q, s1, s2) not in seps:
                     raise PreconditionError(
                         "progress states %d and %d of leading state %d admit"
                         " no separating extension" % (s1, s2, q))
         for w, t in _state_words(D):
             for j in range(D.n):
                 if j != t:
-                    x = w + seps[(t, j) if t < j else (j, t)]
+                    x = w + seps[(q, t, j) if t < j else (q, j, t)]
                     if x:
                         emit(u, x)
         for s in sorted(D.accepting):
@@ -642,3 +658,90 @@ def _loop_separator(F: Family, t1: int, t2: int) -> Optional[Word]:
                                       != (d2 in D2.accepting)):
             return tuple(T.alphabet[i] for i in search.word(node))
     return None
+
+
+def _progress_separators(F: Family) -> dict:
+    """{(q, s1, s2): z} for every leading state q and states s1 < s2 of its
+    progress DFA D: the llex-least z of length at most D.n + 2 with
+    UP-membership of (u, x1·z) and of (u, x2·z) different, where u is the
+    access word of q, x1 and x2 those of s1 and s2, and the empty loop is
+    never a member.  A pair with no such z has no entry, and then the
+    pairs of later leading states may have none either.
+
+    The UP-membership of (u, w) depends on w only through the
+    transformation it induces on the disjoint union U of the leading
+    system and all progress DFAs: normalizing (u, w) follows the orbit of
+    q under w in the leading system to the state p it enters the cycle
+    at, and tests whether w^k, k the cycle length, leads the progress DFA
+    of p from its initial state to an accepting one.  So the verdicts of
+    x1·z and x2·z are read off the transformation of z composed after
+    those of x1 and x2.  One least-word search over the transformations of
+    z, from the identity, serves every pair: the first node that
+    separates a pair has the llex-least word of all that induce its
+    transformation, and so is the llex-least separator.  The identity is
+    not stored as a start, since a nonempty z that induces it still
+    differs from the empty one when x1 is empty.  The search stops once
+    every pair it still serves is separated or past its length bound."""
+    T = F.leading
+    offsets = list(accumulate((D.n for D in F.progress), initial=T.n))
+    entry = [off + D.initial for off, D in zip(offsets, F.progress)]
+    accepting = {off + s for off, D in zip(offsets, F.progress)
+                 for s in D.accepting}
+    cols = []  # cols[i][k]: the successor of state k of U on symbol i
+    for i in range(len(T.alphabet)):
+        col = [row[i] for row in T.delta]
+        for off, D in zip(offsets, F.progress):
+            col.extend(off + row[i] for row in D.delta)
+        cols.append(tuple(col))
+
+    def successors(f):
+        return [tuple(map(col.__getitem__, f)) for col in cols]
+
+    def member(q, x, f):
+        """UP-membership of (u, w), w inducing x and then f."""
+        orbit = {}
+        t = q
+        while t not in orbit:
+            orbit[t] = len(orbit)
+            t = f[x[t]]
+        d = entry[t]
+        for _ in range(len(orbit) - orbit[t]):
+            d = f[x[d]]
+        return d in accepting
+
+    identity = tuple(range(offsets[-1]))
+    todo = {}  # q -> (length bound, [(x, x nonempty)], open pairs)
+    for q, D in enumerate(F.progress):
+        if D.n > 1:
+            access = []
+            for s in range(D.n):
+                x = identity
+                for a in D.access_word(s):
+                    x = tuple(map(cols[D.sym_index[a]].__getitem__, x))
+                access.append((x, s != D.initial))
+            todo[q] = (D.n + 2, access,
+                       [(s1, s2) for s2 in range(D.n) for s1 in range(s2)])
+    seps = {}
+    search = LeastWords([identity], successors, store_starts=False)
+    for f in search:
+        # a pair still open past its bound makes gen_char_sample raise at
+        # its leading state, so no later leading state needs separators
+        cut = min((q for q, (bound, _, pairs) in todo.items()
+                   if pairs and bound < search.length), default=T.n)
+        todo = {q: job for q, job in todo.items() if job[2] and q < cut}
+        if not todo:
+            break
+        z = None
+        for q, (_, access, pairs) in todo.items():
+            verdict = [(search.length > 0 or nonempty) and member(q, x, f)
+                       for x, nonempty in access]
+            still = []
+            for s1, s2 in pairs:
+                if verdict[s1] == verdict[s2]:
+                    still.append((s1, s2))
+                else:
+                    if z is None:
+                        z = tuple(T.alphabet[i] for i in search.word(f))
+                    seps[q, s1, s2] = z
+            pairs[:] = still
+    return seps

@@ -9,8 +9,7 @@ words (u, x) with x nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InputError
 
@@ -57,15 +56,6 @@ def parse_word(text: str, alphabet: Sequence[str]) -> Word:
 def llex_key(w: Sequence[str], order: dict[str, int]):
     """Sort key for length-lexicographic order under the given symbol order."""
     return (len(w), tuple(order[t] for t in w))
-
-
-def words_up_to(alphabet: Sequence[str], max_len: int,
-                min_len: int = 0) -> Iterator[Word]:
-    """All words of length min_len..max_len in llex order (alphabet order
-    as given)."""
-    for n in range(min_len, max_len + 1):
-        for w in product(alphabet, repeat=n):
-            yield w
 
 
 def root(x: Sequence[str]) -> Word:

@@ -12,13 +12,22 @@ from upfam.automata import (Dfa, Nfa, TransitionSystem, dfa_sccs,
 from upfam.errors import (CAP_EXCEEDED, CapExceededError, InputError,
                           PreconditionError, Verdict)
 from upfam.family import (FDFA, FDWA, FNFA, Counterexample, Family,
-                          ReferenceSet)
+                          ReferenceSet, loop_search, up_membership)
+from upfam.learning import Sample, _leading_separator, _state_words
 from upfam.regularity import ACCEPTING, REJECTING, TERMINAL, _apply
-from upfam.saturation import check_loopshift_stable, check_power_stable
+from upfam.saturation import (check_loopshift_stable, check_power_stable,
+                              check_saturated)
 from upfam.words import Representation, as_word, root
 
 from fixtures import (empty_fdfa, eventually_ab_fdfa, some_a_fdwa,
                       universal_fdfa)
+
+
+def words_up_to(alphabet, max_len: int, min_len: int = 0):
+    """All words of length min_len..max_len in llex order (alphabet order
+    as given)."""
+    for n in range(min_len, max_len + 1):
+        yield from itertools.product(alphabet, repeat=n)
 
 
 def random_ts(rng: random.Random, alphabet, max_states) -> TransitionSystem:
@@ -792,3 +801,71 @@ def least_fdwa_witness_by_symbol(work, cap, by_class=False):
         if best is None or key < best[0]:
             best = (key, v)
     return best
+
+
+def char_sample_by_scan(target: Family) -> Sample:
+    """`gen_char_sample` with each progress separator found by scanning
+    every word up to length n + 2 in llex order, two UP-membership
+    queries per word and pair of states: the reference for the
+    transformation search."""
+    if target.kind != FDFA:
+        raise InputError("characteristic samples are defined for fdfa"
+                         " families")
+    if not check_saturated(target).ok:
+        raise PreconditionError(
+            "characteristic samples need a saturated target")
+    T = target.leading
+    positive, negative = [], []
+    emitted = set()
+
+    def emit(u, x):
+        if (u, x) not in emitted:
+            emitted.add((u, x))
+            r = Representation(u, x)
+            (positive if up_membership(target, r) else negative).append(r)
+
+    search = loop_search(target)
+    loops = {node[:2]: search.word(node)
+             for node in itertools.islice(search, T.n, None)
+             if node[0] == node[2]}
+    lead_sep = {(q, p): _leading_separator(target, q, p)
+                for p in range(T.n) for q in range(p)}
+    for w, t in _state_words(T):
+        for j in range(T.n):
+            if j != t:
+                v, x = lead_sep[(t, j) if t < j else (j, t)]
+                emit(w + v, x)
+    for q in range(T.n):
+        D = target.progress[q]
+        u = T.access_word(q)
+
+        def verdict(w):
+            return bool(w) and up_membership(target, Representation(u, w))
+
+        seps = {}
+        for s2 in range(D.n):
+            for s1 in range(s2):
+                x1, x2 = D.access_word(s1), D.access_word(s2)
+                for z in words_up_to(D.alphabet, D.n + 2):
+                    if verdict(x1 + z) != verdict(x2 + z):
+                        seps[(s1, s2)] = z
+                        break
+                else:
+                    raise PreconditionError(
+                        "progress states %d and %d of leading state %d admit"
+                        " no separating extension" % (s1, s2, q))
+        for w, t in _state_words(D):
+            for j in range(D.n):
+                if j != t:
+                    x = w + seps[(t, j) if t < j else (j, t)]
+                    if x:
+                        emit(u, x)
+        for s in sorted(D.accepting):
+            if (q, s) not in loops:
+                raise PreconditionError(
+                    "accepting progress state %d of leading state %d has no"
+                    " normalized loop" % (s, q))
+            emit(u, tuple(T.alphabet[i] for i in loops[q, s]))
+        for a in T.alphabet:
+            emit(u, (a,))
+    return Sample(positive, negative)

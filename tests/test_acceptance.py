@@ -22,14 +22,15 @@ from upfam.regularity import check_regular, gen_ter_hardness
 from upfam.saturation import (STAGE_LOOPSHIFT, check_fdwa_saturated,
                               check_loopshift_stable, check_saturated)
 from upfam.translate import fdwa_to_nba, gen_family
-from upfam.words import Representation, root, up_equal, words_up_to
+from upfam.words import Representation, root, up_equal
 
 from fixtures import (ba_star_fdfa, empty_fdfa, exactly_one_a_fdfa,
                       first_a_fdwa, odd_a_fdfa, one_b_some_a_fdfa,
                       some_a_fdwa, universal_fdfa)
 from helpers import (AB, as_nfa, brute_ter_roots, classify,
                      fully_saturated_targets, intersect_dfa, profile_of,
-                     random_family, same_family, syntactic_targets)
+                     random_family, same_family, syntactic_targets,
+                     words_up_to)
 
 NORM = ReferenceSet.NORMALIZED
 

@@ -17,11 +17,12 @@ from upfam.family import (FDFA, Family, ReferenceSet, family_accepts,
 from upfam.oracle import brute_almost_saturation
 from upfam.saturation import check_saturated
 from upfam.translate import gen_family
-from upfam.words import Representation, words_up_to
+from upfam.words import Representation
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, exactly_one_a_fdfa,
                       odd_a_fdfa, one_b_some_a_fdfa, some_a_fdwa)
-from helpers import almost_by_transformations, intersect_dfa, random_family
+from helpers import (almost_by_transformations, intersect_dfa, random_family,
+                     words_up_to)
 
 NORM = ReferenceSet.NORMALIZED
 

@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import odd_a_fdfa, universal_fdfa
-from helpers import make_weak, minimize_by_signatures, random_dfa
-from upfam.automata import (Dfa, LeastWords, Nfa, TransitionSystem,
+from helpers import (make_weak, minimize_by_signatures, random_dfa,
+                     random_family, words_up_to)
+from upfam.automata import (Dfa, LeastWords, Nba, Nfa, TransitionSystem,
                             _as_written, canonical_bfs, dfa_sccs, is_weak,
                             least_batches, least_goal, minimize_dfa, on_cycle,
                             orbit, product_search, reachable,
                             strongly_connected_components, weak_loop_accepts)
 from upfam.errors import CapExceededError, InputError
-from upfam.family import loop_search
+from upfam.family import FDWA, loop_search
 from upfam.faf import parse_sample
 from upfam.learning import fdfa_to_dollar_dfa, learn_passive
-from upfam.words import as_word, words_up_to
+from upfam.regularity import label_by_leading, stabilize
+from upfam.translate import fdwa_to_nba, gen_family
+from upfam.words import as_word
 
 
 def ba_star_dfa():
@@ -537,6 +540,81 @@ def test_nfa_basics():
     assert not n.accepts("")
 
 
+def nfa_by_dict(cls, alphabet, starts, edges, accepting):
+    """`Nfa.build` as it was written first: the successor sets go into a
+    (state, symbol) dict, which `Nfa.__init__` walks into rows."""
+    index, keys, todo = {}, [], []
+
+    def ident(key):
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(keys)
+            keys.append(key)
+            todo.append(key)
+        return i
+
+    initials = [ident(key) for key in starts]
+    shared, delta = {}, {}
+    while todo:
+        key = todo.pop()
+        s = index[key]
+        for sym, targets in edges(key):
+            ts = frozenset({ident(t) for t in targets})
+            if ts:
+                delta[s, sym] = shared.setdefault(ts, ts)
+    return cls(alphabet, len(keys), delta, initials,
+               [i for i, key in enumerate(keys) if accepting(key)])
+
+
+def assert_same_nfa(got, want):
+    assert type(got) is type(want)
+    assert (got.alphabet, got.n, got.delta, got.initials, got.accepting) == (
+        want.alphabet, want.n, want.delta, want.initials, want.accepting)
+    cells = [c for row in got.delta for c in row]
+    assert len(set(map(id, cells))) == len(set(cells))  # equal sets shared
+
+
+def test_nfa_build_fills_the_rows_the_dict_filled():
+    rng = random.Random("nfa-build")
+    for _ in range(400):
+        alphabet = "abc"[:rng.randint(1, 3)]
+        n = rng.randint(1, 8)
+        moves = {(s, a): [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+                 for s in range(n) for a in alphabet if rng.random() < 0.8}
+        starts = [rng.randrange(n) for _ in range(rng.randint(1, 3))]
+
+        def edges(key):
+            return [(a, moves[key, a]) for a in alphabet if (key, a) in moves]
+
+        def accepting(key):
+            return key % 3 == 0
+
+        assert_same_nfa(Nfa.build(alphabet, starts, edges, accepting),
+                        nfa_by_dict(Nfa, alphabet, starts, edges, accepting))
+
+
+def test_nfa_build_of_the_translations_matches_the_dict(monkeypatch):
+    real = Nfa.build.__func__
+    built = []
+
+    def spy(cls, alphabet, starts, edges, accepting):
+        starts = list(starts)
+        got = real(cls, alphabet, starts, edges, accepting)
+        assert_same_nfa(got, nfa_by_dict(cls, alphabet, starts, edges,
+                                         accepting))
+        built.append(got)
+        return got
+
+    monkeypatch.setattr(Nfa, "build", classmethod(spy))
+    rng = random.Random("nfa-build-callers")
+    fdwa_to_nba(gen_family("subset-occurrence", 2))
+    for _ in range(40):
+        fdwa_to_nba(random_family(rng, FDWA, max_leading=3, max_progress=4))
+        label_by_leading(stabilize(random_family(rng, max_leading=2,
+                                                 max_progress=3)))
+    assert {type(A) for A in built} == {Nba, Nfa}
+
+
 @given(st.integers(0, 12), st.integers(1, 12))
 def test_orbit_has_the_rho_shape(tail, cycle):
     # step walks 0, 1, ..., tail + cycle - 1 and then back to tail
@@ -579,7 +657,9 @@ def test_tables_no_reading_proved_are_checked():
             ("ab", [[1, 0], [1]]),  # in order, but with a short row
             ("abc", [[0, 0]]),  # in order, narrower than the alphabet
             ("ab", [[0, -1]]),  # in order, with a negative entry
-            ("a", [[1]])):  # in order, with an entry past the last row
+            ("a", [[1]]),  # in order, with an entry past the last row
+            ("ab", [[0, 2], [1, 1], [-1, 0]]),  # renumbered, a negative entry
+            ("ab", [[0, 2], [1, 1], [3, 0]])):  # renumbered, past the end
         with pytest.raises(InputError, match="^malformed transition table$"):
             TransitionSystem.from_table(alphabet, table)
     with pytest.raises(InputError, match="^accepting state out of range$"):

@@ -13,9 +13,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_family
+from helpers import random_family, words_up_to
 from upfam import automata
-from upfam.automata import Dfa
+from upfam.automata import Dfa, Nba
 from upfam.errors import InputError
 from upfam.faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
                        parse_faf, parse_sample, serialize_dfa_doc,
@@ -23,7 +23,7 @@ from upfam.faf import (dfa_to_dot, family_to_dot, nba_to_dot, parse_dfa_doc,
 from upfam.family import FDFA, FNFA, family_accepts
 from upfam.learning import Sample, dollar_dfa_to_fdfa, fdfa_to_dollar_dfa
 from upfam.translate import GEN_FAMILY_NAMES, fdwa_to_nba, gen_family
-from upfam.words import Representation, canonical_pair, words_up_to
+from upfam.words import Representation, canonical_pair
 
 from fixtures import (all_fixture_families, ba_star_fdfa, first_a_fdwa,
                       odd_a_fdfa, some_a_fdwa, universal_fdfa)
@@ -418,6 +418,33 @@ class TestDollarDocument:
         assert text.startswith("nba 1\n")
         assert any(line.startswith("  initials") for line in
                    text.splitlines())
+
+    def test_transitions_are_written_one_line_each_in_order(self):
+        # The writer joins the lines of each state into one block: the text
+        # still holds one line per transition, by state, symbol and
+        # target, no blank line, and none for a state without transitions.
+        def by_line(machine, nondet):
+            for s in range(machine.n):
+                for i, sym in enumerate(machine.alphabet):
+                    cell = machine.delta[s][i]
+                    for t in (sorted(cell) if nondet else (cell,)):
+                        yield "  trans %d %s %d" % (s, sym, t)
+
+        bare = Nba("ab", 3, {(0, "a"): [2, 1], (2, "b"): [0]}, [0], [2])
+        nba = fdwa_to_nba(gen_family("subset-occurrence", 2))
+        dfa = odd_a_fdfa().progress[0]
+        empty = Dfa.build((), 0, lambda s, a: 0)
+        for text, machine, nondet in (
+                (serialize_nba(bare), bare, True),
+                (serialize_nba(nba), nba, True),
+                (serialize_dfa_doc(dfa), dfa, False),
+                (serialize_dfa_doc(empty), empty, False)):
+            assert "\n\n" not in text
+            assert [line for line in text.splitlines()
+                    if line.startswith("  trans")] == list(
+                        by_line(machine, nondet))
+        assert serialize_nba(bare).endswith(
+            "  trans 0 a 1\n  trans 0 a 2\n  trans 2 b 0\n")
 
 
 class TestSampleFormat:

@@ -11,8 +11,9 @@ from itertools import chain
 
 import pytest
 
-from helpers import (AB, canonical_family, fully_saturated_targets,
-                     random_dfa, same_family, syntactic_targets)
+from helpers import (AB, canonical_family, char_sample_by_scan,
+                     fully_saturated_targets, random_dfa, random_family,
+                     same_family, syntactic_targets, words_up_to)
 from upfam.automata import Dfa, TransitionSystem, minimize_dfa
 from upfam import learning
 from upfam.errors import InputError, PreconditionError, ProtocolError
@@ -25,7 +26,7 @@ from upfam.learning import (DOLLAR, LearnLog, Sample, Teacher,
                             gen_char_sample, learn_active, learn_passive,
                             make_teacher)
 from upfam.saturation import check_saturated
-from upfam.words import Representation, llex_key, words_up_to
+from upfam.words import Representation, llex_key
 
 from fixtures import (ba_star_fdfa, empty_fdfa, eventually_ab_fdfa,
                       mod2_leading, some_a_fdwa, universal_fdfa)
@@ -501,6 +502,74 @@ def test_learner_outputs_are_pinned(name):
     learned, got = learn_active(make_teacher(F))
     assert sha256(serialize_faf(learned)) == family_digest
     assert got == log
+
+
+def char_sample_outcome(make, F):
+    """serialize_sample of the sample, or the type and text of the error."""
+    try:
+        return serialize_sample(make(F))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("alphabet, max_leading, max_progress, count",
+                         [("ab", 3, 5, 1000), ("abc", 2, 4, 500),
+                          ("ab", 1, 8, 500)])
+def test_char_sample_matches_the_scan_on_saturated_families(
+        alphabet, max_leading, max_progress, count):
+    """The transformation search gives the samples and errors of the scan
+    over every word up to length n + 2, on saturated random families."""
+    rng = random.Random("char-sample:%s:%d:%d"
+                        % (alphabet, max_leading, max_progress))
+    samples = drawn = 0
+    while drawn < count:
+        F = random_family(rng, alphabet=alphabet, max_leading=max_leading,
+                          max_progress=max_progress)
+        if not check_saturated(F).ok:
+            continue
+        drawn += 1
+        got = char_sample_outcome(gen_char_sample, F)
+        assert got == char_sample_outcome(char_sample_by_scan, F), F
+        samples += isinstance(got, str)
+    assert samples >= count // 4  # not only errors
+
+
+def test_char_sample_matches_the_scan_on_default_families():
+    """The same on default families of random word sets, with two or three
+    leading states."""
+    rng = random.Random("char-sample:default")
+
+    def word(lo, hi):
+        return tuple(rng.choice(AB) for _ in range(rng.randint(lo, hi)))
+
+    samples = drawn = 0
+    while drawn < 300:
+        F = default_fdfa([Representation(word(0, 3), word(1, 3))
+                          for _ in range(rng.randint(1, 3))], AB)
+        if not 2 <= F.leading.n <= 3:
+            continue
+        drawn += 1
+        got = char_sample_outcome(gen_char_sample, F)
+        assert got == char_sample_outcome(char_sample_by_scan, F), F
+        samples += isinstance(got, str)
+    assert samples >= 150
+
+
+@pytest.mark.parametrize("name", sorted(LEARNER_PINS))
+def test_char_sample_asks_once_per_emitted_pair(name, monkeypatch):
+    """The separators cost no membership query: each pair of the sample is
+    asked once, and nothing else is."""
+    asked = []
+    real = learning.up_membership
+
+    def counted(F, r):
+        asked.append(r)
+        return real(F, r)
+
+    monkeypatch.setattr(learning, "up_membership", counted)
+    sample = gen_char_sample(pinned_target(name))
+    assert len(asked) == len(sample)
+    assert set(asked) == set(sample.positive + sample.negative)
 
 
 # Reference definitions of the class inference: a scan of every example

@@ -3,15 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_family
+from helpers import random_family, words_up_to
 from upfam.automata import Nfa
 from upfam.errors import InputError
 from upfam.family import ReferenceSet, family_accepts, up_membership
 from upfam.oracle import (_canonical_table, _word_pool,
                           brute_almost_saturation, brute_saturation,
                           enumerate_normalized, nba_lasso_accepts)
-from upfam.words import (Representation, canonical_pair, up_equal,
-                         words_up_to)
+from upfam.words import Representation, canonical_pair, up_equal
 
 from fixtures import (ba_star_fdfa, eventually_ab_fdfa, mod2_leading,
                       odd_a_fdfa, universal_fdfa)
@@ -35,7 +34,6 @@ def test_enumerate_normalized_mod2():
 def test_enumerate_normalized_count_matches_direct():
     rng = random.Random(3)
     from upfam.family import is_normalized
-    from upfam.words import words_up_to
     for _ in range(10):
         f = random_family(rng)
         out = enumerate_normalized(f, 3, 3)

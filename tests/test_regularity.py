@@ -27,7 +27,7 @@ from upfam.regularity import (CASE_DISTINCT_ROOTS, CASE_FIRST_VISITORS,
                               find_good_witness, gen_ter_hardness,
                               label_by_leading, stabilize)
 from upfam.translate import gen_family
-from upfam.words import Representation, root, words_up_to
+from upfam.words import Representation, root
 
 from fixtures import (all_fixture_families, ba_star_fdfa, empty_fdfa,
                       exactly_one_a_fdfa, mod2_leading, odd_a_fdfa,
@@ -36,7 +36,7 @@ from helpers import (as_nfa, brute_ter_roots, classify, classify_by_powers,
                      co_reachable, compose, first_profiles, intersect_dfa,
                      least_words_by_enumeration,
                      profile_graph_by_composition, profile_of, random_dfa,
-                     random_family, random_nfa)
+                     random_family, random_nfa, words_up_to)
 
 NORM = ReferenceSet.NORMALIZED
 

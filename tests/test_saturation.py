@@ -23,7 +23,7 @@ from upfam.saturation import (STAGE_FDWA, STAGE_LOOPSHIFT, STAGE_POWER,
                               check_fdwa_saturated, check_loopshift_stable,
                               check_power_stable, check_saturated)
 from upfam.translate import gen_family
-from upfam.words import Representation, up_equal, words_up_to
+from upfam.words import Representation, up_equal
 
 from fixtures import (all_fixture_families, ba_star_fdfa, eventually_ab_fdfa,
                       exactly_one_a_fdfa, first_a_fdwa, odd_a_fdfa,
@@ -31,7 +31,7 @@ from fixtures import (all_fixture_families, ba_star_fdfa, eventually_ab_fdfa,
 from helpers import (displacement_map, least_fdwa_witness_by_symbol,
                      loopshift_on_refined, make_weak, padded,
                      power_on_refined, random_family, random_ts,
-                     saturation_on_minimized)
+                     saturation_on_minimized, words_up_to)
 
 NORM = ReferenceSet.NORMALIZED
 ALL = ReferenceSet.ALL

@@ -23,11 +23,11 @@ from upfam.saturation import check_fdwa_saturated, check_saturated
 from upfam.translate import (GEN_FAMILY_NAMES, complement_saturated_fdwa,
                              duo_accepts, duo_to_fdwa, fdwa_to_duo,
                              fdwa_to_nba, gen_family, is_duo_normalized)
-from upfam.words import Representation, words_up_to
+from upfam.words import Representation
 
 from fixtures import (empty_fdfa, first_a_fdwa, odd_a_fdfa, some_a_fdwa,
                       universal_fdfa)
-from helpers import random_family
+from helpers import random_family, words_up_to
 
 NORM = ReferenceSet.NORMALIZED
 MAPS = ("s", "t", "g", "#")

@@ -3,10 +3,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import words_up_to
 from upfam.errors import InputError
 from upfam.words import (Representation, as_word, canonical_pair,
-                         format_word, llex_key, parse_word, root, up_equal,
-                         words_up_to)
+                         format_word, llex_key, parse_word, root, up_equal)
 
 
 def binary_words(max_len, min_len=0):
